@@ -4,20 +4,18 @@
 //! choices called out in `DESIGN.md`.
 //!
 //! In sampling mode (`cargo bench --bench training -- --bench`) the
-//! dense-vs-hash *episode loop* is additionally measured and recorded
-//! into the `episode_loop` section of `BENCH_train.json` at the
-//! workspace root (the `train_all` section is owned by
-//! `benches/parallel.rs`). The measured arm drives the two `QLearning`
-//! backends over the same replay environment with early convergence
-//! disabled, so each run is exactly `max_episodes` sweeps long:
+//! Q-learning *episode loop* is additionally measured and recorded into
+//! the `episode_loop` section of `BENCH_train.json` at the workspace root
+//! (the `train_all` section is owned by `benches/parallel.rs`). The
+//! measured arm drives `QLearning::train` over the packed replay
+//! environment with early convergence disabled, so each run is exactly
+//! `max_episodes` sweeps long:
 //!
-//! * **Throughput** — sweeps per second for the hash-map table
-//!   (`QLearning::train`) vs the packed dense table
-//!   (`QLearning::train_dense`); the dense loop must be at least 2×.
+//! * **Throughput** — sweeps per second, with the host's core count.
 //! * **Steady-state allocations** — a counting global allocator (same
 //!   pattern as `benches/ingest.rs`) measures heap allocations for a
 //!   short and a long run; the difference is purely per-episode work,
-//!   and for the dense backend it must be exactly zero.
+//!   and it must be exactly zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,16 +28,17 @@ use recovery_core::approx::{train_linear, LinearConfig};
 use recovery_core::error_type::{ErrorType, ErrorTypeRanking};
 use recovery_core::evaluate::time_ordered_split;
 use recovery_core::experiment::ExperimentContext;
+use recovery_core::parallel::WorkerPool;
 use recovery_core::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
-use recovery_core::trainer::{OfflineTrainer, TrainBackend, TrainerConfig};
-use recovery_mdp::{DenseEnvironment, DenseQTable, QLearning, QLearningConfig};
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
+use recovery_mdp::{DenseQTable, Environment, QLearning, QLearningConfig};
 use recovery_simlog::{
     ActionRecord, GeneratorConfig, LogGenerator, MachineId, RecoveryProcess, RepairAction, SimTime,
     SymptomId,
 };
 
 /// Counts heap allocations so the episode-loop arm can certify that the
-/// dense backend's steady state performs none per sweep.
+/// loop's steady state performs none per sweep.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -52,11 +51,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // Delegate instead of inheriting the trait defaults: the default
     // `alloc_zeroed` is `alloc` + an eager memset, which would charge the
-    // dense table's multi-MB zeroed slabs an up-front page-touching cost
-    // the system allocator's calloc path (lazily zeroed fresh pages)
-    // never pays; the default `realloc` is alloc + copy + dealloc, which
-    // would slow the hash backend's `Vec` growth. Both still count as
-    // one allocation.
+    // table's multi-MB zeroed slabs an up-front page-touching cost the
+    // system allocator's calloc path (lazily zeroed fresh pages) never
+    // pays; the default `realloc` is alloc + copy + dealloc, which would
+    // slow `Vec` growth. Both still count as one allocation.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc_zeroed(layout)
@@ -106,15 +104,6 @@ fn bench_training(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(trainer.train_type(w.top_type).unwrap().1.sweeps))
     });
 
-    // Ablation: the hash-map table on the identical workload — the
-    // criterion-level view of the dense-vs-hash comparison the measured
-    // arm records (the default backend above is dense).
-    group.bench_function("tabular_2k_sweeps_hash_backend", |b| {
-        let config = capped(TrainerConfig::fast(), 2_000).with_backend(TrainBackend::Hash);
-        let trainer = OfflineTrainer::new(&w.train, config);
-        b.iter(|| std::hint::black_box(trainer.train_type(w.top_type).unwrap().1.sweeps))
-    });
-
     // Ablation: the paper-faithful learner (forward updates, no pruning)
     // runs the same sweep budget; the interesting difference is policy
     // quality per sweep, measured by the fig13 binary — here we measure
@@ -149,8 +138,8 @@ criterion_group!(benches, bench_training);
 const SHORT_SWEEPS: u64 = 2_000;
 /// Sweeps of the long run; the `LONG - SHORT` tail is the steady state.
 const LONG_SWEEPS: u64 = 12_000;
-/// Fixed seed for the learner rng; both backends consume the identical
-/// stream, so the compared runs replay the identical episodes.
+/// Fixed seed for the learner rng, so the short and long runs replay the
+/// identical episode prefix.
 const LOOP_SEED: u64 = 0x0E91_50DE;
 
 /// Learner config for the measured loop: exactly `sweeps` sweeps, with
@@ -166,11 +155,10 @@ fn loop_config(sweeps: u64) -> QLearningConfig {
 /// The measured episode-loop workload: one synthetic error type with 24
 /// deterministic multi-step recoveries — a failed `Reboot` every third
 /// process, `Rma` as the cure, and per-process cost jitter so Q-values
-/// keep moving. Multi-step replays are the representative case for the
-/// backend comparison: the work the two tables differ on scales with the
-/// decisions per episode, while a single-step type mostly measures the
-/// shared replay cost. No generator randomness — the workload is
-/// identical on every run.
+/// keep moving. Multi-step replays are the representative case: table
+/// work scales with the decisions per episode, while a single-step type
+/// mostly measures the replay cost. No generator randomness — the
+/// workload is identical on every run.
 fn loop_workload() -> Vec<RecoveryProcess> {
     let mut processes = Vec::new();
     for j in 0..24u64 {
@@ -214,31 +202,17 @@ fn best_of_ms(reps: u32, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One full hash-backend training run of `sweeps` sweeps; returns the
-/// heap allocations performed by the loop itself (env construction and
-/// table teardown excluded).
-fn hash_loop_allocs(trainer: &OfflineTrainer, et: ErrorType, sweeps: u64) -> u64 {
+/// One full training run of `sweeps` sweeps; returns the loop's heap
+/// allocations (env and table construction excluded).
+fn loop_allocs(trainer: &OfflineTrainer, et: ErrorType, sweeps: u64) -> u64 {
     let driver = QLearning::new(loop_config(sweeps));
     let mut env = trainer.replay_env(et).expect("type has processes");
-    let mut rng = StdRng::seed_from_u64(LOOP_SEED);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let result = driver.train(&mut env, &mut rng);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(result.episodes, sweeps, "hash run stopped early");
-    allocs
-}
-
-/// One full dense-backend training run of `sweeps` sweeps; returns the
-/// loop's heap allocations (env and table construction excluded).
-fn dense_loop_allocs(trainer: &OfflineTrainer, et: ErrorType, sweeps: u64) -> u64 {
-    let driver = QLearning::new(loop_config(sweeps));
-    let mut env = trainer.dense_replay_env(et).expect("type has processes");
     let table = DenseQTable::new(env.num_states(), env.num_actions());
     let mut rng = StdRng::seed_from_u64(LOOP_SEED);
     let before = ALLOCS.load(Ordering::Relaxed);
-    let result = driver.train_dense(&mut env, &mut rng, table);
+    let result = driver.train(&mut env, &mut rng, table);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(result.episodes, sweeps, "dense run stopped early");
+    assert_eq!(result.episodes, sweeps, "run stopped early");
     allocs
 }
 
@@ -253,55 +227,36 @@ fn main() {
     let et = ErrorTypeRanking::from_processes(&synth).top_k(1)[0];
     let trainer = OfflineTrainer::new(&synth, TrainerConfig::fast());
 
-    // Throughput: best-of-three wall clock for the long run on each
-    // backend, sweeps per second.
+    // Throughput: best-of-three wall clock for the long run, sweeps per
+    // second.
     let driver = QLearning::new(loop_config(LONG_SWEEPS));
-    let hash_ms = best_of_ms(3, || {
+    let ms = best_of_ms(3, || {
         let mut env = trainer.replay_env(et).expect("type has processes");
-        let mut rng = StdRng::seed_from_u64(LOOP_SEED);
-        std::hint::black_box(driver.train(&mut env, &mut rng).episodes);
-    });
-    let dense_ms = best_of_ms(3, || {
-        let mut env = trainer.dense_replay_env(et).expect("type has processes");
         let table = DenseQTable::new(env.num_states(), env.num_actions());
         let mut rng = StdRng::seed_from_u64(LOOP_SEED);
-        std::hint::black_box(driver.train_dense(&mut env, &mut rng, table).episodes);
+        std::hint::black_box(driver.train(&mut env, &mut rng, table).episodes);
     });
-    let hash_per_s = LONG_SWEEPS as f64 / (hash_ms / 1e3);
-    let dense_per_s = LONG_SWEEPS as f64 / (dense_ms / 1e3);
-    let speedup = dense_per_s / hash_per_s;
+    let per_s = LONG_SWEEPS as f64 / (ms / 1e3);
 
     // Steady-state allocations: the short run covers all one-time scratch
     // growth (both runs replay the identical episode prefix from the
     // fixed seed), so the long-minus-short difference is attributable
     // purely to the extra sweeps.
-    let hash_allocs = {
-        let short = hash_loop_allocs(&trainer, et, SHORT_SWEEPS);
-        let long = hash_loop_allocs(&trainer, et, LONG_SWEEPS);
-        (long as f64 - short as f64) / (LONG_SWEEPS - SHORT_SWEEPS) as f64
-    };
-    let dense_allocs = {
-        let short = dense_loop_allocs(&trainer, et, SHORT_SWEEPS);
-        let long = dense_loop_allocs(&trainer, et, LONG_SWEEPS);
+    let allocs = {
+        let short = loop_allocs(&trainer, et, SHORT_SWEEPS);
+        let long = loop_allocs(&trainer, et, LONG_SWEEPS);
         (long as f64 - short as f64) / (LONG_SWEEPS - SHORT_SWEEPS) as f64
     };
     assert_eq!(
-        dense_allocs, 0.0,
-        "dense episode loop must be allocation-free in steady state"
-    );
-    assert!(
-        speedup >= 2.0,
-        "dense episode loop must be at least 2x the hash loop \
-         (measured {speedup:.2}x: dense {dense_per_s:.0}/s vs hash {hash_per_s:.0}/s)"
+        allocs, 0.0,
+        "episode loop must be allocation-free in steady state"
     );
 
+    let host_cores = WorkerPool::available().threads();
     let section = format!(
         "{{\"sweeps\":{LONG_SWEEPS},\"calibration_sweeps\":{SHORT_SWEEPS},\
-         \"hash\":{{\"ms\":{hash_ms:.3},\"episodes_per_s\":{hash_per_s:.0},\
-         \"allocs_per_episode\":{hash_allocs:.2}}},\
-         \"dense\":{{\"ms\":{dense_ms:.3},\"episodes_per_s\":{dense_per_s:.0},\
-         \"allocs_per_episode\":{dense_allocs:.2}}},\
-         \"speedup\":{speedup:.2}}}"
+         \"host_cores\":{host_cores},\"ms\":{ms:.3},\"episodes_per_s\":{per_s:.0},\
+         \"allocs_per_episode\":{allocs:.2}}}"
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
     match recovery_bench::write_bench_section(out, "episode_loop", &section) {

@@ -20,7 +20,7 @@ use recovery_core::pipeline::{
 use recovery_core::platform::{CostEstimation, SimulationPlatform};
 use recovery_core::policy::{HybridPolicy, LivePolicy, TrainedPolicy, UserStatePolicy};
 use recovery_core::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
-use recovery_core::trainer::{OfflineTrainer, TrainBackend, TrainerConfig};
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_diagnostics::{
     assemble, diff_policies, explain_policy, DiagnosticsRecorder, ExplainOptions, RunReportInputs,
 };
@@ -257,18 +257,6 @@ fn parse_fault_plan(args: &Args) -> Result<LoopFaultPlan, String> {
     Ok(plan)
 }
 
-/// Parses `--backend`: the Q-table representation of the training hot
-/// path — `dense` (packed-state flat arrays, the default) or `hash`
-/// (the reference `HashMap` tables). Trained policies, run reports, and
-/// traces are byte-identical either way; the flag exists for the
-/// dense-equivalence CI job and for performance comparisons.
-fn parse_backend(args: &Args) -> Result<TrainBackend, String> {
-    match args.flag("backend") {
-        None => Ok(TrainBackend::default()),
-        Some(v) => v.parse(),
-    }
-}
-
 fn trainer_config(method: &str) -> Result<TrainerConfig, String> {
     match method {
         "standard" | "tree" => Ok(TrainerConfig::default()),
@@ -300,9 +288,8 @@ pub fn train(args: &Args, session: &Session) -> Result<(), String> {
         train_set.len(),
         ctx.types.len()
     ));
-    let backend = parse_backend(args)?;
-    let config = trainer_config(&method)?.with_backend(backend);
-    session.debug(&format!("trainer config: {config} (backend {backend})"));
+    let config = trainer_config(&method)?;
+    session.debug(&format!("trainer config: {config}"));
     if session.telemetry.is_enabled() {
         session.telemetry.emit(&config.to_event());
     }
@@ -494,14 +481,12 @@ pub fn report(args: &Args, session: &Session) -> Result<(), String> {
         "{:>5}  {:>8}  {:>12}  {:>12}  {:>9}  {:>8}",
         "test", "fraction", "trained/user", "hybrid/user", "coverage", "sweeps"
     );
-    let backend = parse_backend(args)?;
     for (i, fraction) in [0.2, 0.4, 0.6, 0.8].into_iter().enumerate() {
         let trainer = if fast {
             TrainerConfig::fast()
         } else {
             trainer_config(&method)?
-        }
-        .with_backend(backend);
+        };
         let config = TestRunConfig {
             minp,
             top_k,
@@ -831,7 +816,6 @@ pub fn continuous_loop(args: &Args, session: &Session) -> Result<(), String> {
         seed,
         threads,
         faults: parse_fault_plan(args)?,
-        trainer: TrainerConfig::default().with_backend(parse_backend(args)?),
         ..ContinuousLoopConfig::new(generator.cluster)
     };
     session.info(&format!(
@@ -1068,7 +1052,6 @@ pub fn serve(args: &Args, session: &Session) -> Result<(), String> {
         seed,
         threads,
         faults: parse_fault_plan(args)?,
-        trainer: TrainerConfig::default().with_backend(parse_backend(args)?),
         ..ContinuousLoopConfig::new(generator.cluster)
     };
     session.info(&format!(

@@ -34,12 +34,9 @@ COMMANDS:
       the mined symptom clusters, and the noise-filter verdict.
 
   train LOG --out POLICY [--fraction F] [--method standard|tree|faithful]
-            [--minp F] [--top N] [--threads N] [--backend dense|hash]
+            [--minp F] [--top N] [--threads N]
       Train a recovery policy on the first F of the log (by time) and
-      write it as a readable policy file. --backend selects the Q-table
-      representation of the training hot path (dense packed-state
-      arrays, the default, or the reference hash tables); the written
-      policy is byte-identical either way.
+      write it as a readable policy file.
 
   evaluate LOG --policy POLICY [--fraction F] [--hybrid true|false]
                [--threads N]
@@ -54,15 +51,13 @@ COMMANDS:
       the fault catalog).
 
   report LOG [--method standard|tree] [--threads N] [--fast true]
-             [--diagnostics-out DIR] [--backend dense|hash]
+             [--diagnostics-out DIR]
       The full paper evaluation on one log: all four train/test splits,
       totals, and coverage (paper Figures 8-12 in one table).
       --diagnostics-out writes one deterministic run report per split
       (JSON + Markdown + HTML): convergence traces, policy decisions
       with confidence flags, and the evaluation summary. --fast true
       swaps in the quick trainer preset (for CI and smoke runs).
-      --backend works as in train; reports are byte-identical either
-      way.
 
   explain POLICY [--min-visits K] [--tie F] [--json true]
       Per-state action rankings of a trained policy file: learned costs,
@@ -74,7 +69,7 @@ COMMANDS:
       states whose chosen action flipped, with both costs.
 
   loop [--windows N] [--scale F] [--seed N] [--policy-out POLICY]
-       [--backend dense|hash] [--state-dir DIR] [--crash-at PT:W,..]
+       [--state-dir DIR] [--crash-at PT:W,..]
        [--fault-empty W,..] [--fault-sim-panic W,..]
        [--fault-retrain-panic W,..] [--fault-blackout W,..]
       The paper's Figure 1 as a running system: alternate observation
@@ -106,8 +101,8 @@ COMMANDS:
 
   serve [--listen ADDR] [--serve-for SECS] [--max-inflight N]
         [--policy POLICY [--log LOG]]
-        [loop flags: --windows/--scale/--seed/--policy-out/--backend/
-         --state-dir/--fault-*]
+        [loop flags: --windows/--scale/--seed/--policy-out/--state-dir/
+         --fault-*]
       Serve a recovery policy over HTTP: POST /advise (ranked actions
       for a symptom state), POST /simulate (what-if replay of an action
       sequence), GET /policy and /policy/text (version, hash, canonical

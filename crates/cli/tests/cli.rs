@@ -365,66 +365,6 @@ fn threads_zero_or_garbage_is_rejected() {
 }
 
 #[test]
-fn dense_and_hash_backends_train_byte_identical_policies() {
-    let log = tmp("backend.log");
-    let dense = tmp("backend-dense.policy");
-    let hash = tmp("backend-hash.policy");
-    generate_log(&log);
-
-    for (backend, path) in [("dense", &dense), ("hash", &hash)] {
-        let out = bin()
-            .args([
-                "train",
-                log.to_str().unwrap(),
-                "--out",
-                path.to_str().unwrap(),
-                "--top",
-                "4",
-                "--backend",
-                backend,
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "--backend {backend}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let dense_text = std::fs::read_to_string(&dense).unwrap();
-    let hash_text = std::fs::read_to_string(&hash).unwrap();
-    assert!(
-        dense_text == hash_text,
-        "policies trained with --backend dense and --backend hash must be byte-identical"
-    );
-    std::fs::remove_file(&log).ok();
-    std::fs::remove_file(&dense).ok();
-    std::fs::remove_file(&hash).ok();
-}
-
-#[test]
-fn unknown_backend_is_rejected() {
-    let log = tmp("backend-bad.log");
-    generate_log(&log);
-    let out = bin()
-        .args([
-            "train",
-            log.to_str().unwrap(),
-            "--out",
-            "/tmp/backend-bad.policy",
-            "--backend",
-            "sparse",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "--backend sparse must be rejected");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("backend"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
-    std::fs::remove_file(&log).ok();
-}
-
-#[test]
 fn threads_one_and_many_train_byte_identical_policies() {
     let log = tmp("threads.log");
     let sequential = tmp("threads-seq.policy");

@@ -10,9 +10,11 @@
 //! the true Q surface is not linear in the features.
 //!
 //! Training uses the same Boltzmann-explored replay episodes as the
-//! tabular trainer (the [`crate::trainer::ReplayEnv`]), with semi-gradient
-//! TD(0) updates. Costs are scaled to hours internally so learning rates
-//! are well-conditioned across second-scale and day-scale actions.
+//! tabular trainer (the [`crate::trainer::ReplayEnv`]), decoding each
+//! packed state to a [`RecoveryState`] for its features, with
+//! semi-gradient TD(0) updates. Costs are scaled to hours internally so
+//! learning rates are well-conditioned across second-scale and day-scale
+//! actions.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,8 +129,6 @@ pub struct LinearConfig {
     pub learning_rate: f64,
     /// Exploration temperature schedule.
     pub schedule: TemperatureSchedule,
-    /// Episode attempt cap (the paper's N).
-    pub max_attempts: usize,
 }
 
 impl Default for LinearConfig {
@@ -141,13 +141,13 @@ impl Default for LinearConfig {
                 decay: 0.998,
                 floor: 1.0,
             },
-            max_attempts: 20,
         }
     }
 }
 
 /// Trains a [`LinearQ`] for one error type over the trainer's replay
-/// environment. Returns `None` if the type has no training processes.
+/// environment, with episodes capped at the trainer's N. Returns `None`
+/// if the type has no training processes.
 ///
 /// # Panics
 ///
@@ -167,30 +167,31 @@ pub fn train_linear(
         0x0001_1EA2 ^ u64::from(et.symptom().index()).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
     let course = recovery_mdp::TemperatureCourse::new(config.schedule);
+    let mut actions = Vec::new();
     for episode in 0..config.episodes {
         let temperature = course.at(episode);
-        let mut state = env.reset();
-        for _ in 0..config.max_attempts {
-            let actions = env.actions(&state);
-            let costs: Vec<f64> = actions.iter().map(|&a| model.predict(&state, a)).collect();
-            let action = actions[selector.select(&costs, temperature, &mut rng)];
-            let Step { cost, next } = env.step(&state, action);
-            let target = match &next {
-                Some(s2) => {
-                    let future = env
-                        .actions(s2)
-                        .into_iter()
-                        .map(|a| model.predict(s2, a))
-                        .fold(f64::INFINITY, f64::min);
-                    cost + future.max(0.0)
-                }
-                None => cost,
+        let mut index = env.reset();
+        let mut state = env.state(index);
+        for _ in 0..trainer.config().max_attempts {
+            env.actions_into(index, &mut actions);
+            let costs: Vec<f64> = actions
+                .iter()
+                .map(|&a| model.predict(&state, RepairAction::ALL[a]))
+                .collect();
+            let action = RepairAction::ALL[actions[selector.select(&costs, temperature, &mut rng)]];
+            let Step { cost, next } = env.step(index, action.index());
+            let Some(next) = next else {
+                model.update(&state, action, cost, config.learning_rate);
+                break;
             };
-            model.update(&state, action, target, config.learning_rate);
-            match next {
-                Some(s2) => state = s2,
-                None => break,
-            }
+            let next_state = env.state(next);
+            env.actions_into(next, &mut actions);
+            let future = actions
+                .iter()
+                .map(|&a| model.predict(&next_state, RepairAction::ALL[a]))
+                .fold(f64::INFINITY, f64::min);
+            model.update(&state, action, cost + future.max(0.0), config.learning_rate);
+            (index, state) = (next, next_state);
         }
     }
     Some(model)

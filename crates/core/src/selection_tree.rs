@@ -28,8 +28,12 @@ use recovery_telemetry::TrainingObserver;
 use crate::error_type::ErrorType;
 use crate::exact::EmpiricalTypeModel;
 use crate::policy::TrainedPolicy;
-use crate::state::RecoveryState;
-use crate::trainer::{OfflineTrainer, TrainBackend, TypeTrainingStats};
+use crate::state::{RecoveryState, StateCodec};
+use crate::trainer::{OfflineTrainer, TypeTrainingStats};
+
+/// A candidate snapshot: each state of the selection tree mapped to its
+/// candidate actions, best first.
+type Candidates = HashMap<RecoveryState, Vec<RepairAction>>;
 
 /// Configuration of the selection-tree trainer.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +47,6 @@ pub struct SelectionTreeConfig {
     /// Relative closeness for keeping the second-best action as a
     /// candidate: keep it when `q2 - q1 <= threshold * max(q1, 1)`.
     pub threshold: f64,
-    /// The paper's N: attempt budget per episode.
-    pub max_attempts: usize,
     /// Exploration temperature for the coarse phase. The coarse phase
     /// only needs every action's value *estimated* (the exact scan does
     /// the optimizing), so the default is effectively infinite — uniform
@@ -61,7 +63,6 @@ impl Default for SelectionTreeConfig {
             stable_checks: 3,
             max_sweeps: 40_000,
             threshold: 0.25,
-            max_attempts: 20,
             temperature: 1e9,
         }
     }
@@ -79,7 +80,6 @@ impl SelectionTreeConfig {
         assert!(self.stable_checks > 0, "need at least one stability check");
         assert!(self.max_sweeps > 0, "sweep cap must be positive");
         assert!(self.threshold >= 0.0, "threshold must be non-negative");
-        assert!(self.max_attempts >= 1, "need at least one attempt");
         assert!(self.temperature > 0.0, "temperature must be positive");
     }
 }
@@ -144,10 +144,14 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
             observer.training_started(&OfflineTrainer::type_label(et), processes.len());
         }
 
+        // The paper's N, shared with the replay env the coarse phase
+        // trains on, so the DP horizon below can never disagree with it.
+        let max_attempts = self.trainer.config().max_attempts;
+
         // --- Phase 1: coarse Q-learning until candidate stability. ---
         let learning = QLearningConfig {
             max_episodes: self.config.chunk_sweeps,
-            max_steps: self.config.max_attempts,
+            max_steps: max_attempts,
             schedule: TemperatureSchedule::Constant(self.config.temperature),
             // Chunks are bounded by max_episodes; make the driver's own
             // convergence detection inert.
@@ -162,74 +166,36 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         let mut rng = StdRng::seed_from_u64(
             0x005E_1EC7 ^ u64::from(et.symptom().index()).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
+        let mut env = self.trainer.replay_env(et).expect("non-empty type");
+        let codec = *env.codec();
+        let mut q = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
         let mut sweeps = 0u64;
-        let mut previous: Option<HashMap<RecoveryState, Vec<RepairAction>>> = None;
+        let mut previous: Option<Candidates> = None;
         let mut stable = 0usize;
         let mut converged = false;
-        // Both backends run the same chunks off the same random stream
-        // and the same stability rule, so they stop at the same sweep
-        // count with bit-identical tables.
-        let q: QTable<RecoveryState, RepairAction> = match self.trainer.config().backend {
-            TrainBackend::Hash => {
-                let mut env = self.trainer.replay_env(et).expect("non-empty type");
-                let mut q = QTable::new();
-                while sweeps < self.config.max_sweeps {
-                    let result = driver.train_from_observed(&mut env, &mut rng, q, observer);
-                    q = result.q;
-                    sweeps += result.episodes;
-                    let snapshot = self.candidate_snapshot(et, &q);
-                    if previous.as_ref() == Some(&snapshot) {
-                        stable += 1;
-                        if stable >= self.config.stable_checks {
-                            converged = true;
-                            break;
-                        }
-                    } else {
-                        stable = 0;
-                    }
-                    previous = Some(snapshot);
+        while sweeps < self.config.max_sweeps {
+            let result = driver.train_observed(&mut env, &mut rng, q, observer);
+            q = result.q;
+            sweeps += result.episodes;
+            let snapshot = self.candidate_snapshot(et, &q, &codec);
+            if previous.as_ref() == Some(&snapshot) {
+                stable += 1;
+                if stable >= self.config.stable_checks {
+                    converged = true;
+                    break;
                 }
-                q
+            } else {
+                stable = 0;
             }
-            TrainBackend::Dense => {
-                let mut env = self.trainer.dense_replay_env(et).expect("non-empty type");
-                let codec = *env.codec();
-                let mut q = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
-                // Dense action indexes in `RepairAction::ALL` order, so
-                // ranked candidates decode to the hash backend's lists.
-                let all: Vec<usize> = (0..RepairAction::COUNT).collect();
-                while sweeps < self.config.max_sweeps {
-                    let result = driver.train_dense_observed(&mut env, &mut rng, q, observer);
-                    q = result.q;
-                    sweeps += result.episodes;
-                    let snapshot = self.candidate_snapshot_with(et, |s| {
-                        q.ranked_actions(codec.encode(&s.tried()), &all)
-                            .into_iter()
-                            .map(|(a, v)| (RepairAction::ALL[a], v))
-                            .collect()
-                    });
-                    if previous.as_ref() == Some(&snapshot) {
-                        stable += 1;
-                        if stable >= self.config.stable_checks {
-                            converged = true;
-                            break;
-                        }
-                    } else {
-                        stable = 0;
-                    }
-                    previous = Some(snapshot);
-                }
-                q.to_qtable(
-                    |i| RecoveryState::new(et, codec.decode(i)),
-                    |a| RepairAction::ALL[a],
-                )
-            }
-        };
+            previous = Some(snapshot);
+        }
 
         // --- Phase 2: scan the candidate tree exactly. ---
+        // `previous` holds the final table's snapshot: a stable stop
+        // breaks on a snapshot equal to it.
         let model = EmpiricalTypeModel::new(et, processes, self.trainer.platform());
-        let candidates = self.abstract_candidates(et, &q);
-        let solution = model.constrained_optimal(self.config.max_attempts, |m, attempts| {
+        let candidates = abstract_candidates(previous.expect("the sweep cap admits one chunk"));
+        let solution = model.constrained_optimal(max_attempts, |m, attempts| {
             candidates
                 .get(&(m.map_or(0, |a| a.index() + 1), attempts))
                 .cloned()
@@ -245,7 +211,7 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         // training set, its §5.2 error-type-23 discussion).
         let mut out: QTable<RecoveryState, RepairAction> = QTable::new();
         let mut state = RecoveryState::initial(et);
-        for attempts in 0..self.config.max_attempts {
+        for attempts in 0..max_attempts {
             let strongest = state.tried().strongest();
             let Some(action) = solution.action_at(strongest, attempts) else {
                 break;
@@ -298,43 +264,33 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         (policy, stats)
     }
 
-    /// Builds the paper's *selection tree*: starting from the initial
-    /// state, each node contributes its best action — plus the runner-up
-    /// when within the closeness threshold — and each non-`RMA` candidate
-    /// spawns a child at the state reached when it fails. Only states
-    /// reachable through candidate actions matter; deep states visited
-    /// only by exploration noise are excluded, which is what makes the
-    /// stability check converge quickly.
-    fn candidate_snapshot(
-        &self,
-        et: ErrorType,
-        q: &QTable<RecoveryState, RepairAction>,
-    ) -> HashMap<RecoveryState, Vec<RepairAction>> {
-        self.candidate_snapshot_with(et, |s| q.ranked_actions(s, &RepairAction::ALL))
-    }
-
-    /// [`Self::candidate_snapshot`] over any ranked-actions source, so
-    /// the dense and hash phase-1 tables share one BFS (and therefore
-    /// one definition of candidate stability).
-    fn candidate_snapshot_with(
-        &self,
-        et: ErrorType,
-        ranked_actions: impl Fn(&RecoveryState) -> Vec<(RepairAction, f64)>,
-    ) -> HashMap<RecoveryState, Vec<RepairAction>> {
-        let mut out: HashMap<RecoveryState, Vec<RepairAction>> = HashMap::new();
+    /// Builds the paper's *selection tree* from the phase-1 table:
+    /// starting from the initial state, each node contributes its best
+    /// action — plus the runner-up when within the closeness threshold —
+    /// and each non-`RMA` candidate spawns a child at the state reached
+    /// when it fails. Only states reachable through candidate actions
+    /// matter; deep states visited only by exploration noise are
+    /// excluded, which is what makes the stability check converge
+    /// quickly.
+    fn candidate_snapshot(&self, et: ErrorType, q: &DenseQTable, codec: &StateCodec) -> Candidates {
+        let max_attempts = self.trainer.config().max_attempts;
+        // Action indexes in `RepairAction::ALL` order, so rankings tie
+        // toward the weaker action.
+        let all = RepairAction::ALL.map(RepairAction::index);
+        let mut out = Candidates::new();
         let mut frontier = vec![RecoveryState::initial(et)];
         while let Some(s) = frontier.pop() {
-            if out.contains_key(&s) || s.attempts() + 1 >= self.config.max_attempts {
+            if out.contains_key(&s) || s.attempts() + 1 >= max_attempts {
                 continue;
             }
-            let ranked = ranked_actions(&s);
+            let ranked = q.ranked_actions(codec.encode(&s.tried()), &all);
             let Some(&(best, best_v)) = ranked.first() else {
                 continue;
             };
-            let mut cands = vec![best];
+            let mut cands = vec![RepairAction::ALL[best]];
             if let Some(&(second, second_v)) = ranked.get(1) {
                 if second_v - best_v <= self.config.threshold * best_v.max(1.0) {
-                    cands.push(second);
+                    cands.push(RepairAction::ALL[second]);
                 }
             }
             for &c in &cands {
@@ -346,30 +302,26 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         }
         out
     }
+}
 
-    /// Projects concrete-state candidates onto the abstract DP states
-    /// `(strongest-failed index, attempts)`, unioning candidates of all
-    /// concrete states sharing an abstraction.
-    fn abstract_candidates(
-        &self,
-        et: ErrorType,
-        q: &QTable<RecoveryState, RepairAction>,
-    ) -> HashMap<(usize, usize), Vec<RepairAction>> {
-        let mut out: HashMap<(usize, usize), Vec<RepairAction>> = HashMap::new();
-        for (s, cands) in self.candidate_snapshot(et, q) {
-            let key = (
-                s.tried().strongest().map_or(0, |a| a.index() + 1),
-                s.attempts(),
-            );
-            let entry = out.entry(key).or_default();
-            for c in cands {
-                if !entry.contains(&c) {
-                    entry.push(c);
-                }
+/// Projects concrete-state candidates onto the abstract DP states
+/// `(strongest-failed index, attempts)`, unioning candidates of all
+/// concrete states sharing an abstraction.
+fn abstract_candidates(snapshot: Candidates) -> HashMap<(usize, usize), Vec<RepairAction>> {
+    let mut out: HashMap<(usize, usize), Vec<RepairAction>> = HashMap::new();
+    for (s, cands) in snapshot {
+        let key = (
+            s.tried().strongest().map_or(0, |a| a.index() + 1),
+            s.attempts(),
+        );
+        let entry = out.entry(key).or_default();
+        for c in cands {
+            if !entry.contains(&c) {
+                entry.push(c);
             }
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -510,44 +462,6 @@ mod tests {
         let tree_cost = model.policy_cost(&policy, 20).unwrap();
         let user_cost = model.policy_cost(&UserStatePolicy::default(), 20).unwrap();
         assert!(tree_cost < user_cost, "{tree_cost} vs {user_cost}");
-    }
-
-    #[test]
-    fn dense_backend_matches_hash_backend_bit_for_bit() {
-        let mut train = deceptive_set(7, 20);
-        for i in 0..20 {
-            let req = if i % 3 == 0 {
-                RepairAction::Reboot
-            } else {
-                RepairAction::TryNop
-            };
-            train.push(ladder_process(
-                100 + i,
-                50_000_000 + u64::from(i) * 1_000_000,
-                8,
-                req,
-            ));
-        }
-        let run = |backend| {
-            let trainer = OfflineTrainer::new(&train, TrainerConfig::fast().with_backend(backend));
-            let tree = SelectionTreeTrainer::new(&trainer, SelectionTreeConfig::default());
-            let types = [
-                ErrorType::new(SymptomId::new(7)),
-                ErrorType::new(SymptomId::new(8)),
-            ];
-            let (policy, stats) = tree.train(&types);
-            let mut rows: Vec<_> = policy
-                .q()
-                .iter()
-                .map(|((s, a), v, n)| (*s, *a, v.to_bits(), n))
-                .collect();
-            rows.sort();
-            (rows, stats)
-        };
-        let hash = run(TrainBackend::Hash);
-        let dense = run(TrainBackend::Dense);
-        assert_eq!(hash.1, dense.1, "per-type stats (sweeps, convergence)");
-        assert_eq!(hash.0, dense.0, "scanned policy tables");
     }
 
     #[test]

@@ -181,7 +181,8 @@ impl fmt::Display for RecoveryState {
 }
 
 /// Packs per-type recovery states into dense integer indexes for the
-/// flat-array training backend (`recovery-mdp`'s `DenseQTable`).
+/// flat-array Q-table every learner trains on (`recovery-mdp`'s
+/// `DenseQTable`).
 ///
 /// Within one error type a state is just its [`ActionMultiset`], and
 /// every per-action count is bounded by the episode step cap `N` (an
@@ -196,7 +197,7 @@ impl fmt::Display for RecoveryState {
 /// The initial (empty) state is index 0, and trying one more action is a
 /// **constant stride add** — no re-encoding in the episode loop. The
 /// codec spans the full `(N + 1)^COUNT` cube (194 481 states at the
-/// paper's N = 20, ~10 MB of transient table per type), trading a few
+/// paper's N = 20, ~13 MB of transient table per type), trading a few
 /// megabytes for branch-free O(1) transitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateCodec {
@@ -229,7 +230,7 @@ impl StateCodec {
         StateCodec { radix, strides }
     }
 
-    /// Exclusive upper bound on packed indexes — the dense table's state
+    /// Exclusive upper bound on packed indexes — the Q-table's state
     /// dimension.
     pub fn num_states(&self) -> usize {
         self.strides[RepairAction::COUNT - 1] * self.radix

@@ -14,8 +14,8 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recovery_mdp::{
-    DenseEnvironment, DenseQTable, DenseStep, DoubleQLearning, Environment, QLearning,
-    QLearningConfig, QTable, Step, TemperatureSchedule,
+    DenseQTable, DoubleQLearning, Environment, QLearning, QLearningConfig, QTable, Step,
+    TemperatureSchedule, TrainResult,
 };
 use recovery_simlog::{RecoveryProcess, RepairAction};
 use recovery_telemetry::{Event, ObserverHandle, Telemetry, TrainingObserver};
@@ -44,52 +44,6 @@ pub fn type_seed(master_seed: u64, symptom_index: u32, salt: u64) -> u64 {
         ^ salt
 }
 
-/// Which Q-table representation the per-type training hot path runs on.
-///
-/// Both backends execute the *same* training algorithm — identical
-/// control flow, floating-point operation order, and RNG consumption —
-/// so they produce byte-identical policies, run reports, and convergence
-/// traces; the choice only affects speed. The equivalence is locked by
-/// property tests and the `dense-equivalence` CI job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainBackend {
-    /// Packed integer states indexed into flat `Vec` arrays: no hashing
-    /// and no per-episode allocation in the episode loop. The default.
-    #[default]
-    Dense,
-    /// The original `HashMap<(state, action)>` table — the reference
-    /// implementation the dense backend is byte-compared against.
-    Hash,
-}
-
-impl TrainBackend {
-    /// The CLI-facing name (`dense` / `hash`).
-    pub fn name(self) -> &'static str {
-        match self {
-            TrainBackend::Dense => "dense",
-            TrainBackend::Hash => "hash",
-        }
-    }
-}
-
-impl std::str::FromStr for TrainBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(TrainBackend::Dense),
-            "hash" => Ok(TrainBackend::Hash),
-            other => Err(format!("unknown backend '{other}' (dense|hash)")),
-        }
-    }
-}
-
-impl std::fmt::Display for TrainBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Configuration of the offline trainer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerConfig {
@@ -109,9 +63,6 @@ pub struct TrainerConfig {
     pub prune_dominated: bool,
     /// Master seed; each error type derives its own stream.
     pub seed: u64,
-    /// Q-table representation for the training hot path; output is
-    /// byte-identical either way.
-    pub backend: TrainBackend,
 }
 
 impl Default for TrainerConfig {
@@ -141,7 +92,6 @@ impl Default for TrainerConfig {
             max_attempts: 20,
             prune_dominated: true,
             seed: 0x0D5E_2007,
-            backend: TrainBackend::Dense,
         }
     }
 }
@@ -169,7 +119,6 @@ impl TrainerConfig {
             max_attempts: 20,
             prune_dominated: true,
             seed: 0x0D5E_2007,
-            backend: TrainBackend::Dense,
         }
     }
 
@@ -194,12 +143,6 @@ impl TrainerConfig {
         self
     }
 
-    /// Replaces the training backend.
-    pub fn with_backend(mut self, backend: TrainBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// A compact description of the temperature schedule, e.g.
     /// `geometric(t0=300000, decay=0.99988, floor=5)`.
     pub fn schedule_summary(&self) -> String {
@@ -216,11 +159,6 @@ impl TrainerConfig {
 
     /// The configuration as a structured telemetry [`Event`] (kind
     /// `trainer_config`), for JSONL logging without any serde dependency.
-    ///
-    /// The `backend` field is deliberately *not* rendered here (nor in
-    /// [`Display`](std::fmt::Display)): run reports and traces must be
-    /// byte-identical across backends, so the representation choice never
-    /// leaks into artifacts. The CLI announces the backend on stderr.
     pub fn to_event(&self) -> Event {
         Event::new("trainer_config")
             .with("max_episodes", self.learning.max_episodes)
@@ -272,7 +210,9 @@ pub struct TypeTrainingStats {
 
 /// The episodic replay environment for one error type: each episode picks
 /// one logged process of the type and replays the learner's actions
-/// against it through the platform.
+/// against it through the platform. States are [`StateCodec`] indices of
+/// the tried-action multiset, so the learners index flat arrays instead
+/// of hashing.
 ///
 /// Obtained from [`OfflineTrainer::replay_env`]; exposed so alternative
 /// training loops (the selection-tree accelerator, the linear
@@ -280,76 +220,10 @@ pub struct TypeTrainingStats {
 /// same episodes.
 pub struct ReplayEnv<'a> {
     platform: &'a SimulationPlatform,
-    processes: &'a [&'a RecoveryProcess],
-    /// One [`ReplayCache`] per process, index-aligned with `processes`:
-    /// episodes replay thousands of attempts per process, so the hot
-    /// path answers from precomputed tables instead of re-deriving the
-    /// error type, required action, and occurrence costs per attempt.
-    caches: Vec<ReplayCache>,
-    error_type: ErrorType,
-    max_attempts: usize,
-    prune_dominated: bool,
-    rng: StdRng,
-    current: usize,
-}
-
-impl std::fmt::Debug for ReplayEnv<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplayEnv")
-            .field("error_type", &self.error_type)
-            .field("processes", &self.processes.len())
-            .finish()
-    }
-}
-
-impl Environment for ReplayEnv<'_> {
-    type State = RecoveryState;
-    type Action = RepairAction;
-
-    fn reset(&mut self) -> RecoveryState {
-        // The paper's SelectProcess step: draw one recovery process.
-        self.current = self.rng.gen_range(0..self.processes.len());
-        RecoveryState::initial(self.error_type)
-    }
-
-    fn actions(&self, state: &RecoveryState) -> Vec<RepairAction> {
-        if state.attempts() + 1 >= self.max_attempts {
-            // N-1 automated attempts failed: manual repair only.
-            return vec![RepairAction::Rma];
-        }
-        match state.tried().strongest() {
-            // By H2, actions no stronger than a failed one cannot cure;
-            // offer only genuine escalations (plus RMA, always stronger).
-            Some(strongest) if self.prune_dominated => RepairAction::ALL
-                .into_iter()
-                .filter(|a| a.strength() > strongest.strength())
-                .collect(),
-            _ => RepairAction::ALL.to_vec(),
-        }
-    }
-
-    fn step(&mut self, state: &RecoveryState, action: RepairAction) -> Step<RecoveryState> {
-        let occurrence = state.tried().count(action) as usize;
-        let outcome = self
-            .platform
-            .attempt_cached(&self.caches[self.current], action, occurrence);
-        Step {
-            cost: outcome.cost,
-            next: (!outcome.cured).then(|| state.after(action)),
-        }
-    }
-}
-
-/// [`ReplayEnv`] over packed integer states: the same episodes — same
-/// process draws, same action menus in the same order, same cached
-/// attempt outcomes — with states as [`StateCodec`] indices so the dense
-/// training loops index flat arrays instead of hashing. Every random draw
-/// and floating-point value matches [`ReplayEnv`] exactly; only the state
-/// representation differs.
-///
-/// Obtained from [`OfflineTrainer::dense_replay_env`].
-pub struct DenseReplayEnv<'a> {
-    platform: &'a SimulationPlatform,
+    /// One [`ReplayCache`] per process of the type: episodes replay
+    /// thousands of attempts per process, so the hot path answers from
+    /// precomputed tables instead of re-deriving the error type, required
+    /// action, and occurrence costs per attempt.
     caches: Vec<ReplayCache>,
     error_type: ErrorType,
     codec: StateCodec,
@@ -364,8 +238,8 @@ pub struct DenseReplayEnv<'a> {
     /// process, so the first decode of a state serves every later visit —
     /// the training loop queries menus three times per step (selection,
     /// transition, backup) and the decode is the single hottest part of
-    /// the dense env. `Cell` slots instead of a `RefCell` around the
-    /// vector: the hot path reads one byte with no borrow-flag traffic.
+    /// the env. `Cell` slots instead of a `RefCell` around the vector:
+    /// the hot path reads one byte with no borrow-flag traffic.
     menus: Vec<std::cell::Cell<u8>>,
     /// Tried-action counts of the in-flight episode's current state,
     /// maintained incrementally across `reset`/`step` so the per-step
@@ -376,7 +250,7 @@ pub struct DenseReplayEnv<'a> {
     tried: [usize; RepairAction::COUNT],
 }
 
-impl DenseReplayEnv<'_> {
+impl ReplayEnv<'_> {
     /// The codec mapping packed indices to tried-action multisets.
     pub fn codec(&self) -> &StateCodec {
         &self.codec
@@ -387,9 +261,13 @@ impl DenseReplayEnv<'_> {
         self.error_type
     }
 
-    /// Computes the action-menu bitmask of `state` from its digits —
-    /// exactly the menu [`ReplayEnv`] offers for the equivalent multiset
-    /// state, as a mask in ascending action-index order.
+    /// The [`RecoveryState`] a packed index stands for.
+    pub(crate) fn state(&self, index: usize) -> RecoveryState {
+        RecoveryState::new(self.error_type, self.codec.decode(index))
+    }
+
+    /// Computes the action-menu bitmask of `state` from its digits, in
+    /// ascending action-index order.
     fn menu_mask(&self, state: usize) -> u8 {
         let (counts, total) = self.codec.counts(state);
         if total + 1 >= self.max_attempts {
@@ -415,16 +293,16 @@ impl DenseReplayEnv<'_> {
     }
 }
 
-impl std::fmt::Debug for DenseReplayEnv<'_> {
+impl std::fmt::Debug for ReplayEnv<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DenseReplayEnv")
+        f.debug_struct("ReplayEnv")
             .field("error_type", &self.error_type)
             .field("processes", &self.caches.len())
             .finish()
     }
 }
 
-impl DenseEnvironment for DenseReplayEnv<'_> {
+impl Environment for ReplayEnv<'_> {
     fn num_states(&self) -> usize {
         self.codec.num_states()
     }
@@ -447,8 +325,8 @@ impl DenseEnvironment for DenseReplayEnv<'_> {
             mask = self.menu_mask(state);
             self.menus[state].set(mask);
         }
-        // Bits unpack in ascending action-index order — the exact order
-        // the hash env pushes actions.
+        // Bits unpack in ascending action-index order: `RepairAction::ALL`
+        // order, which Boltzmann sampling and backup folds depend on.
         for action in RepairAction::ALL {
             if mask & (1 << action.index()) != 0 {
                 out.push(action.index());
@@ -456,7 +334,7 @@ impl DenseEnvironment for DenseReplayEnv<'_> {
         }
     }
 
-    fn step(&mut self, state: usize, action: usize) -> DenseStep {
+    fn step(&mut self, state: usize, action: usize) -> Step {
         let action = RepairAction::ALL[action];
         debug_assert_eq!(
             self.tried[action.index()],
@@ -468,7 +346,7 @@ impl DenseEnvironment for DenseReplayEnv<'_> {
         let outcome = self
             .platform
             .attempt_cached(&self.caches[self.current], action, occurrence);
-        DenseStep {
+        Step {
             cost: outcome.cost,
             next: (!outcome.cured).then(|| self.codec.after(state, action)),
         }
@@ -591,36 +469,17 @@ impl<'a> OfflineTrainer<'a> {
     }
 
     /// An episodic replay environment for `et`, or `None` if the type has
-    /// no training processes.
+    /// no training processes. Every call draws the same process sequence:
+    /// the environment's random stream derives from the master seed and
+    /// the type alone.
     pub fn replay_env(&self, et: ErrorType) -> Option<ReplayEnv<'_>> {
         let processes = self.by_type.get(&et)?;
         let caches = processes
             .iter()
             .map(|p| self.platform.replay_cache(p))
             .collect();
-        Some(ReplayEnv {
-            platform: &self.platform,
-            processes,
-            caches,
-            error_type: et,
-            max_attempts: self.config.max_attempts,
-            prune_dominated: self.config.prune_dominated,
-            rng: StdRng::seed_from_u64(self.type_seed(et, 0x000_5EEDE)),
-            current: 0,
-        })
-    }
-
-    /// The packed-state counterpart of [`OfflineTrainer::replay_env`]:
-    /// the same episodes over [`StateCodec`] indices, seeded identically,
-    /// so dense and hash training consume the same random streams.
-    pub fn dense_replay_env(&self, et: ErrorType) -> Option<DenseReplayEnv<'_>> {
-        let processes = self.by_type.get(&et)?;
-        let caches = processes
-            .iter()
-            .map(|p| self.platform.replay_cache(p))
-            .collect();
         let codec = StateCodec::new(self.config.max_attempts);
-        Some(DenseReplayEnv {
+        Some(ReplayEnv {
             platform: &self.platform,
             caches,
             error_type: et,
@@ -669,41 +528,14 @@ impl<'a> OfflineTrainer<'a> {
             self.observer
                 .training_started(&Self::type_label(et), processes.len());
         }
-        let mut learning = self.config.learning.clone();
-        learning.max_steps = self.config.max_attempts;
-        let driver = QLearning::new(learning);
+        let driver = QLearning::new(self.learning());
         let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x000_AC710));
-        let (q, episodes, converged) = match self.config.backend {
-            TrainBackend::Hash => {
-                let mut env = self.replay_env(et).expect("type has processes");
-                let result =
-                    driver.train_from_observed(&mut env, &mut rng, initial, &self.observer);
-                (result.q, result.episodes, result.converged)
-            }
-            TrainBackend::Dense => {
-                let mut env = self.dense_replay_env(et).expect("type has processes");
-                let codec = *env.codec();
-                let mut table = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
-                table.absorb_qtable(&initial, |s| codec.encode(&s.tried()), |a| a.index());
-                let result = driver.train_dense_observed(&mut env, &mut rng, table, &self.observer);
-                let q = result.q.to_qtable(
-                    |i| RecoveryState::new(et, codec.decode(i)),
-                    |a| RepairAction::ALL[a],
-                );
-                (q, result.episodes, result.converged)
-            }
-        };
-        if self.observer.is_attached() {
-            self.observer
-                .training_finished(&Self::type_label(et), episodes, converged);
-        }
-        let stats = TypeTrainingStats {
-            error_type: et,
-            sample_count: processes.len(),
-            sweeps: episodes,
-            converged,
-        };
-        Some((q, stats))
+        let mut env = self.replay_env(et).expect("type has processes");
+        let codec = *env.codec();
+        let mut table = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
+        table.absorb_qtable(&initial, |s| codec.encode(&s.tried()), |a| a.index());
+        let result = driver.train_observed(&mut env, &mut rng, table, &self.observer);
+        Some(self.finish_type(&env, processes.len(), result))
     }
 
     /// Trains one error type with **double Q-learning** (two estimators,
@@ -720,38 +552,48 @@ impl<'a> OfflineTrainer<'a> {
             self.observer
                 .training_started(&Self::type_label(et), processes.len());
         }
-        let mut learning = self.config.learning.clone();
-        learning.max_steps = self.config.max_attempts;
-        let driver = DoubleQLearning::new(learning);
+        let driver = DoubleQLearning::new(self.learning());
         let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x00D_0B1E));
-        let (q, episodes, converged) = match self.config.backend {
-            TrainBackend::Hash => {
-                let mut env = self.replay_env(et).expect("type has processes");
-                let result = driver.train(&mut env, &mut rng);
-                (result.q, result.episodes, result.converged)
-            }
-            TrainBackend::Dense => {
-                let mut env = self.dense_replay_env(et).expect("type has processes");
-                let codec = *env.codec();
-                let result = driver.train_dense(&mut env, &mut rng);
-                let q = result.q.to_qtable(
-                    |i| RecoveryState::new(et, codec.decode(i)),
-                    |a| RepairAction::ALL[a],
-                );
-                (q, result.episodes, result.converged)
-            }
-        };
-        if self.observer.is_attached() {
-            self.observer
-                .training_finished(&Self::type_label(et), episodes, converged);
+        let mut env = self.replay_env(et).expect("type has processes");
+        let result = driver.train(&mut env, &mut rng);
+        Some(self.finish_type(&env, processes.len(), result))
+    }
+
+    /// The learner configuration, with the episode step cap set to the
+    /// paper's N.
+    fn learning(&self) -> QLearningConfig {
+        QLearningConfig {
+            max_steps: self.config.max_attempts,
+            ..self.config.learning.clone()
         }
+    }
+
+    /// Converts a finished per-type run to its artifact-form Q-table and
+    /// stats, reporting the finish to the observer.
+    fn finish_type(
+        &self,
+        env: &ReplayEnv<'_>,
+        sample_count: usize,
+        result: TrainResult,
+    ) -> (QTable<RecoveryState, RepairAction>, TypeTrainingStats) {
+        let et = env.error_type();
+        if self.observer.is_attached() {
+            self.observer.training_finished(
+                &Self::type_label(et),
+                result.episodes,
+                result.converged,
+            );
+        }
+        let q = result
+            .q
+            .to_qtable(|i| env.state(i), |a| RepairAction::ALL[a]);
         let stats = TypeTrainingStats {
             error_type: et,
-            sample_count: processes.len(),
-            sweeps: episodes,
-            converged,
+            sample_count,
+            sweeps: result.episodes,
+            converged: result.converged,
         };
-        Some((q, stats))
+        (q, stats)
     }
 
     /// Builds the user-ladder seed table for one type: walking the
@@ -912,24 +754,33 @@ mod tests {
         }
         let trainer = OfflineTrainer::new(&train, TrainerConfig::fast());
         let et = ErrorType::new(SymptomId::new(4));
-        let (q, _) = trainer.train_type(et).unwrap();
-        let policy = TrainedPolicy::new(q);
-
         let refs: Vec<&RecoveryProcess> = train.iter().collect();
         let model = EmpiricalTypeModel::new(et, &refs, trainer.platform());
         let exact = model.optimal(20);
-        assert_eq!(
-            policy.decide(&RecoveryState::initial(et)),
-            Some(exact.first_action()),
-            "greedy first action must match the DP optimum"
-        );
-        // And the full trained policy's exact cost should be near optimal.
-        if let Some(cost) = model.policy_cost(&policy, 20) {
-            assert!(
-                cost <= exact.expected_cost * 1.05 + 1.0,
-                "trained policy cost {cost} vs optimal {}",
-                exact.expected_cost
+
+        // Every per-type entry point must reach the DP optimum: plain,
+        // ladder-seeded, and double Q-learning.
+        for name in ["train_type", "train_type_seeded", "train_type_double"] {
+            let (q, _) = match name {
+                "train_type" => trainer.train_type(et),
+                "train_type_seeded" => trainer.train_type_seeded(et),
+                _ => trainer.train_type_double(et),
+            }
+            .unwrap();
+            let policy = TrainedPolicy::new(q);
+            assert_eq!(
+                policy.decide(&RecoveryState::initial(et)),
+                Some(exact.first_action()),
+                "{name}: greedy first action must match the DP optimum"
             );
+            // And the full trained policy's exact cost should be near optimal.
+            if let Some(cost) = model.policy_cost(&policy, 20) {
+                assert!(
+                    cost <= exact.expected_cost * 1.05 + 1.0,
+                    "{name}: trained policy cost {cost} vs optimal {}",
+                    exact.expected_cost
+                );
+            }
         }
     }
 
@@ -968,39 +819,6 @@ mod tests {
             )
         };
         assert_eq!(run(1), run(1));
-    }
-
-    /// Bit-exact snapshot of a table, sorted by the canonical state
-    /// order so backend-internal iteration order cannot matter.
-    fn snapshot(
-        q: &QTable<RecoveryState, RepairAction>,
-    ) -> Vec<(RecoveryState, RepairAction, u64, u64)> {
-        let mut rows: Vec<_> = q
-            .iter()
-            .map(|((s, a), v, n)| (*s, *a, v.to_bits(), n))
-            .collect();
-        rows.sort();
-        rows
-    }
-
-    #[test]
-    fn dense_backend_matches_hash_backend_bit_for_bit() {
-        let train = deceptive_training_set(5, 20);
-        let et = ErrorType::new(SymptomId::new(5));
-        let run = |backend| {
-            let trainer = OfflineTrainer::new(&train, TrainerConfig::fast().with_backend(backend));
-            let (q, stats) = trainer.train_type(et).unwrap();
-            let (sq, _) = trainer.train_type_seeded(et).unwrap();
-            let (dq, dstats) = trainer.train_type_double(et).unwrap();
-            (snapshot(&q), stats, snapshot(&sq), snapshot(&dq), dstats)
-        };
-        let hash = run(TrainBackend::Hash);
-        let dense = run(TrainBackend::Dense);
-        assert_eq!(hash.1, dense.1, "plain Q-learning stats");
-        assert_eq!(hash.0, dense.0, "plain Q-learning table");
-        assert_eq!(hash.2, dense.2, "user-seeded table");
-        assert_eq!(hash.4, dense.4, "double-Q stats");
-        assert_eq!(hash.3, dense.3, "double-Q table");
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl BoltzmannSelector {
     /// accumulate each `weight / total` against one uniform draw — and
     /// consumes exactly one RNG value, so for equal inputs and RNG state
     /// it returns the same index bit-for-bit. This is the hot-path
-    /// variant the dense training loops use.
+    /// variant the training loops use.
     ///
     /// # Panics
     ///

@@ -1,87 +1,36 @@
-//! Dense (flat-array) Q-table backend for the training hot path.
+//! The flat-array Q-table every learner trains on.
 //!
-//! [`QTable`] hashes `(state, action)` pairs on every read and update —
-//! flexible, but the episode loop performs millions of such touches per
-//! training run. When the state space is small and enumerable (the
-//! paper's per-type recovery MDP is: a tried-action multiset bounded by
-//! the N = 20 episode cap), states can be packed into integer indexes and
-//! the table becomes three flat arrays indexed by
-//! `state_index * num_actions + action_index`:
+//! The paper's per-type recovery MDP is small and enumerable (a
+//! tried-action multiset bounded by the N = 20 episode cap), so states
+//! pack into integer indexes and the table is three flat arrays indexed
+//! by `state_index * num_actions + action_index`:
 //!
 //! * `values: Vec<f64>` — the Eq. 6 running averages;
-//! * `visits: Vec<u32>` — per-pair update counts (the `n` in
-//!   `α = 1/(1+n)`);
+//! * `visits` — per-pair update counts (the `n` in `α = 1/(1+n)`);
 //! * `known: Vec<bool>` — whether the pair has ever been updated or set,
-//!   preserving [`QTable`]'s explored/unexplored distinction that the
-//!   `explored_backup` policy and hybrid coverage checks rely on.
+//!   the explored/unexplored distinction the `explored_backup` policy and
+//!   hybrid coverage checks rely on.
 //!
-//! The dense update replicates [`QTable::update`] *operation for
-//! operation* — same expressions, same order — so a dense training run
-//! produces bit-identical Q-values to the hash-backed reference, and
-//! converting the result back to a [`QTable`] at window end (via
-//! [`DenseQTable::to_qtable`]) yields byte-identical policies, reports,
-//! and convergence traces. That equivalence is locked by unit tests here,
-//! property tests in the workspace `tests/`, and a CI job that byte-diffs
-//! whole pipeline runs.
+//! Reads and updates are array indexing — no hashing, no allocation. A
+//! trained table leaves the hot path through [`DenseQTable::to_qtable`],
+//! which rebuilds the [`QTable`] artifact form that persistence,
+//! diagnostics and merges read. The update replicates [`QTable::update`]
+//! operation for operation, so values and visit counts cross that bridge
+//! exactly.
 
 use crate::qtable::QTable;
 use std::hash::Hash;
 
-/// The result of taking one action in a [`DenseEnvironment`]: an
-/// immediate cost and either the packed next-state index or episode
-/// termination.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DenseStep {
-    /// Immediate cost incurred by the action.
-    pub cost: f64,
-    /// The successor state index, or `None` if the episode terminated.
-    pub next: Option<usize>,
-}
-
-/// An episodic, cost-emitting environment over packed integer states and
-/// actions — the allocation-free counterpart of
-/// [`Environment`](crate::Environment).
+/// A tabular Q-function over packed integer states and actions, with the
+/// paper's Eq. 6 update rule (`α = 1/(1 + visits)`).
 ///
-/// A dense environment paired with a hash-backed one must present the
-/// *same* MDP under the pairing's state/action encoding: same reachable
-/// states, the same actions **in the same order** (order drives both
-/// Boltzmann sampling and backup folds), the same costs and transitions,
-/// and identical consumption of any internal randomness. Under that
-/// contract the dense and hash training loops walk identical episodes.
-pub trait DenseEnvironment {
-    /// Exclusive upper bound on state indexes returned by
-    /// [`DenseEnvironment::reset`] and [`DenseEnvironment::step`].
-    fn num_states(&self) -> usize;
-
-    /// Exclusive upper bound on action indexes.
-    fn num_actions(&self) -> usize;
-
-    /// Starts a new episode, returning its initial state index.
-    fn reset(&mut self) -> usize;
-
-    /// Writes the actions available in `state` into `out` (clearing it
-    /// first). Must be non-empty for any reachable state, and must list
-    /// actions in the same order as the paired hash environment.
-    fn actions_into(&self, state: usize, out: &mut Vec<usize>);
-
-    /// Executes `action` in `state`.
-    fn step(&mut self, state: usize, action: usize) -> DenseStep;
-}
-
-/// A dense tabular Q-function over packed integer states and actions:
-/// the flat-array twin of [`QTable`], with the same Eq. 6 update rule
-/// (`α = 1/(1 + visits)`) computed by the same floating-point operation
-/// sequence, so trained values are bit-identical between backends.
-///
-/// Reads and updates are array indexing — no hashing, no allocation.
 /// Visit counts are `u32` (ample for any per-type run — the paper-scale
 /// cap is 160 000 sweeps × 20 steps) packed alongside a `u32` *epoch*
 /// tag in one slot word. The epoch makes [`DenseQTable::reset_visits`]
-/// O(1): the hash table resets by walking its few hundred live entries,
-/// but a flat table would have to sweep every slot (multiple MB of
-/// traffic, and a cache wipe) — instead, bumping the table epoch
-/// invalidates every stale count at once, and reads resolve a stale
-/// known slot to the recorded reset value.
+/// O(1): sweeping every slot would cost multiple MB of traffic and a
+/// cache wipe — instead, bumping the table epoch invalidates every stale
+/// count at once, and reads resolve a stale known slot to the recorded
+/// reset value.
 #[derive(Debug, Clone)]
 pub struct DenseQTable {
     num_actions: usize,
@@ -113,7 +62,7 @@ impl PartialEq for DenseQTable {
 
 impl DenseQTable {
     /// Creates an all-unexplored table over `num_states × num_actions`
-    /// pairs. This is the only allocation the dense backend performs per
+    /// pairs. This is the only allocation the learners perform per
     /// training run.
     ///
     /// # Panics
@@ -239,7 +188,7 @@ impl DenseQTable {
     }
 
     /// Installs a value *and* visit count — the import path used to seed
-    /// a dense table from a hash-backed [`QTable`] fragment.
+    /// a table from a [`QTable`] fragment.
     ///
     /// # Panics
     ///
@@ -256,8 +205,10 @@ impl DenseQTable {
     }
 
     /// Resets every *known* entry's visit count to `to`, keeping the
-    /// learned values — the exploration→search phase boundary, mirroring
-    /// [`QTable::reset_visits`].
+    /// learned values. Used at the exploration→search phase boundary of
+    /// the paper's two-phase learning course: subsequent Eq. 6 averaging
+    /// starts from the current values with weight `to/(to+n)`, so the
+    /// (possibly biased) exploration-phase history stops dominating.
     pub fn reset_visits(&mut self, to: u32) {
         // O(1): invalidate every slot's epoch tag instead of sweeping
         // the (possibly multi-MB) count array. Known slots now read as
@@ -305,11 +256,10 @@ impl DenseQTable {
         out
     }
 
-    /// Converts the dense table back to the canonical hash-backed form,
-    /// mapping packed indexes through the caller's decoders. Values and
-    /// visit counts transfer exactly, so persistence, diagnostics, and
-    /// rank-order merges see a table indistinguishable from one trained
-    /// on the hash backend.
+    /// Converts the table to the [`QTable`] artifact form, mapping packed
+    /// indexes through the caller's decoders. Values and visit counts
+    /// transfer exactly, so persistence, diagnostics, and rank-order
+    /// merges see the trained table as it was.
     pub fn to_qtable<S, A>(
         &self,
         mut decode_state: impl FnMut(usize) -> S,
@@ -326,10 +276,10 @@ impl DenseQTable {
         q
     }
 
-    /// Imports every entry of a hash-backed table, mapping states and
-    /// actions through the caller's encoders — the inverse of
-    /// [`DenseQTable::to_qtable`], used to warm-start dense training from
-    /// a seeded [`QTable`].
+    /// Imports every entry of a [`QTable`], mapping states and actions
+    /// through the caller's encoders — the inverse of
+    /// [`DenseQTable::to_qtable`], used to warm-start training from a
+    /// seeded table.
     pub fn absorb_qtable<S, A>(
         &mut self,
         q: &QTable<S, A>,
@@ -343,21 +293,6 @@ impl DenseQTable {
             self.set_with_visits(encode_state(s), encode_action(*a), value, visits);
         }
     }
-}
-
-/// The outcome of a dense training run — [`TrainResult`](crate::TrainResult)
-/// with the table still in packed form.
-#[derive(Debug, Clone)]
-pub struct DenseTrainResult {
-    /// The learned dense Q-table.
-    pub q: DenseQTable,
-    /// Sweeps actually run.
-    pub episodes: u64,
-    /// Whether convergence was detected before the sweep cap.
-    pub converged: bool,
-    /// Sweep index at which the convergence window completed (equals
-    /// `episodes` when `converged`).
-    pub sweeps_to_convergence: Option<u64>,
 }
 
 #[cfg(test)]

@@ -21,13 +21,9 @@
 use rand::Rng;
 
 use crate::boltzmann::{BoltzmannSelector, TemperatureCourse};
-use crate::dense::{DenseEnvironment, DenseQTable, DenseStep, DenseTrainResult};
+use crate::dense::DenseQTable;
 use crate::env::{Environment, Step};
 use crate::qlearning::{QLearningConfig, TrainResult};
-use crate::qtable::QTable;
-
-/// One episode's recorded transitions: `(state, action, cost, next)`.
-type Trajectory<S, A> = Vec<(S, A, f64, Option<S>)>;
 
 /// Double Q-learning driver; configured by the same [`QLearningConfig`]
 /// as the plain driver (the `backward_updates` and `explored_backup`
@@ -45,7 +41,7 @@ type Trajectory<S, A> = Vec<(S, A, f64, Option<S>)>;
 /// let config = QLearningConfig { max_episodes: 500, ..QLearningConfig::default() };
 /// let result = DoubleQLearning::new(config)
 ///     .train(&mut env, &mut rand::rngs::StdRng::seed_from_u64(2));
-/// let (_, value) = result.q.best_action(&0usize, &[0]).unwrap();
+/// let value = result.q.value(0, 0).unwrap();
 /// assert!((value - 5.0).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone)]
@@ -75,136 +71,11 @@ impl DoubleQLearning {
 
     /// Trains both tables and returns their *average* as the learned
     /// Q-function (the standard way to read out a double-Q learner),
-    /// along with sweep statistics.
-    pub fn train<E, R>(&self, env: &mut E, rng: &mut R) -> TrainResult<E::State, E::Action>
+    /// along with sweep statistics. Both tables are flat arrays sized to
+    /// the environment and all buffers are reused across episodes.
+    pub fn train<E, R>(&self, env: &mut E, rng: &mut R) -> TrainResult
     where
         E: Environment,
-        R: Rng + ?Sized,
-    {
-        let mut qa: QTable<E::State, E::Action> = QTable::new();
-        let mut qb: QTable<E::State, E::Action> = QTable::new();
-        let mut calm_streak = 0u64;
-        let mut episodes = 0u64;
-        let mut converged = false;
-
-        let course = TemperatureCourse::new(self.config.schedule);
-        while episodes < self.config.max_episodes {
-            let temperature = course.at(episodes);
-            episodes += 1;
-
-            // Walk one episode, selecting actions by the averaged tables.
-            let mut state = env.reset();
-            let mut record: Trajectory<E::State, E::Action> = Vec::new();
-            for _ in 0..self.config.max_steps {
-                let actions = env.actions(&state);
-                debug_assert!(!actions.is_empty(), "reachable states must offer actions");
-                let costs: Vec<f64> = actions
-                    .iter()
-                    .map(|&a| {
-                        let va = qa.value_or(&state, a, self.config.default_q);
-                        let vb = qb.value_or(&state, a, self.config.default_q);
-                        (va + vb) / 2.0
-                    })
-                    .collect();
-                let action = actions[self.selector.select(&costs, temperature, rng)];
-                let Step { cost, next } = env.step(&state, action);
-                let done = next.is_none();
-                record.push((state.clone(), action, cost, next.clone()));
-                if let Some(s) = next {
-                    state = s;
-                }
-                if done {
-                    break;
-                }
-            }
-
-            if self.config.backward_updates {
-                record.reverse();
-            }
-            let mut max_delta = 0.0f64;
-            for (s, a, cost, next) in record {
-                // Coin flip: which table learns this transition.
-                let a_learns = rng.gen_bool(0.5);
-                let (learner, evaluator) = if a_learns {
-                    (&mut qa, &qb)
-                } else {
-                    (&mut qb, &qa)
-                };
-                let future = match &next {
-                    Some(s2) => {
-                        let actions = env.actions(s2);
-                        // Selection by the learner's own estimates …
-                        let chosen = actions
-                            .iter()
-                            .copied()
-                            .filter(|&a2| {
-                                !self.config.explored_backup || learner.value(s2, a2).is_some()
-                            })
-                            .min_by(|&x, &y| {
-                                let vx = learner.value_or(s2, x, self.config.default_q);
-                                let vy = learner.value_or(s2, y, self.config.default_q);
-                                vx.partial_cmp(&vy).expect("finite Q values")
-                            });
-                        match chosen {
-                            // … evaluation by the other table.
-                            Some(a2) => evaluator.value_or(
-                                s2,
-                                a2,
-                                learner.value_or(s2, a2, self.config.default_q),
-                            ),
-                            None => self.config.default_q,
-                        }
-                    }
-                    None => 0.0,
-                };
-                let target = cost + future;
-                max_delta = max_delta.max(learner.update(s, a, target));
-            }
-
-            if max_delta < self.config.convergence_tol {
-                calm_streak += 1;
-                if calm_streak >= self.config.convergence_window {
-                    converged = true;
-                    break;
-                }
-            } else {
-                calm_streak = 0;
-            }
-        }
-
-        // Read out the average of the two tables.
-        let mut q: QTable<E::State, E::Action> = QTable::new();
-        for ((s, a), va, _) in qa.iter() {
-            let avg = match qb.value(s, *a) {
-                Some(vb) => (va + vb) / 2.0,
-                None => va,
-            };
-            q.set(s.clone(), *a, avg);
-        }
-        for ((s, a), vb, _) in qb.iter() {
-            if q.value(s, *a).is_none() {
-                q.set(s.clone(), *a, vb);
-            }
-        }
-
-        TrainResult {
-            q,
-            episodes,
-            converged,
-            sweeps_to_convergence: converged.then_some(episodes),
-        }
-    }
-
-    /// [`DoubleQLearning::train`] over the dense (flat-array) backend:
-    /// the hash loop transliterated — same control flow, floating-point
-    /// operation order, and RNG consumption (one selector draw per step,
-    /// one coin flip per transition) — with both tables as flat arrays
-    /// and all buffers reused across episodes. The read-out table
-    /// averages the two estimators exactly as the hash variant does,
-    /// with every visit count zero.
-    pub fn train_dense<E, R>(&self, env: &mut E, rng: &mut R) -> DenseTrainResult
-    where
-        E: DenseEnvironment,
         R: Rng + ?Sized,
     {
         let mut qa = DenseQTable::new(env.num_states(), env.num_actions());
@@ -239,7 +110,7 @@ impl DoubleQLearning {
                     actions[self
                         .selector
                         .select_with(&costs, temperature, rng, &mut weights)];
-                let DenseStep { cost, next } = env.step(state, action);
+                let Step { cost, next } = env.step(state, action);
                 let done = next.is_none();
                 record.push((state, action, cost, next));
                 if let Some(s) = next {
@@ -304,8 +175,8 @@ impl DoubleQLearning {
             }
         }
 
-        // Read out the average of the two tables (visits all zero, as in
-        // the hash read-out built with `set`).
+        // Read out the average of the two tables (values only: `set`
+        // leaves every visit count zero).
         let mut q = DenseQTable::new(qa.num_states(), qa.num_actions());
         for (s, a, va, _) in qa.entries() {
             let avg = match qb.value(s, a) {
@@ -320,11 +191,10 @@ impl DoubleQLearning {
             }
         }
 
-        DenseTrainResult {
+        TrainResult {
             q,
             episodes,
             converged,
-            sweeps_to_convergence: converged.then_some(episodes),
         }
     }
 }
@@ -373,7 +243,7 @@ mod tests {
         let mut env = SampledMdp::new(&mdp, StdRng::seed_from_u64(1), vec![0]);
         let result = DoubleQLearning::new(config()).train(&mut env, &mut StdRng::seed_from_u64(2));
         for s in 0..2usize {
-            let (best, v) = result.q.best_action(&s, &[0, 1]).unwrap();
+            let (best, v) = result.q.ranked_actions(s, &[0, 1])[0];
             assert_eq!(Some(best), exact.policy[s], "state {s}");
             assert!(
                 (v - exact.values[s]).abs() < 0.6,
@@ -403,7 +273,7 @@ mod tests {
             };
             let result =
                 DoubleQLearning::new(cfg).train(&mut env, &mut StdRng::seed_from_u64(99 + seed));
-            let (_, v0) = result.q.best_action(&0usize, &[0, 1, 2]).unwrap();
+            let (_, v0) = result.q.ranked_actions(0, &[0, 1, 2])[0];
             let rel = (v0 - exact.values[0]).abs() / exact.values[0].max(1.0);
             assert!(
                 rel < 0.12,
@@ -419,7 +289,7 @@ mod tests {
         let run = || {
             let mut env = SampledMdp::new(&mdp, StdRng::seed_from_u64(7), vec![0]);
             let r = DoubleQLearning::new(config()).train(&mut env, &mut StdRng::seed_from_u64(8));
-            (r.episodes, r.q.value(&0usize, 1))
+            (r.episodes, r.q.value(0, 1))
         };
         assert_eq!(run(), run());
     }
@@ -437,35 +307,5 @@ mod tests {
         let result = DoubleQLearning::new(cfg).train(&mut env, &mut StdRng::seed_from_u64(2));
         assert_eq!(result.episodes, 25);
         assert!(!result.converged);
-    }
-
-    #[test]
-    fn dense_training_matches_hash_training_bit_for_bit() {
-        for seed in 0..4u64 {
-            let mut model_rng = StdRng::seed_from_u64(900 + seed);
-            let mdp = TabularMdp::random_episodic(5, 3, &mut model_rng);
-            let cfg = QLearningConfig {
-                max_episodes: 3_000,
-                convergence_tol: 0.05,
-                convergence_window: 100,
-                ..config()
-            };
-            let driver = DoubleQLearning::new(cfg);
-            let mut hash_env = SampledMdp::new(&mdp, StdRng::seed_from_u64(seed), vec![0]);
-            let hash = driver.train(&mut hash_env, &mut StdRng::seed_from_u64(60 + seed));
-            let mut dense_env = SampledMdp::new(&mdp, StdRng::seed_from_u64(seed), vec![0]);
-            let dense = driver.train_dense(&mut dense_env, &mut StdRng::seed_from_u64(60 + seed));
-            assert_eq!(hash.episodes, dense.episodes, "seed {seed}");
-            assert_eq!(hash.converged, dense.converged, "seed {seed}");
-            assert_eq!(hash.q.len(), dense.q.len(), "seed {seed}");
-            for (s, a, v, n) in dense.q.entries() {
-                assert_eq!(
-                    hash.q.value(&s, a).map(f64::to_bits),
-                    Some(v.to_bits()),
-                    "seed {seed}: value of ({s}, {a})"
-                );
-                assert_eq!(hash.q.visits(&s, a), n, "seed {seed}: visits of ({s}, {a})");
-            }
-        }
     }
 }

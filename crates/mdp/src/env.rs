@@ -1,46 +1,50 @@
-//! The episodic environment interface Q-learning drives.
-
-use std::hash::Hash;
+//! The episodic environment interface the learners drive.
 
 use rand::Rng;
 
-use crate::dense::{DenseEnvironment, DenseStep};
 use crate::tabular::TabularMdp;
 
-/// The result of taking one action: an immediate cost and either the next
-/// state or episode termination.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Step<S> {
+/// The result of taking one action: an immediate cost and either the
+/// packed next-state index or episode termination.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Step {
     /// Immediate cost incurred by the action.
     pub cost: f64,
-    /// The successor state, or `None` if the episode terminated.
-    pub next: Option<S>,
+    /// The successor state index, or `None` if the episode terminated.
+    pub next: Option<usize>,
 }
 
-/// An episodic, cost-emitting environment.
+/// An episodic, cost-emitting environment over packed integer states and
+/// actions, so the learners index a [`DenseQTable`](crate::DenseQTable)
+/// directly and allocate nothing per episode.
 ///
 /// Implementations own whatever randomness they need (typically a seeded
-/// generator), keeping the trainer deterministic given seeded parts.
+/// generator), keeping the trainer deterministic given seeded parts. The
+/// order in which [`Environment::actions_into`] lists actions is part of
+/// the contract: it drives both Boltzmann sampling and backup folds.
 pub trait Environment {
-    /// State type.
-    type State: Clone + Eq + Hash;
-    /// Action type.
-    type Action: Copy + Eq + Hash;
+    /// Exclusive upper bound on state indexes returned by
+    /// [`Environment::reset`] and [`Environment::step`].
+    fn num_states(&self) -> usize;
 
-    /// Starts a new episode, returning its initial state.
-    fn reset(&mut self) -> Self::State;
+    /// Exclusive upper bound on action indexes.
+    fn num_actions(&self) -> usize;
 
-    /// The actions available in `state`. Must be non-empty for any state
-    /// reachable from [`Environment::reset`].
-    fn actions(&self, state: &Self::State) -> Vec<Self::Action>;
+    /// Starts a new episode, returning its initial state index.
+    fn reset(&mut self) -> usize;
+
+    /// Writes the actions available in `state` into `out` (clearing it
+    /// first). Must be non-empty for any state reachable from
+    /// [`Environment::reset`].
+    fn actions_into(&self, state: usize, out: &mut Vec<usize>);
 
     /// Executes `action` in `state`.
-    fn step(&mut self, state: &Self::State, action: Self::Action) -> Step<Self::State>;
+    fn step(&mut self, state: usize, action: usize) -> Step;
 }
 
 /// Adapts an explicit [`TabularMdp`] into a sampling [`Environment`],
 /// drawing start states uniformly from `starts` and transitions from the
-/// model — used to certify Q-learning against value iteration.
+/// model — used to certify the learners against value iteration.
 #[derive(Debug)]
 pub struct SampledMdp<'a, R> {
     mdp: &'a TabularMdp,
@@ -66,37 +70,6 @@ impl<'a, R: Rng> SampledMdp<'a, R> {
 }
 
 impl<R: Rng> Environment for SampledMdp<'_, R> {
-    type State = usize;
-    type Action = usize;
-
-    fn reset(&mut self) -> usize {
-        self.starts[self.rng.gen_range(0..self.starts.len())]
-    }
-
-    fn actions(&self, _state: &usize) -> Vec<usize> {
-        (0..self.mdp.n_actions()).collect()
-    }
-
-    fn step(&mut self, state: &usize, action: usize) -> Step<usize> {
-        let cost = self.mdp.cost(*state, action);
-        let next = self.mdp.sample_next(*state, action, &mut self.rng);
-        Step {
-            cost,
-            next: if self.mdp.is_terminal(next) {
-                None
-            } else {
-                Some(next)
-            },
-        }
-    }
-}
-
-/// [`SampledMdp`]'s states and actions are already packed integers, so it
-/// doubles as a [`DenseEnvironment`] directly: same start-state draws,
-/// same action order, same transition sampling — one RNG value consumed
-/// in the same place per call — which makes it the differential-testing
-/// fixture for dense-vs-hash learner equivalence.
-impl<R: Rng> DenseEnvironment for SampledMdp<'_, R> {
     fn num_states(&self) -> usize {
         self.mdp.n_states()
     }
@@ -114,10 +87,10 @@ impl<R: Rng> DenseEnvironment for SampledMdp<'_, R> {
         out.extend(0..self.mdp.n_actions());
     }
 
-    fn step(&mut self, state: usize, action: usize) -> DenseStep {
+    fn step(&mut self, state: usize, action: usize) -> Step {
         let cost = self.mdp.cost(state, action);
         let next = self.mdp.sample_next(state, action, &mut self.rng);
-        DenseStep {
+        Step {
             cost,
             next: if self.mdp.is_terminal(next) {
                 None
@@ -146,35 +119,15 @@ mod tests {
     fn sampled_mdp_walks_to_termination() {
         let m = mdp();
         let mut env = SampledMdp::new(&m, StdRng::seed_from_u64(1), vec![0]);
-        let s = Environment::reset(&mut env);
+        assert_eq!((env.num_states(), env.num_actions()), (2, 1));
+        let s = env.reset();
         assert_eq!(s, 0);
-        assert_eq!(env.actions(&s), vec![0]);
-        let step = Environment::step(&mut env, &s, 0);
+        let mut actions = Vec::new();
+        env.actions_into(s, &mut actions);
+        assert_eq!(actions, vec![0]);
+        let step = env.step(s, 0);
         assert_eq!(step.cost, 5.0);
         assert_eq!(step.next, None, "terminal states end the episode");
-    }
-
-    #[test]
-    fn dense_view_mirrors_the_hash_view() {
-        let m = mdp();
-        // Same seed on both sides: the dense trait must consume the RNG
-        // identically and expose the same MDP.
-        let mut hash_env = SampledMdp::new(&m, StdRng::seed_from_u64(5), vec![0]);
-        let mut dense_env = SampledMdp::new(&m, StdRng::seed_from_u64(5), vec![0]);
-        assert_eq!(dense_env.num_states(), 2);
-        assert_eq!(dense_env.num_actions(), 1);
-        let mut buf = Vec::new();
-        for _ in 0..10 {
-            let sh = Environment::reset(&mut hash_env);
-            let sd = DenseEnvironment::reset(&mut dense_env);
-            assert_eq!(sh, sd);
-            dense_env.actions_into(sd, &mut buf);
-            assert_eq!(Environment::actions(&hash_env, &sh), buf);
-            let h = Environment::step(&mut hash_env, &sh, 0);
-            let d = DenseEnvironment::step(&mut dense_env, sd, 0);
-            assert_eq!(h.cost.to_bits(), d.cost.to_bits());
-            assert_eq!(h.next, d.next);
-        }
     }
 
     #[test]

@@ -13,22 +13,30 @@
 //!
 //! Pieces:
 //!
-//! * [`QTable`] — table-lookup Q-function with per-pair visit counts and
-//!   the paper's Eq. 6 update rule `α = 1 / (1 + visits(s, a))`;
+//! * [`DenseQTable`] — the flat-array Q-function every learner trains on,
+//!   with per-pair visit counts and the paper's Eq. 6 update rule
+//!   `α = 1 / (1 + visits(s, a))`;
+//! * [`QTable`] — the same function keyed by arbitrary hashable states
+//!   and actions: the artifact form a trained table is converted to
+//!   ([`DenseQTable::to_qtable`]) for persistence, diagnostics and merges;
 //! * [`BoltzmannSelector`] + [`TemperatureSchedule`] — annealed softmax
 //!   exploration;
-//! * [`Environment`] — the episodic sampling interface Q-learning drives;
+//! * [`Environment`] — the episodic sampling interface over packed
+//!   integer states and actions that the learners drive;
 //! * [`QLearning`] — the training loop with sweep-based convergence
 //!   detection (used for the paper's Figure 13 sweep counts);
 //! * [`DoubleQLearning`] — the double-estimator variant that cancels the
 //!   min-backup's optimizer's-curse bias (an ablation arm motivated by
 //!   this reproduction's own convergence analysis);
+//! * [`Sarsa`] — the on-policy baseline;
 //! * [`TabularMdp`] + [`value_iteration`] — an explicit finite MDP and an
-//!   exact dynamic-programming solver, used to certify that Q-learning
-//!   converges to the optimal policy on known models.
+//!   exact dynamic-programming solver, used to certify that the learners
+//!   converge to the optimal policy on known models.
 //!
 //! ```
-//! use recovery_mdp::{TabularMdp, value_iteration, QLearning, QLearningConfig, SampledMdp};
+//! use recovery_mdp::{
+//!     value_iteration, DenseQTable, QLearning, QLearningConfig, SampledMdp, TabularMdp,
+//! };
 //! use rand::SeedableRng;
 //!
 //! // A 2-state chain: action 0 is cheap but loops, action 1 is dear but
@@ -42,10 +50,13 @@
 //!
 //! let exact = value_iteration(&mdp, 0.95, 1e-9, 10_000);
 //! let mut env = SampledMdp::new(&mdp, rand::rngs::StdRng::seed_from_u64(7), vec![0]);
-//! let trained = QLearning::new(QLearningConfig::default())
-//!     .train(&mut env, &mut rand::rngs::StdRng::seed_from_u64(8));
-//! let q_best = trained.q.best_action(&0, &[0, 1]).unwrap();
-//! assert_eq!(q_best.0, exact.policy[0].unwrap());
+//! let trained = QLearning::new(QLearningConfig::default()).train(
+//!     &mut env,
+//!     &mut rand::rngs::StdRng::seed_from_u64(8),
+//!     DenseQTable::new(mdp.n_states(), mdp.n_actions()),
+//! );
+//! let (q_best, _) = trained.q.ranked_actions(0, &[0, 1])[0];
+//! assert_eq!(q_best, exact.policy[0].unwrap());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,7 +73,7 @@ mod sarsa;
 mod tabular;
 
 pub use boltzmann::{BoltzmannSelector, TemperatureCourse, TemperatureSchedule};
-pub use dense::{DenseEnvironment, DenseQTable, DenseStep, DenseTrainResult};
+pub use dense::DenseQTable;
 pub use double_q::DoubleQLearning;
 pub use env::{Environment, SampledMdp, Step};
 pub use qlearning::{QLearning, QLearningConfig, TrainResult};
@@ -86,11 +97,10 @@ mod thread_bounds {
         assert_send_sync::<QLearning>();
         assert_send_sync::<DoubleQLearning>();
         assert_send_sync::<QLearningConfig>();
-        assert_send_sync::<TrainResult<u64, u8>>();
+        assert_send_sync::<TrainResult>();
         assert_send_sync::<BoltzmannSelector>();
         assert_send_sync::<TemperatureSchedule>();
         assert_send_sync::<DenseQTable>();
-        assert_send_sync::<DenseTrainResult>();
-        assert_send_sync::<DenseStep>();
+        assert_send_sync::<Step>();
     }
 }

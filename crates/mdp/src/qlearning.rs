@@ -21,9 +21,8 @@ use rand::Rng;
 use recovery_telemetry::{NoopObserver, TrainingObserver};
 
 use crate::boltzmann::{BoltzmannSelector, TemperatureCourse, TemperatureSchedule};
-use crate::dense::{DenseEnvironment, DenseQTable, DenseStep, DenseTrainResult};
+use crate::dense::DenseQTable;
 use crate::env::{Environment, Step};
-use crate::qtable::QTable;
 
 /// Configuration of a Q-learning run.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,32 +99,23 @@ impl QLearningConfig {
 
 /// The outcome of a training run.
 #[derive(Debug, Clone)]
-pub struct TrainResult<S, A> {
+pub struct TrainResult {
     /// The learned Q-table.
-    pub q: QTable<S, A>,
+    pub q: DenseQTable,
     /// Sweeps actually run.
     pub episodes: u64,
-    /// Whether convergence was detected before the sweep cap.
+    /// Whether convergence was detected before the sweep cap; the sweep
+    /// count at convergence (the paper's Figure 13 metric) is then
+    /// `episodes`.
     pub converged: bool,
-    /// Sweep index at which the convergence window completed (equals
-    /// `episodes` when `converged`), for Figure 13 reporting.
-    pub sweeps_to_convergence: Option<u64>,
 }
-
-/// One episode's recorded transitions: `(state, action, cost, next)`.
-type Trajectory<S, A> = Vec<(S, A, f64, Option<S>)>;
 
 /// Tabular Q-learning driver.
 #[derive(Debug, Clone)]
 pub struct QLearning {
     config: QLearningConfig,
     selector: BoltzmannSelector,
-    initial: Option<QTableSeed>,
 }
-
-/// Opaque seed payload; stored as raw `(state-encoded)` values by the
-/// caller via [`QLearning::train_from`].
-type QTableSeed = ();
 
 impl QLearning {
     /// Creates a driver with the given configuration.
@@ -138,7 +128,6 @@ impl QLearning {
         QLearning {
             config,
             selector: BoltzmannSelector::new(),
-            initial: None,
         }
     }
 
@@ -147,196 +136,37 @@ impl QLearning {
         &self.config
     }
 
-    /// Trains from an empty Q-table.
-    pub fn train<E, R>(&self, env: &mut E, rng: &mut R) -> TrainResult<E::State, E::Action>
-    where
-        E: Environment,
-        R: Rng + ?Sized,
-    {
-        self.train_from(env, rng, QTable::new())
-    }
-
-    /// Trains starting from an existing Q-table (e.g. one seeded from the
-    /// user-defined policy — the paper's "designing initial policies"
-    /// extension).
-    pub fn train_from<E, R>(
-        &self,
-        env: &mut E,
-        rng: &mut R,
-        q: QTable<E::State, E::Action>,
-    ) -> TrainResult<E::State, E::Action>
+    /// Trains starting from `q` — an empty [`DenseQTable`] sized to the
+    /// environment, or one seeded from a prior policy (the paper's
+    /// "designing initial policies" extension).
+    pub fn train<E, R>(&self, env: &mut E, rng: &mut R, q: DenseQTable) -> TrainResult
     where
         E: Environment,
         R: Rng + ?Sized,
     {
         // The no-op observer is statically dispatched and its empty
         // hooks inline away, so the unobserved path costs nothing.
-        self.train_from_observed(env, rng, q, &NoopObserver)
+        self.train_observed(env, rng, q, &NoopObserver)
     }
 
-    /// [`QLearning::train_from`] with telemetry: fires
-    /// [`TrainingObserver`] hooks for every sweep (temperature, episode
-    /// walk, max Q-delta, convergence window).
+    /// [`QLearning::train`] with telemetry: fires [`TrainingObserver`]
+    /// hooks for every sweep (temperature, episode walk, max Q-delta,
+    /// convergence window).
     ///
     /// Observation is passive — hooks receive scalar copies and the
     /// observer never touches the RNG — so for equal seeds this produces
-    /// a Q-table byte-identical to the unobserved run's.
-    pub fn train_from_observed<E, R, O>(
-        &self,
-        env: &mut E,
-        rng: &mut R,
-        mut q: QTable<E::State, E::Action>,
-        observer: &O,
-    ) -> TrainResult<E::State, E::Action>
-    where
-        E: Environment,
-        R: Rng + ?Sized,
-        O: TrainingObserver + ?Sized,
-    {
-        let _ = self.initial;
-        let mut calm_streak = 0u64;
-        let mut episodes = 0u64;
-        let mut converged = false;
-        let phase_boundary = if self.config.exploration_fraction > 0.0 {
-            Some((self.config.max_episodes as f64 * self.config.exploration_fraction) as u64)
-        } else {
-            None
-        };
-
-        let course = TemperatureCourse::new(self.config.schedule);
-        while episodes < self.config.max_episodes {
-            if phase_boundary == Some(episodes) {
-                // Exploration → search: keep values, forget their weight.
-                q.reset_visits(1);
-                calm_streak = 0;
-            }
-            let temperature = course.at(episodes);
-            episodes += 1;
-            observer.temperature_update(episodes, temperature);
-
-            // --- Walk one episode, recording the trajectory. ---
-            let mut state = env.reset();
-            let mut record: Trajectory<E::State, E::Action> = Vec::new();
-            for _ in 0..self.config.max_steps {
-                let actions = env.actions(&state);
-                debug_assert!(!actions.is_empty(), "reachable states must offer actions");
-                let costs: Vec<f64> = actions
-                    .iter()
-                    .map(|&a| q.value_or(&state, a, self.config.default_q))
-                    .collect();
-                let choice = self.selector.select(&costs, temperature, rng);
-                let action = actions[choice];
-                let Step { cost, next } = env.step(&state, action);
-                let done = next.is_none();
-                record.push((state.clone(), action, cost, next.clone()));
-                if let Some(s) = next {
-                    state = s
-                }
-                if done {
-                    break;
-                }
-            }
-
-            observer.episode_end(
-                episodes,
-                record.len(),
-                record.iter().map(|(_, _, cost, _)| cost).sum(),
-            );
-
-            // --- Apply Eq. 6 updates along the record (paper Fig. 2);
-            // backward by default so the terminal cost reaches the whole
-            // visited path in one sweep. ---
-            let mut max_delta = 0.0f64;
-            if self.config.backward_updates {
-                record.reverse();
-            }
-            for (s, a, cost, next) in record {
-                let future = match &next {
-                    Some(s2) => {
-                        if self.config.explored_backup {
-                            // Back up from explored actions only; a
-                            // phantom default for untried actions would
-                            // bias the running average permanently.
-                            let explored = env
-                                .actions(s2)
-                                .into_iter()
-                                .filter_map(|a2| q.value(s2, a2))
-                                .fold(f64::INFINITY, f64::min);
-                            if explored.is_finite() {
-                                explored
-                            } else {
-                                self.config.default_q
-                            }
-                        } else {
-                            env.actions(s2)
-                                .into_iter()
-                                .map(|a2| q.value_or(s2, a2, self.config.default_q))
-                                .fold(f64::INFINITY, f64::min)
-                        }
-                    }
-                    None => 0.0,
-                };
-                let target = cost + future;
-                max_delta = max_delta.max(q.update(s, a, target));
-            }
-
-            observer.q_delta(episodes, max_delta);
-            observer.sweep_complete(episodes);
-
-            // --- Convergence window. ---
-            if max_delta < self.config.convergence_tol {
-                calm_streak += 1;
-                if calm_streak >= self.config.convergence_window {
-                    converged = true;
-                }
-            } else {
-                calm_streak = 0;
-            }
-            observer.convergence_check(episodes, calm_streak, converged);
-            if converged {
-                break;
-            }
-        }
-
-        TrainResult {
-            q,
-            episodes,
-            converged,
-            sweeps_to_convergence: converged.then_some(episodes),
-        }
-    }
-
-    /// [`QLearning::train_from`] over the dense (flat-array) backend:
-    /// packed integer states, no hashing, no per-episode allocation.
-    pub fn train_dense<E, R>(&self, env: &mut E, rng: &mut R, q: DenseQTable) -> DenseTrainResult
-    where
-        E: DenseEnvironment,
-        R: Rng + ?Sized,
-    {
-        self.train_dense_observed(env, rng, q, &NoopObserver)
-    }
-
-    /// [`QLearning::train_from_observed`] over the dense backend.
-    ///
-    /// This loop is the hash loop transliterated: the same control flow,
-    /// the same floating-point operations in the same order, the same
-    /// RNG consumption (one environment reset per episode, one selector
-    /// draw per step), and the same observer hooks with the same values.
-    /// Paired with a [`DenseEnvironment`] that mirrors the hash
-    /// environment, it therefore produces bit-identical Q-values,
-    /// episode counts, and convergence traces. What changes is purely
-    /// mechanical: Q reads/updates are array indexing, and the
-    /// trajectory, action, cost, and softmax-weight buffers are
-    /// allocated once per call and reused across every episode.
-    pub fn train_dense_observed<E, R, O>(
+    /// a Q-table byte-identical to the unobserved run's. The trajectory,
+    /// action, cost, and softmax-weight buffers are allocated once per
+    /// call and reused across every episode.
+    pub fn train_observed<E, R, O>(
         &self,
         env: &mut E,
         rng: &mut R,
         mut q: DenseQTable,
         observer: &O,
-    ) -> DenseTrainResult
+    ) -> TrainResult
     where
-        E: DenseEnvironment,
+        E: Environment,
         R: Rng + ?Sized,
         O: TrainingObserver + ?Sized,
     {
@@ -349,9 +179,9 @@ impl QLearning {
             None
         };
 
-        // Per-run scratch, reused across all episodes: the dense hot
-        // path performs zero heap allocations per episode in steady
-        // state (locked by the allocation-counting bench arm).
+        // Per-run scratch, reused across all episodes: the hot path
+        // performs zero heap allocations per episode in steady state
+        // (locked by the allocation-counting bench arm).
         let mut actions: Vec<usize> = Vec::new();
         let mut backup_actions: Vec<usize> = Vec::new();
         let mut costs: Vec<f64> = Vec::new();
@@ -385,7 +215,7 @@ impl QLearning {
                     .selector
                     .select_with(&costs, temperature, rng, &mut weights);
                 let action = actions[choice];
-                let DenseStep { cost, next } = env.step(state, action);
+                let Step { cost, next } = env.step(state, action);
                 let done = next.is_none();
                 record.push((state, action, cost, next));
                 if let Some(s) = next {
@@ -402,8 +232,9 @@ impl QLearning {
                 record.iter().map(|(_, _, cost, _)| cost).sum(),
             );
 
-            // --- Apply Eq. 6 updates along the record, backward by
-            // default, exactly as the hash loop does. ---
+            // --- Apply Eq. 6 updates along the record (paper Fig. 2);
+            // backward by default so the terminal cost reaches the whole
+            // visited path in one sweep. ---
             let mut max_delta = 0.0f64;
             if self.config.backward_updates {
                 record.reverse();
@@ -413,6 +244,9 @@ impl QLearning {
                     Some(s2) => {
                         env.actions_into(s2, &mut backup_actions);
                         if self.config.explored_backup {
+                            // Back up from explored actions only; a
+                            // phantom default for untried actions would
+                            // bias the running average permanently.
                             let explored = backup_actions
                                 .iter()
                                 .filter_map(|&a2| q.value(s2, a2))
@@ -453,11 +287,10 @@ impl QLearning {
             }
         }
 
-        DenseTrainResult {
+        TrainResult {
             q,
             episodes,
             converged,
-            sweeps_to_convergence: converged.then_some(episodes),
         }
     }
 }
@@ -498,15 +331,23 @@ mod tests {
         }
     }
 
+    fn empty(mdp: &TabularMdp) -> DenseQTable {
+        DenseQTable::new(mdp.n_states(), mdp.n_actions())
+    }
+
     #[test]
     fn learns_the_optimal_chain_policy() {
         let mdp = chain();
         let exact = value_iteration(&mdp, 1.0, 1e-12, 1000);
         let mut env = SampledMdp::new(&mdp, StdRng::seed_from_u64(1), vec![0]);
-        let result = QLearning::new(fast_config()).train(&mut env, &mut StdRng::seed_from_u64(2));
+        let result = QLearning::new(fast_config()).train(
+            &mut env,
+            &mut StdRng::seed_from_u64(2),
+            empty(&mdp),
+        );
         assert!(result.converged, "should converge within the cap");
         for s in 0..2usize {
-            let (best, v) = result.q.best_action(&s, &[0, 1]).unwrap();
+            let (best, v) = result.q.ranked_actions(s, &[0, 1])[0];
             assert_eq!(Some(best), exact.policy[s], "state {s}");
             assert!(
                 (v - exact.values[s]).abs() < 0.5,
@@ -534,9 +375,12 @@ mod tests {
                 convergence_window: 300,
                 ..QLearningConfig::default()
             };
-            let result =
-                QLearning::new(config).train(&mut env, &mut StdRng::seed_from_u64(77 + seed));
-            let (_, v0) = result.q.best_action(&0usize, &[0, 1, 2]).unwrap();
+            let result = QLearning::new(config).train(
+                &mut env,
+                &mut StdRng::seed_from_u64(77 + seed),
+                empty(&mdp),
+            );
+            let (_, v0) = result.q.ranked_actions(0, &[0, 1, 2])[0];
             let rel = (v0 - exact.values[0]).abs() / exact.values[0].max(1.0);
             assert!(
                 rel < 0.1,
@@ -551,8 +395,12 @@ mod tests {
         let mdp = chain();
         let run = |s1, s2| {
             let mut env = SampledMdp::new(&mdp, StdRng::seed_from_u64(s1), vec![0]);
-            let r = QLearning::new(fast_config()).train(&mut env, &mut StdRng::seed_from_u64(s2));
-            (r.episodes, r.q.value(&0usize, 1))
+            let r = QLearning::new(fast_config()).train(
+                &mut env,
+                &mut StdRng::seed_from_u64(s2),
+                empty(&mdp),
+            );
+            (r.episodes, r.q.value(0, 1))
         };
         assert_eq!(run(4, 5), run(4, 5));
     }
@@ -567,64 +415,24 @@ mod tests {
             convergence_window: 1_000,
             ..fast_config()
         };
-        let result = QLearning::new(config).train(&mut env, &mut StdRng::seed_from_u64(2));
+        let result =
+            QLearning::new(config).train(&mut env, &mut StdRng::seed_from_u64(2), empty(&mdp));
         assert_eq!(result.episodes, 50);
         assert!(!result.converged);
-        assert_eq!(result.sweeps_to_convergence, None);
     }
 
     #[test]
     fn train_from_seeded_table_still_improves() {
         let mdp = chain();
-        let mut seed_q: QTable<usize, usize> = QTable::new();
+        let mut seed_q = empty(&mdp);
         // Seed with the *wrong* preference at state 0.
         seed_q.set(0, 0, 1.0);
         seed_q.set(0, 1, 100.0);
         let mut env = SampledMdp::new(&mdp, StdRng::seed_from_u64(3), vec![0]);
-        let result = QLearning::new(fast_config()).train_from(
-            &mut env,
-            &mut StdRng::seed_from_u64(4),
-            seed_q,
-        );
-        let (best, _) = result.q.best_action(&0usize, &[0, 1]).unwrap();
+        let result =
+            QLearning::new(fast_config()).train(&mut env, &mut StdRng::seed_from_u64(4), seed_q);
+        let (best, _) = result.q.ranked_actions(0, &[0, 1])[0];
         assert_eq!(best, 1, "training overcomes a bad seed");
-    }
-
-    #[test]
-    fn dense_training_matches_hash_training_bit_for_bit() {
-        use crate::dense::DenseQTable;
-        for seed in 0..4u64 {
-            let mut model_rng = StdRng::seed_from_u64(500 + seed);
-            let mdp = TabularMdp::random_episodic(5, 3, &mut model_rng);
-            let config = QLearningConfig {
-                max_episodes: 3_000,
-                convergence_tol: 0.05,
-                convergence_window: 100,
-                // Exercise the phase-boundary visit reset too.
-                exploration_fraction: 0.25,
-                ..fast_config()
-            };
-            let driver = QLearning::new(config);
-            let mut hash_env = SampledMdp::new(&mdp, StdRng::seed_from_u64(seed), vec![0]);
-            let hash = driver.train(&mut hash_env, &mut StdRng::seed_from_u64(9 + seed));
-            let mut dense_env = SampledMdp::new(&mdp, StdRng::seed_from_u64(seed), vec![0]);
-            let dense = driver.train_dense(
-                &mut dense_env,
-                &mut StdRng::seed_from_u64(9 + seed),
-                DenseQTable::new(mdp.n_states(), mdp.n_actions()),
-            );
-            assert_eq!(hash.episodes, dense.episodes, "seed {seed}");
-            assert_eq!(hash.converged, dense.converged, "seed {seed}");
-            assert_eq!(hash.q.len(), dense.q.len(), "seed {seed}");
-            for (s, a, v, n) in dense.q.entries() {
-                assert_eq!(
-                    hash.q.value(&s, a).map(f64::to_bits),
-                    Some(v.to_bits()),
-                    "seed {seed}: value of ({s}, {a})"
-                );
-                assert_eq!(hash.q.visits(&s, a), n, "seed {seed}: visits of ({s}, {a})");
-            }
-        }
     }
 
     #[test]

@@ -7,6 +7,10 @@ use std::hash::Hash;
 /// *costs* (lower is better) plus how often each `(s, a)` pair has been
 /// updated.
 ///
+/// The learners train on a [`DenseQTable`](crate::DenseQTable); this is
+/// the artifact form it converts to, keyed by domain states, which
+/// persistence, diagnostics and per-type merges read.
+///
 /// The update rule is the paper's Eq. 6:
 ///
 /// ```text
@@ -48,11 +52,6 @@ impl<S: Eq + Hash + Clone, A: Eq + Hash + Copy> QTable<S, A> {
     /// The learned value of `(s, a)`, if it has ever been visited or set.
     pub fn value(&self, s: &S, a: A) -> Option<f64> {
         self.entries.get(&(s.clone(), a)).map(|e| e.value)
-    }
-
-    /// The learned value of `(s, a)`, or `default` for unexplored pairs.
-    pub fn value_or(&self, s: &S, a: A, default: f64) -> f64 {
-        self.value(s, a).unwrap_or(default)
     }
 
     /// How many updates `(s, a)` has received.
@@ -99,9 +98,9 @@ impl<S: Eq + Hash + Clone, A: Eq + Hash + Copy> QTable<S, A> {
     }
 
     /// Installs a value *and* visit count, replacing any existing entry —
-    /// the import path used to rebuild a table from a dense backend
-    /// fragment (`recovery-mdp`'s `DenseQTable`), where both halves of
-    /// the entry are authoritative.
+    /// the import path used to rebuild a table from a trained
+    /// [`DenseQTable`](crate::DenseQTable), where both halves of the
+    /// entry are authoritative.
     pub fn set_with_visits(&mut self, s: S, a: A, value: f64, visits: u64) {
         self.entries.insert((s, a), Entry { value, visits });
     }
@@ -151,17 +150,6 @@ impl<S: Eq + Hash + Clone, A: Eq + Hash + Copy> QTable<S, A> {
     /// produces the same table.
     pub fn merge_from(&mut self, other: QTable<S, A>) {
         self.entries.extend(other.entries);
-    }
-
-    /// Resets every entry's visit count to `to`, keeping the learned
-    /// values. Used at the exploration→search phase boundary of the
-    /// paper's two-phase learning course: subsequent Eq. 6 averaging
-    /// starts from the current values with weight `to/(to+n)`, so the
-    /// (possibly biased) exploration-phase history stops dominating.
-    pub fn reset_visits(&mut self, to: u64) {
-        for e in self.entries.values_mut() {
-            e.visits = to;
-        }
     }
 
     /// Number of `(s, a)` entries.

@@ -18,10 +18,9 @@
 use rand::Rng;
 
 use crate::boltzmann::{BoltzmannSelector, TemperatureCourse};
-use crate::dense::{DenseEnvironment, DenseQTable, DenseStep, DenseTrainResult};
+use crate::dense::DenseQTable;
 use crate::env::{Environment, Step};
 use crate::qlearning::{QLearningConfig, TrainResult};
-use crate::qtable::QTable;
 
 /// SARSA driver; configured by the same [`QLearningConfig`] as the plain
 /// Q-learning driver. `backward_updates` does not apply (SARSA's target
@@ -53,16 +52,37 @@ impl Sarsa {
         &self.config
     }
 
-    /// Trains from an empty table.
-    pub fn train<E, R>(&self, env: &mut E, rng: &mut R) -> TrainResult<E::State, E::Action>
+    /// Trains from an empty table sized to the environment. All
+    /// buffers are allocated once per call and reused across episodes.
+    pub fn train<E, R>(&self, env: &mut E, rng: &mut R) -> TrainResult
     where
         E: Environment,
         R: Rng + ?Sized,
     {
-        let mut q: QTable<E::State, E::Action> = QTable::new();
+        let mut q = DenseQTable::new(env.num_states(), env.num_actions());
         let mut calm_streak = 0u64;
         let mut episodes = 0u64;
         let mut converged = false;
+        let mut actions: Vec<usize> = Vec::new();
+        let mut costs: Vec<f64> = Vec::new();
+        let mut weights: Vec<f64> = Vec::new();
+
+        // The on-policy action choice, inlined so the buffers live once.
+        macro_rules! select {
+            ($state:expr, $temperature:expr) => {{
+                env.actions_into($state, &mut actions);
+                debug_assert!(!actions.is_empty(), "reachable states must offer actions");
+                costs.clear();
+                costs.extend(
+                    actions
+                        .iter()
+                        .map(|&a| q.value_or($state, a, self.config.default_q)),
+                );
+                actions[self
+                    .selector
+                    .select_with(&costs, $temperature, rng, &mut weights)]
+            }};
+        }
 
         let course = TemperatureCourse::new(self.config.schedule);
         while episodes < self.config.max_episodes {
@@ -70,18 +90,18 @@ impl Sarsa {
             episodes += 1;
 
             let mut state = env.reset();
-            let mut action = self.select(&q, env, &state, temperature, rng);
+            let mut action = select!(state, temperature);
             let mut max_delta = 0.0f64;
             for _ in 0..self.config.max_steps {
-                let Step { cost, next } = env.step(&state, action);
+                let Step { cost, next } = env.step(state, action);
                 match next {
                     None => {
                         max_delta = max_delta.max(q.update(state, action, cost));
                         break;
                     }
                     Some(s2) => {
-                        let a2 = self.select(&q, env, &s2, temperature, rng);
-                        let target = cost + q.value_or(&s2, a2, self.config.default_q);
+                        let a2 = select!(s2, temperature);
+                        let target = cost + q.value_or(s2, a2, self.config.default_q);
                         max_delta = max_delta.max(q.update(state, action, target));
                         state = s2;
                         action = a2;
@@ -104,107 +124,6 @@ impl Sarsa {
             q,
             episodes,
             converged,
-            sweeps_to_convergence: converged.then_some(episodes),
-        }
-    }
-
-    fn select<E, R>(
-        &self,
-        q: &QTable<E::State, E::Action>,
-        env: &E,
-        state: &E::State,
-        temperature: f64,
-        rng: &mut R,
-    ) -> E::Action
-    where
-        E: Environment,
-        R: Rng + ?Sized,
-    {
-        let actions = env.actions(state);
-        debug_assert!(!actions.is_empty(), "reachable states must offer actions");
-        let costs: Vec<f64> = actions
-            .iter()
-            .map(|&a| q.value_or(state, a, self.config.default_q))
-            .collect();
-        actions[self.selector.select(&costs, temperature, rng)]
-    }
-
-    /// [`Sarsa::train`] over the dense (flat-array) backend: the hash
-    /// loop transliterated — same control flow, floating-point operation
-    /// order, and RNG consumption (one selector draw per SARSA action
-    /// choice) — with Q reads/updates as array indexing and all buffers
-    /// reused across episodes.
-    pub fn train_dense<E, R>(&self, env: &mut E, rng: &mut R) -> DenseTrainResult
-    where
-        E: DenseEnvironment,
-        R: Rng + ?Sized,
-    {
-        let mut q = DenseQTable::new(env.num_states(), env.num_actions());
-        let mut calm_streak = 0u64;
-        let mut episodes = 0u64;
-        let mut converged = false;
-        let mut actions: Vec<usize> = Vec::new();
-        let mut costs: Vec<f64> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-
-        // The on-policy action choice, inlined so the buffers live once.
-        macro_rules! select_dense {
-            ($state:expr, $temperature:expr) => {{
-                env.actions_into($state, &mut actions);
-                debug_assert!(!actions.is_empty(), "reachable states must offer actions");
-                costs.clear();
-                costs.extend(
-                    actions
-                        .iter()
-                        .map(|&a| q.value_or($state, a, self.config.default_q)),
-                );
-                actions[self
-                    .selector
-                    .select_with(&costs, $temperature, rng, &mut weights)]
-            }};
-        }
-
-        let course = TemperatureCourse::new(self.config.schedule);
-        while episodes < self.config.max_episodes {
-            let temperature = course.at(episodes);
-            episodes += 1;
-
-            let mut state = env.reset();
-            let mut action = select_dense!(state, temperature);
-            let mut max_delta = 0.0f64;
-            for _ in 0..self.config.max_steps {
-                let DenseStep { cost, next } = env.step(state, action);
-                match next {
-                    None => {
-                        max_delta = max_delta.max(q.update(state, action, cost));
-                        break;
-                    }
-                    Some(s2) => {
-                        let a2 = select_dense!(s2, temperature);
-                        let target = cost + q.value_or(s2, a2, self.config.default_q);
-                        max_delta = max_delta.max(q.update(state, action, target));
-                        state = s2;
-                        action = a2;
-                    }
-                }
-            }
-
-            if max_delta < self.config.convergence_tol {
-                calm_streak += 1;
-                if calm_streak >= self.config.convergence_window {
-                    converged = true;
-                    break;
-                }
-            } else {
-                calm_streak = 0;
-            }
-        }
-
-        DenseTrainResult {
-            q,
-            episodes,
-            converged,
-            sweeps_to_convergence: converged.then_some(episodes),
         }
     }
 }
@@ -253,7 +172,7 @@ mod tests {
         let mut env = SampledMdp::new(&mdp, StdRng::seed_from_u64(1), vec![0]);
         let result = Sarsa::new(config()).train(&mut env, &mut StdRng::seed_from_u64(2));
         for s in 0..2usize {
-            let (best, v) = result.q.best_action(&s, &[0, 1]).unwrap();
+            let (best, v) = result.q.ranked_actions(s, &[0, 1])[0];
             assert_eq!(Some(best), exact.policy[s], "state {s}");
             // The Eq. 6 running average never forgets the hot exploration
             // phase, so the on-policy value sits between the greedy
@@ -283,7 +202,7 @@ mod tests {
             ..QLearningConfig::default()
         };
         let result = Sarsa::new(cfg).train(&mut env, &mut StdRng::seed_from_u64(4));
-        let (_, v0) = result.q.best_action(&0usize, &[0, 1]).unwrap();
+        let (_, v0) = result.q.ranked_actions(0, &[0, 1])[0];
         assert!(
             v0 > exact.values[0] + 0.3,
             "on-policy value {v0} should exceed the greedy optimum {}",
@@ -297,7 +216,7 @@ mod tests {
         let run = || {
             let mut env = SampledMdp::new(&mdp, StdRng::seed_from_u64(9), vec![0]);
             let r = Sarsa::new(config()).train(&mut env, &mut StdRng::seed_from_u64(10));
-            (r.episodes, r.q.value(&0usize, 1))
+            (r.episodes, r.q.value(0, 1))
         };
         assert_eq!(run(), run());
     }
@@ -315,35 +234,5 @@ mod tests {
         let result = Sarsa::new(cfg).train(&mut env, &mut StdRng::seed_from_u64(2));
         assert_eq!(result.episodes, 30);
         assert!(!result.converged);
-    }
-
-    #[test]
-    fn dense_training_matches_hash_training_bit_for_bit() {
-        for seed in 0..4u64 {
-            let mut model_rng = StdRng::seed_from_u64(700 + seed);
-            let mdp = crate::tabular::TabularMdp::random_episodic(5, 3, &mut model_rng);
-            let cfg = QLearningConfig {
-                max_episodes: 3_000,
-                convergence_tol: 0.05,
-                convergence_window: 100,
-                ..config()
-            };
-            let driver = Sarsa::new(cfg);
-            let mut hash_env = SampledMdp::new(&mdp, StdRng::seed_from_u64(seed), vec![0]);
-            let hash = driver.train(&mut hash_env, &mut StdRng::seed_from_u64(40 + seed));
-            let mut dense_env = SampledMdp::new(&mdp, StdRng::seed_from_u64(seed), vec![0]);
-            let dense = driver.train_dense(&mut dense_env, &mut StdRng::seed_from_u64(40 + seed));
-            assert_eq!(hash.episodes, dense.episodes, "seed {seed}");
-            assert_eq!(hash.converged, dense.converged, "seed {seed}");
-            assert_eq!(hash.q.len(), dense.q.len(), "seed {seed}");
-            for (s, a, v, n) in dense.q.entries() {
-                assert_eq!(
-                    hash.q.value(&s, a).map(f64::to_bits),
-                    Some(v.to_bits()),
-                    "seed {seed}: value of ({s}, {a})"
-                );
-                assert_eq!(hash.q.visits(&s, a), n, "seed {seed}: visits of ({s}, {a})");
-            }
-        }
     }
 }

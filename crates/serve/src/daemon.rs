@@ -29,9 +29,11 @@
 //! daemon is draining for shutdown, or (c) gets exactly one response
 //! from its handler. All paths increment `serve.requests`; paths (a)
 //! and (b) increment `serve.shed`, path (c) increments `serve.served` —
-//! so `serve.requests == serve.served + serve.shed` holds at every
-//! quiescent point. Unparsable connections (garbage bytes, oversized
-//! bodies) are dropped without counting: they never became requests.
+//! so `serve.requests == serve.served + serve.shed` holds once a client
+//! has read its response: the handler records a request before it
+//! closes the connection, so end-of-file arrives after the accounting.
+//! Unparsable connections (garbage bytes, oversized bodies) are dropped
+//! without counting: they never became requests.
 //!
 //! **Graceful shutdown**: [`ServeDaemon::drain`] quiesces the daemon —
 //! new connections get the typed draining 503, long-lived streams see
@@ -335,7 +337,17 @@ fn handle_connection(
         Some(trace) => format!("req-{trace}"),
         None => format!("req-{}", fallback_ids.fetch_add(1, Ordering::Relaxed) + 1),
     };
-    let result = route(&request, stream, store, telemetry, stop, label, &rid);
+    // `route` writes on a clone: this handle keeps the connection open
+    // until the accounting below is recorded.
+    let result = route(
+        &request,
+        stream.try_clone()?,
+        store,
+        telemetry,
+        stop,
+        label,
+        &rid,
+    );
     drop(span);
     counter_inc(telemetry, "serve.served");
     let ms = started.elapsed().as_secs_f64() * 1e3;

@@ -1,15 +1,20 @@
 //! Determinism of the parallel per-type pipeline: the same catalog
-//! trained with 1, 2, and 8 worker threads must produce byte-identical
+//! trained with 1, 2, 4, and 8 worker threads must produce byte-identical
 //! serialized policies, identical `TypeTrainingStats` (content *and*
 //! order), bit-identical evaluation reports, and telemetry counters that
-//! aggregate from worker threads to the sequential run's totals.
+//! aggregate from worker threads to the sequential run's totals. The
+//! packed training table and the hash-map artifact form it is emitted in
+//! must also carry the same bytes at every thread count.
 
 use recovery_core::evaluate::time_ordered_split;
 use recovery_core::experiment::{sweep_comparison, ExperimentContext, TestRun, TestRunConfig};
 use recovery_core::persist::policy_to_text;
 use recovery_core::selection_tree::SelectionTreeConfig;
-use recovery_core::trainer::{OfflineTrainer, TrainBackend, TrainerConfig};
-use recovery_simlog::{GeneratorConfig, LogGenerator, SymptomCatalog};
+use recovery_core::state::StateCodec;
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
+use recovery_core::{RecoveryState, TrainedPolicy};
+use recovery_mdp::{DenseQTable, QTable};
+use recovery_simlog::{GeneratorConfig, LogGenerator, RepairAction, SymptomCatalog};
 use recovery_telemetry::Telemetry;
 
 fn small_context() -> (ExperimentContext, SymptomCatalog) {
@@ -38,7 +43,7 @@ fn training_is_byte_identical_across_thread_counts() {
     let (ctx, symptoms) = small_context();
     let (train, _) = time_ordered_split(&ctx.clean, 0.4);
 
-    let outputs: Vec<_> = [1usize, 2, 8]
+    let outputs: Vec<_> = [1usize, 2, 4, 8]
         .into_iter()
         .map(|threads| {
             let trainer = OfflineTrainer::new(train, quick_trainer()).with_threads(threads);
@@ -71,40 +76,70 @@ fn training_is_byte_identical_across_thread_counts() {
     }
 }
 
+/// Rebuilds `policy` by packing each type's hash-map fragment into a
+/// `DenseQTable` and emitting it back in artifact form — the bridge every
+/// trained or warm-started table crosses.
+fn through_dense_table(policy: &TrainedPolicy, codec: StateCodec) -> TrainedPolicy {
+    let mut fragments: Vec<QTable<RecoveryState, RepairAction>> = Vec::new();
+    let mut types = Vec::new();
+    for ((state, action), value, visits) in policy.q().iter() {
+        let et = state.error_type();
+        let slot = match types.iter().position(|&t| t == et) {
+            Some(slot) => slot,
+            None => {
+                types.push(et);
+                fragments.push(QTable::new());
+                types.len() - 1
+            }
+        };
+        fragments[slot].set_with_visits(*state, *action, value, visits);
+    }
+    let mut rebuilt = TrainedPolicy::default();
+    for (et, fragment) in types.into_iter().zip(&fragments) {
+        let mut dense = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
+        dense.absorb_qtable(fragment, |s| codec.encode(&s.tried()), |a| a.index());
+        assert_eq!(dense.len(), fragment.len(), "{et}: packing lost entries");
+        rebuilt.q_mut().merge_from(dense.to_qtable(
+            |i| RecoveryState::new(et, codec.decode(i)),
+            |a| RepairAction::ALL[a],
+        ));
+    }
+    rebuilt
+}
+
 #[test]
 fn dense_and_hash_backends_are_byte_identical_across_thread_counts() {
     let (ctx, symptoms) = small_context();
     let (train, _) = time_ordered_split(&ctx.clean, 0.4);
+    let codec = StateCodec::new(quick_trainer().max_attempts);
 
-    let outputs: Vec<_> = [TrainBackend::Dense, TrainBackend::Hash]
+    let outputs: Vec<_> = [1usize, 4]
         .into_iter()
-        .flat_map(|backend| {
-            [1usize, 4]
-                .into_iter()
-                .map(move |threads| (backend, threads))
-        })
-        .map(|(backend, threads)| {
-            let trainer = OfflineTrainer::new(train, quick_trainer().with_backend(backend))
-                .with_threads(threads);
+        .map(|threads| {
+            let trainer = OfflineTrainer::new(train, quick_trainer()).with_threads(threads);
             let (policy, stats) = trainer.train(&ctx.types);
-            (backend, threads, policy_to_text(&policy, &symptoms), stats)
+            let hash_text = policy_to_text(&policy, &symptoms);
+            let dense_text = policy_to_text(&through_dense_table(&policy, codec), &symptoms);
+            (threads, hash_text, dense_text, stats)
         })
         .collect();
 
-    let (_, _, reference_text, reference_stats) = &outputs[0];
+    let (_, reference_text, _, reference_stats) = &outputs[0];
     assert!(reference_stats.len() > 1, "need several types");
-    for (backend, threads, text, stats) in &outputs[1..] {
+    for (threads, hash_text, dense_text, stats) in &outputs {
         assert!(
-            text == reference_text,
-            "{backend} backend with {threads} threads drifted from the reference bytes"
+            hash_text == reference_text,
+            "artifact form with {threads} threads drifted from the reference bytes"
         );
+        assert!(
+            dense_text == reference_text,
+            "packed table with {threads} threads drifted from the reference bytes"
+        );
+        assert_eq!(stats.len(), reference_stats.len(), "{threads}: type count");
         for (s, r) in stats.iter().zip(reference_stats) {
-            assert_eq!(
-                s.error_type, r.error_type,
-                "{backend}/{threads}: stats order"
-            );
-            assert_eq!(s.sweeps, r.sweeps, "{backend}/{threads}: sweeps");
-            assert_eq!(s.converged, r.converged, "{backend}/{threads}: convergence");
+            assert_eq!(s.error_type, r.error_type, "{threads}: stats order");
+            assert_eq!(s.sweeps, r.sweeps, "{threads}: sweeps");
+            assert_eq!(s.converged, r.converged, "{threads}: convergence");
         }
     }
 }
