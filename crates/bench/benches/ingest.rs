@@ -270,7 +270,7 @@ fn main() {
         .join(",");
     let json = format!(
         "{{\"bench\":\"ingest\",\"scale\":{scale},\"entries\":{},\
-         \"processes\":{},\"available_threads\":{available},\
+         \"processes\":{},\"host_cores\":{available},\
          \"threads\":{pool_threads},\"sequential_ms\":{sequential_ms:.3},\
          \"parallel_ms\":{parallel_ms:.3},\"speedup\":{:.3},\
          \"series\":[{series_json}],\

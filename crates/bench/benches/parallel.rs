@@ -211,7 +211,7 @@ fn main() {
         .join(",");
     let section = format!(
         "{{\"types\":{types_trained},\
-         \"available_threads\":{available},\"threads\":{pool_threads},\
+         \"host_cores\":{available},\"threads\":{pool_threads},\
          \"sequential_ms\":{sequential_ms:.3},\"parallel_ms\":{parallel_ms:.3},\
          \"speedup\":{:.3},\"series\":[{series_json}],\
          \"replay_series\":[{replay_json}]}}",

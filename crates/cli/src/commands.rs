@@ -9,7 +9,9 @@ use std::time::Duration;
 use recovery_core::durable::{self, DurableLoop};
 use recovery_core::error_type::NoiseFilter;
 use recovery_core::evaluate::{evaluate_parallel, time_ordered_split};
-use recovery_core::experiment::{fig3_cohesion_curve, ExperimentContext, TestRun, TestRunConfig};
+use recovery_core::experiment::{
+    fig3_cohesion_curve_of, ExperimentContext, TestRun, TestRunConfig,
+};
 use recovery_core::fault::{CrashPlan, LoopFaultPlan};
 use recovery_core::ingest::{self, ParseErrorPolicy};
 use recovery_core::parallel::WorkerPool;
@@ -24,7 +26,6 @@ use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_diagnostics::{
     assemble, diff_policies, explain_policy, DiagnosticsRecorder, ExplainOptions, RunReportInputs,
 };
-use recovery_mpattern::MPatternMiner;
 use recovery_serve::{publish_snapshot, PolicySnapshot, PolicyStore, ServeConfig, ServeDaemon};
 use recovery_simlog::{
     availability, stats, ClusterSim, FaultCatalog, GeneratorConfig, LogGenerator, RecoveryLog,
@@ -170,12 +171,13 @@ pub fn mine(args: &Args, session: &Session) -> Result<(), String> {
     }
     let processes = ingest::split_processes(&mut log, &pool, &session.telemetry);
     let _span = session.telemetry.span("mine");
+    let filter = NoiseFilter::new(minp);
+    let outcome = filter.partition(processes);
     println!("symptom cohesion (fraction of processes with one mutually dependent set):");
-    for (m, f) in fig3_cohesion_curve(&processes) {
+    for (m, f) in fig3_cohesion_curve_of(&outcome.db) {
         println!("  minp {m:.1}: {f:.4}");
     }
-    let db = NoiseFilter::transaction_db(&processes);
-    let clusters = MPatternMiner::new(minp).clusters(&db);
+    let clusters = filter.clusters(&outcome.db);
     println!("\n{} symptom clusters at minp {minp}:", clusters.len());
     for (i, cluster) in clusters.iter().enumerate().take(50) {
         let names: Vec<&str> = cluster
@@ -187,7 +189,6 @@ pub fn mine(args: &Args, session: &Session) -> Result<(), String> {
     if clusters.len() > 50 {
         println!("  ... and {} more", clusters.len() - 50);
     }
-    let outcome = NoiseFilter::new(minp).partition(processes);
     println!(
         "\nnoise filter: kept {:.2}% ({} clean, {} noisy)",
         100.0 * outcome.kept_fraction(),

@@ -143,8 +143,10 @@ pub struct FilterOutcome {
     pub clean: Vec<RecoveryProcess>,
     /// Processes flagged as noisy (likely multi-fault).
     pub noisy: Vec<RecoveryProcess>,
-    /// The symptom clusters mined at `minp` (the paper's "119 clusters").
-    pub clusters: Vec<Vec<SymptomId>>,
+    /// The symptom database the verdicts were judged on, one transaction
+    /// per input process in input order; mine its symptom clusters with
+    /// [`NoiseFilter::clusters`].
+    pub db: TransactionDb<SymptomId>,
 }
 
 impl FilterOutcome {
@@ -202,45 +204,40 @@ impl NoiseFilter {
     /// Builds the symptom transaction database of a set of processes (one
     /// transaction per process: its distinct symptom set).
     pub fn transaction_db(processes: &[RecoveryProcess]) -> TransactionDb<SymptomId> {
-        processes.iter().map(|p| p.symptom_set()).collect()
+        let mut db = TransactionDb::new();
+        for p in processes {
+            db.push(p.symptoms().iter().map(|&(_, s)| s));
+        }
+        db
     }
 
-    /// Splits processes into clean and noisy and reports the mined symptom
-    /// clusters.
+    /// Splits processes into clean and noisy. Each distinct symptom set is
+    /// judged once; every process follows its set's verdict.
     pub fn partition(&self, processes: Vec<RecoveryProcess>) -> FilterOutcome {
         let db = Self::transaction_db(&processes);
-        let miner = MPatternMiner::new(self.minp).with_min_support(self.min_support);
-        let clusters = miner.clusters(&db);
+        let cohesive: Vec<bool> = db
+            .itemset_dependences()
+            .into_iter()
+            .map(|d| d >= self.minp)
+            .collect();
         let mut clean = Vec::new();
         let mut noisy = Vec::new();
-        let mut verdicts: HashMap<Vec<SymptomId>, bool> = HashMap::new();
-        for p in processes {
-            let set = p.symptom_set();
-            let mut sorted = set.clone();
-            sorted.sort_unstable();
-            let ok = *verdicts
-                .entry(sorted.clone())
-                .or_insert_with(|| db.is_m_pattern(&sorted, self.minp));
-            if ok {
+        for (p, &set) in processes.into_iter().zip(db.itemset_ids()) {
+            if cohesive[set] {
                 clean.push(p);
             } else {
                 noisy.push(p);
             }
         }
-        FilterOutcome {
-            clean,
-            noisy,
-            clusters,
-        }
+        FilterOutcome { clean, noisy, db }
     }
 
-    /// The Figure-3 curve: for each `minp` in `grid`, the fraction of
-    /// processes whose symptoms are mutually dependent at that threshold.
-    pub fn cohesion_curve(processes: &[RecoveryProcess], grid: &[f64]) -> Vec<(f64, f64)> {
-        let db = Self::transaction_db(processes);
-        grid.iter()
-            .map(|&minp| (minp, db.cohesive_fraction(minp)))
-            .collect()
+    /// The symptom clusters of `db` at this filter's `minp` (the paper's
+    /// "119 clusters").
+    pub fn clusters(&self, db: &TransactionDb<SymptomId>) -> Vec<Vec<SymptomId>> {
+        MPatternMiner::new(self.minp)
+            .with_min_support(self.min_support)
+            .clusters(db)
     }
 }
 
@@ -325,8 +322,10 @@ mod tests {
         assert_eq!(outcome.noisy[0].symptom_set().len(), 2);
         assert_eq!(outcome.clean.len(), 40);
         assert!((outcome.kept_fraction() - 40.0 / 41.0).abs() < 1e-9);
-        assert!(outcome
-            .clusters
+        assert_eq!(outcome.db.len(), 41);
+        assert_eq!(outcome.db.itemsets().len(), 3);
+        assert!(NoiseFilter::new(0.3)
+            .clusters(&outcome.db)
             .contains(&vec![SymptomId::new(1), SymptomId::new(2)]));
     }
 
@@ -335,19 +334,16 @@ mod tests {
         let mut generated = LogGenerator::new(GeneratorConfig::small()).generate();
         let processes = generated.log.split_processes();
         let grid: Vec<f64> = (1..=10).map(|i| i as f64 / 10.0).collect();
-        let curve = NoiseFilter::cohesion_curve(&processes, &grid);
+        let curve = NoiseFilter::transaction_db(&processes).cohesive_fractions(&grid);
         assert_eq!(curve.len(), 10);
         for w in curve.windows(2) {
-            assert!(
-                w[1].1 <= w[0].1 + 1e-12,
-                "curve must not increase: {curve:?}"
-            );
+            assert!(w[1] <= w[0] + 1e-12, "curve must not increase: {curve:?}");
         }
         // At the loosest threshold most of the log is cohesive.
         assert!(
-            curve[0].1 > 0.8,
+            curve[0] > 0.8,
             "minp = 0.1 keeps most processes: {}",
-            curve[0].1
+            curve[0]
         );
     }
 
@@ -356,13 +352,14 @@ mod tests {
         let mut generated = LogGenerator::new(GeneratorConfig::small()).generate();
         let processes = generated.log.split_processes();
         let total = processes.len();
-        let outcome = NoiseFilter::default().partition(processes);
+        let filter = NoiseFilter::default();
+        let outcome = filter.partition(processes);
         assert!(
             outcome.kept_fraction() > 0.85,
             "kept {:.3} of {total}",
             outcome.kept_fraction()
         );
-        assert!(!outcome.clusters.is_empty());
+        assert!(!filter.clusters(&outcome.db).is_empty());
     }
 
     #[test]

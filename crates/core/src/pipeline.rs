@@ -527,6 +527,7 @@ pub fn run_continuous_loop_controlled(
         // resume will re-parse it; captured before ingestion so the text
         // and the split see the same (sorted) entry sequence.
         let window_log_text = if controls.durable.is_some() {
+            let _span = telemetry.span("journal_text");
             log.to_text()
         } else {
             String::new()
@@ -679,11 +680,18 @@ fn retrain(
         if config.faults.trips_retrain(window) {
             panic!("faultline: injected retrain panic after window {window}");
         }
-        let outcome = NoiseFilter::new(config.minp).partition(accumulated.to_vec());
+        // Keep only the clean side: the noisy processes and the symptom
+        // database are freed before training starts.
+        let clean = {
+            let _span = telemetry.span("noise_filter");
+            NoiseFilter::new(config.minp)
+                .partition(accumulated.to_vec())
+                .clean
+        };
         let clean = if config.faults.blacks_out_filter(window) {
             Vec::new()
         } else {
-            outcome.clean
+            clean
         };
         let ranking = crate::error_type::ErrorTypeRanking::from_processes(&clean);
         let types = ranking.top_k(config.top_k);

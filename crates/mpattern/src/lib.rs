@@ -43,29 +43,74 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// The item bound required by the miner: totally ordered, hashable, cheap
 /// to copy (symptom ids, small integers, …).
 pub trait Item: Copy + Ord + Hash + Debug {}
 impl<T: Copy + Ord + Hash + Debug> Item for T {}
 
-/// A transaction database: one itemset per transaction, with an inverted
-/// index for fast support counting.
+/// Where one item occurs.
 #[derive(Debug, Clone, Default)]
+struct Posting {
+    /// Number of transactions containing the item.
+    support: usize,
+    /// Ids of the distinct itemsets containing the item, ascending.
+    itemsets: Vec<usize>,
+}
+
+/// A transaction database. Each distinct itemset is stored once, with the
+/// number of transactions that carry it: recovery logs repeat symptom
+/// sets (the paper-scale log has about 3 distinct sets per 100
+/// processes), so support counting and cohesion checks run per itemset,
+/// not per transaction. Every count the database reports is still over
+/// transactions.
+#[derive(Debug, Clone)]
 pub struct TransactionDb<T> {
-    transactions: Vec<Vec<T>>,
-    postings: HashMap<T, Vec<usize>>,
+    /// The distinct itemsets, sorted and deduplicated, flattened in id
+    /// (first-push) order: itemset `id` is
+    /// `set_items[set_bounds[id]..set_bounds[id + 1]]`.
+    set_items: Vec<T>,
+    set_bounds: Vec<usize>,
+    /// Transactions carrying each itemset, by id.
+    counts: Vec<usize>,
+    /// The itemset id of every transaction, in push order.
+    transaction_sets: Vec<usize>,
+    /// The newest itemset id with each itemset hash; older ids with the
+    /// same hash chain through `same_hash`, so a lookup compares slices
+    /// of `set_items` and the database keeps no second copy of a set.
+    set_ids: HashMap<u64, usize>,
+    same_hash: Vec<Option<usize>>,
+    /// Hashes itemsets with a random key, so crafted itemsets cannot
+    /// force long `same_hash` chains.
+    set_hasher: RandomState,
+    postings: HashMap<T, Posting>,
+    /// `push`'s sort buffer, kept to spare an allocation per transaction.
+    scratch: Vec<T>,
+}
+
+impl<T: Item> Default for TransactionDb<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T: Item> TransactionDb<T> {
     /// Creates an empty database.
     pub fn new() -> Self {
         TransactionDb {
-            transactions: Vec::new(),
+            set_items: Vec::new(),
+            set_bounds: vec![0],
+            counts: Vec::new(),
+            transaction_sets: Vec::new(),
+            set_ids: HashMap::new(),
+            same_hash: Vec::new(),
+            set_hasher: RandomState::new(),
             postings: HashMap::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -73,29 +118,67 @@ impl<T: Item> TransactionDb<T> {
     /// collapsed; empty transactions are kept (they count toward
     /// [`TransactionDb::len`] but support nothing).
     pub fn push<I: IntoIterator<Item = T>>(&mut self, items: I) {
-        let mut v: Vec<T> = items.into_iter().collect();
-        v.sort_unstable();
-        v.dedup();
-        let idx = self.transactions.len();
-        for &item in &v {
-            self.postings.entry(item).or_default().push(idx);
+        let mut set = std::mem::take(&mut self.scratch);
+        set.clear();
+        set.extend(items);
+        set.sort_unstable();
+        set.dedup();
+        let hash = self.set_hasher.hash_one(set.as_slice());
+        let head = self.set_ids.get(&hash).copied();
+        let found = std::iter::successors(head, |&id| self.same_hash[id])
+            .find(|&id| self.itemset(id) == set.as_slice());
+        let id = match found {
+            Some(id) => {
+                self.counts[id] += 1;
+                id
+            }
+            None => {
+                let id = self.counts.len();
+                self.set_items.extend_from_slice(&set);
+                self.set_bounds.push(self.set_items.len());
+                self.counts.push(1);
+                self.set_ids.insert(hash, id);
+                self.same_hash.push(head);
+                id
+            }
+        };
+        let first_seen = self.counts[id] == 1;
+        for &item in &set {
+            let posting = self.postings.entry(item).or_default();
+            posting.support += 1;
+            if first_seen {
+                posting.itemsets.push(id);
+            }
         }
-        self.transactions.push(v);
+        self.transaction_sets.push(id);
+        self.scratch = set;
     }
 
     /// Number of transactions.
     pub fn len(&self) -> usize {
-        self.transactions.len()
+        self.transaction_sets.len()
     }
 
     /// Whether the database holds no transactions.
     pub fn is_empty(&self) -> bool {
-        self.transactions.is_empty()
+        self.transaction_sets.is_empty()
     }
 
-    /// The transactions, in insertion order.
-    pub fn transactions(&self) -> &[Vec<T>] {
-        &self.transactions
+    /// The distinct itemsets in id order (the order they were first
+    /// pushed), each sorted and paired with the number of transactions
+    /// carrying it.
+    pub fn itemsets(&self) -> impl ExactSizeIterator<Item = (&[T], usize)> + '_ {
+        self.set_bounds
+            .windows(2)
+            .zip(&self.counts)
+            .map(|(b, &count)| (&self.set_items[b[0]..b[1]], count))
+    }
+
+    /// The itemset id of each transaction, in push order: transaction `t`
+    /// carries the `itemset_ids()[t]`-th entry of
+    /// [`TransactionDb::itemsets`].
+    pub fn itemset_ids(&self) -> &[usize] {
+        &self.transaction_sets
     }
 
     /// All distinct items, sorted.
@@ -110,28 +193,43 @@ impl<T: Item> TransactionDb<T> {
     /// The empty itemset is supported by every transaction.
     pub fn support(&self, items: &[T]) -> usize {
         match items {
-            [] => self.transactions.len(),
-            [single] => self.postings.get(single).map_or(0, Vec::len),
+            [] => self.len(),
+            [single] => self.item_support(single),
             _ => {
-                // Intersect postings lists, smallest first.
-                let mut lists: Vec<&Vec<usize>> = Vec::with_capacity(items.len());
-                for item in items {
-                    match self.postings.get(item) {
-                        Some(l) => lists.push(l),
-                        None => return 0,
-                    }
-                }
-                lists.sort_by_key(|l| l.len());
-                let mut acc: Vec<usize> = lists[0].clone();
-                for l in &lists[1..] {
-                    acc = intersect_sorted(&acc, l);
-                    if acc.is_empty() {
+                // Only itemsets holding both of the two rarest items can
+                // contain them all: intersect those two postings, then
+                // check any further items in each survivor.
+                let (mut rarest, mut second): (&[usize], &[usize]) = (&[], &[]);
+                for (i, item) in items.iter().enumerate() {
+                    let Some(posting) = self.postings.get(item) else {
                         return 0;
+                    };
+                    let list = posting.itemsets.as_slice();
+                    if i == 0 || list.len() < rarest.len() {
+                        second = if i == 0 { list } else { rarest };
+                        rarest = list;
+                    } else if i == 1 || list.len() < second.len() {
+                        second = list;
                     }
                 }
-                acc.len()
+                let mut support = 0;
+                intersect_sorted(rarest, second, |id| {
+                    let set = self.itemset(id);
+                    if items.len() == 2 || items.iter().all(|x| set.binary_search(x).is_ok()) {
+                        support += self.counts[id];
+                    }
+                });
+                support
             }
         }
+    }
+
+    fn itemset(&self, id: usize) -> &[T] {
+        &self.set_items[self.set_bounds[id]..self.set_bounds[id + 1]]
+    }
+
+    fn item_support(&self, item: &T) -> usize {
+        self.postings.get(item).map_or(0, |p| p.support)
     }
 
     /// The *dependence* of an itemset: `min_i support(P) / support({i})`,
@@ -146,16 +244,31 @@ impl<T: Item> TransactionDb<T> {
                 0.0
             };
         }
-        let sup = self.support(items) as f64;
+        self.dependence_at(items, self.support(items))
+    }
+
+    /// [`TransactionDb::dependence`] of `items` (two or more) whose
+    /// support is already known to be `support`.
+    fn dependence_at(&self, items: &[T], support: usize) -> f64 {
+        let sup = support as f64;
         let mut min_ratio = f64::INFINITY;
         for item in items {
-            let s = self.support(&[*item]) as f64;
+            let s = self.item_support(item) as f64;
             if s == 0.0 {
                 return 0.0;
             }
             min_ratio = min_ratio.min(sup / s);
         }
         min_ratio
+    }
+
+    /// The [`TransactionDb::dependence`] of every distinct itemset, by
+    /// itemset id — one support count per itemset however many
+    /// transactions carry it.
+    pub fn itemset_dependences(&self) -> Vec<f64> {
+        self.itemsets()
+            .map(|(set, _)| self.dependence(set))
+            .collect()
     }
 
     /// Whether `items` is an m-pattern at threshold `minp`.
@@ -179,22 +292,32 @@ impl<T: Item> TransactionDb<T> {
     ///
     /// Panics if `minp` is not in `(0, 1]`.
     pub fn cohesive_fraction(&self, minp: f64) -> f64 {
-        check_minp(minp);
-        if self.transactions.is_empty() {
-            return 0.0;
+        self.cohesive_fractions(&[minp])[0]
+    }
+
+    /// [`TransactionDb::cohesive_fraction`] at every threshold of `grid`,
+    /// judging each distinct itemset once for the whole grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a threshold is not in `(0, 1]`.
+    pub fn cohesive_fractions(&self, grid: &[f64]) -> Vec<f64> {
+        grid.iter().for_each(|&minp| check_minp(minp));
+        if self.is_empty() {
+            return vec![0.0; grid.len()];
         }
-        // Transactions repeat heavily (same symptom set); memoize.
-        let mut cache: HashMap<&[T], bool> = HashMap::new();
-        let mut cohesive = 0usize;
-        for t in &self.transactions {
-            let ok = *cache
-                .entry(t.as_slice())
-                .or_insert_with(|| self.dependence(t) >= minp);
-            if ok {
-                cohesive += 1;
-            }
-        }
-        cohesive as f64 / self.transactions.len() as f64
+        let dependences = self.itemset_dependences();
+        grid.iter()
+            .map(|&minp| {
+                let cohesive: usize = dependences
+                    .iter()
+                    .zip(&self.counts)
+                    .filter(|(d, _)| **d >= minp)
+                    .map(|(_, &count)| count)
+                    .sum();
+                cohesive as f64 / self.len() as f64
+            })
+            .collect()
     }
 }
 
@@ -228,9 +351,10 @@ pub struct MPattern<T> {
 /// Level-wise (Apriori-style) miner for m-patterns.
 ///
 /// Exploits the downward-closure property: a `(k+1)`-itemset can only be an
-/// m-pattern if all of its `k`-subsets are, so candidates are generated by
-/// joining patterns that share a `k-1` prefix and pruned against the
-/// previous level.
+/// m-pattern if all of its `k`-subsets are. Level 2 is read off pair
+/// co-occurrence counts over the distinct itemsets; each longer level is
+/// generated by joining patterns that share a `k-1` prefix and pruned
+/// against the previous level.
 ///
 /// ```
 /// use recovery_mpattern::{MPatternMiner, TransactionDb, brute_force_mine};
@@ -292,40 +416,83 @@ impl MPatternMiner {
     /// m-patterns and are omitted), sorted by (length, items).
     pub fn mine<T: Item>(&self, db: &TransactionDb<T>) -> Vec<MPattern<T>> {
         let mut all: Vec<MPattern<T>> = Vec::new();
-        // Level 1: frequent items (not emitted, used for candidate gen).
-        let mut level: Vec<Vec<T>> = db
-            .items()
-            .into_iter()
-            .filter(|i| db.support(&[*i]) >= self.min_support)
-            .map(|i| vec![i])
-            .collect();
-
-        let mut k = 1usize;
-        while !level.is_empty() && k < self.max_len {
-            let candidates = join_level(&level);
-            let mut next: Vec<Vec<T>> = Vec::new();
-            for cand in candidates {
-                if !all_subsets_present(&cand, &level) {
-                    continue;
-                }
-                if db.support(&cand) < self.min_support {
-                    continue;
-                }
-                if db.dependence(&cand) >= self.minp {
-                    next.push(cand);
-                }
-            }
-            for items in &next {
-                all.push(MPattern {
-                    items: items.clone(),
-                    support: db.support(items),
-                });
-            }
+        let mut level = if self.max_len >= 2 {
+            self.pairs(db)
+        } else {
+            Vec::new()
+        };
+        let mut len = 2;
+        // Every level is sorted by items, so `all` ends sorted by
+        // (length, items).
+        while !level.is_empty() {
+            let next = if len < self.max_len {
+                self.grow(db, &level)
+            } else {
+                Vec::new()
+            };
+            all.append(&mut level);
             level = next;
-            k += 1;
+            len += 1;
         }
-        all.sort_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
         all
+    }
+
+    /// The 2-item m-patterns, sorted, from one pass that counts the pairs
+    /// of frequent items in every distinct itemset.
+    fn pairs<T: Item>(&self, db: &TransactionDb<T>) -> Vec<MPattern<T>> {
+        let mut counts: HashMap<(T, T), usize> = HashMap::new();
+        let mut frequent: Vec<T> = Vec::new();
+        for (set, count) in db.itemsets() {
+            frequent.clear();
+            frequent.extend(
+                set.iter()
+                    .copied()
+                    .filter(|i| db.item_support(i) >= self.min_support),
+            );
+            for (i, &a) in frequent.iter().enumerate() {
+                for &b in &frequent[i + 1..] {
+                    *counts.entry((a, b)).or_insert(0) += count;
+                }
+            }
+        }
+        let mut pairs: Vec<MPattern<T>> = counts
+            .into_iter()
+            .filter(|&(_, support)| support >= self.min_support)
+            .map(|((a, b), support)| MPattern {
+                items: vec![a, b],
+                support,
+            })
+            .filter(|p| db.dependence_at(&p.items, p.support) >= self.minp)
+            .collect();
+        pairs.sort_unstable_by(|a, b| a.items.cmp(&b.items));
+        pairs
+    }
+
+    /// The `(k+1)`-item m-patterns grown from the sorted `k`-item `level`
+    /// (Apriori join and prune), in sorted order.
+    fn grow<T: Item>(&self, db: &TransactionDb<T>, level: &[MPattern<T>]) -> Vec<MPattern<T>> {
+        let mut next = Vec::new();
+        for (i, a) in level.iter().enumerate() {
+            let k = a.items.len();
+            for b in &level[i + 1..] {
+                if a.items[..k - 1] != b.items[..k - 1] {
+                    break; // sorted order: no later pattern shares the prefix
+                }
+                let mut cand = a.items.clone();
+                cand.push(b.items[k - 1]);
+                if !all_subsets_present(&cand, level) {
+                    continue;
+                }
+                let support = db.support(&cand);
+                if support >= self.min_support && db.dependence_at(&cand, support) >= self.minp {
+                    next.push(MPattern {
+                        items: cand,
+                        support,
+                    });
+                }
+            }
+        }
+        next
     }
 
     /// Mines only the *maximal* m-patterns (those not contained in a
@@ -370,7 +537,9 @@ impl MPatternMiner {
 /// Reference implementation: enumerates *every* itemset over the
 /// database's items and keeps the m-patterns — exponential, usable only
 /// for small item universes, and exactly what the level-wise miner must
-/// agree with. Exposed for differential testing.
+/// agree with. Exposed for differential testing; it counts support by
+/// scanning the stored itemsets, weighted by how many transactions carry
+/// each, and so shares no counting code with the miner.
 ///
 /// # Panics
 ///
@@ -388,6 +557,12 @@ pub fn brute_force_mine<T: Item>(
         "brute force is for small universes, got {} items",
         items.len()
     );
+    let count = |subset: &[T]| -> usize {
+        db.itemsets()
+            .filter(|(set, _)| is_subset(subset, set))
+            .map(|(_, n)| n)
+            .sum()
+    };
     let mut out = Vec::new();
     for mask in 1u32..(1u32 << items.len()) {
         if mask.count_ones() < 2 {
@@ -399,8 +574,12 @@ pub fn brute_force_mine<T: Item>(
             .filter(|(i, _)| mask & (1 << i) != 0)
             .map(|(_, &v)| v)
             .collect();
-        let support = db.support(&subset);
-        if support >= min_support && db.dependence(&subset) >= minp {
+        let support = count(&subset);
+        let dependence = subset
+            .iter()
+            .map(|&i| support as f64 / count(&[i]) as f64)
+            .fold(f64::INFINITY, f64::min);
+        if support >= min_support && dependence >= minp {
             out.push(MPattern {
                 items: subset,
                 support,
@@ -418,64 +597,34 @@ fn check_minp(minp: f64) {
     );
 }
 
-/// Intersects two sorted, deduplicated index lists.
-fn intersect_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
+/// Calls `f` with every value present in both sorted, deduplicated lists,
+/// in ascending order. The merge advances its cursors without
+/// data-dependent branches, which the unpredictable interleaving of two
+/// postings would otherwise mispredict at every step.
+fn intersect_sorted(a: &[usize], b: &[usize], mut f: impl FnMut(usize)) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+        let (x, y) = (a[i], b[j]);
+        if x == y {
+            f(x);
         }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
-    out
 }
 
-/// Apriori join: pairs of k-itemsets sharing their first k-1 items produce
-/// (k+1)-candidates. Requires each itemset sorted; `level` sorted overall.
-fn join_level<T: Item>(level: &[Vec<T>]) -> Vec<Vec<T>> {
-    let mut sorted: Vec<&Vec<T>> = level.iter().collect();
-    sorted.sort();
-    let mut out = Vec::new();
-    for i in 0..sorted.len() {
-        for j in (i + 1)..sorted.len() {
-            let (a, b) = (sorted[i], sorted[j]);
-            let k = a.len();
-            if a[..k - 1] != b[..k - 1] {
-                break; // sorted order: no further j shares the prefix
-            }
-            let mut cand = a.clone();
-            cand.push(b[k - 1]);
-            out.push(cand);
-        }
-    }
-    out
-}
-
-/// Checks that every (len-1)-subset of `cand` appears in `level`.
-fn all_subsets_present<T: Item>(cand: &[T], level: &[Vec<T>]) -> bool {
-    if cand.len() <= 2 {
-        return true; // level 1 holds all frequent singletons by construction
-    }
+/// Checks that every (len-1)-subset of `cand` appears in `level`, which
+/// is sorted by items.
+fn all_subsets_present<T: Item>(cand: &[T], level: &[MPattern<T>]) -> bool {
     let mut sub = Vec::with_capacity(cand.len() - 1);
-    for skip in 0..cand.len() {
+    (0..cand.len()).all(|skip| {
         sub.clear();
-        sub.extend(
-            cand.iter()
-                .enumerate()
-                .filter(|(i, _)| *i != skip)
-                .map(|(_, v)| *v),
-        );
-        if !level.iter().any(|l| l == &sub) {
-            return false;
-        }
-    }
-    true
+        sub.extend_from_slice(&cand[..skip]);
+        sub.extend_from_slice(&cand[skip + 1..]);
+        level
+            .binary_search_by(|p| p.items.as_slice().cmp(&sub))
+            .is_ok()
+    })
 }
 
 /// Whether sorted slice `a` is a subset of sorted slice `b`.
@@ -644,13 +793,58 @@ mod tests {
         let mut db = TransactionDb::new();
         db.push([7, 7, 7]);
         assert_eq!(db.support(&[7]), 1);
-        assert_eq!(db.transactions()[0], vec![7]);
+        assert_eq!(db.itemsets().next(), Some((&[7][..], 1)));
+    }
+
+    #[test]
+    fn repeated_itemsets_are_stored_once_with_their_count() {
+        let db = two_cluster_db();
+        let sets: Vec<(&[u32], usize)> = db.itemsets().collect();
+        assert_eq!(
+            sets,
+            vec![(&[1, 2, 3][..], 10), (&[10, 11][..], 5), (&[1, 10][..], 1)]
+        );
+        assert_eq!(db.itemsets().len(), 3);
+        assert_eq!(db.itemset_ids().len(), db.len());
+        assert_eq!(db.itemset_ids()[0], 0);
+        assert_eq!(db.itemset_ids()[10], 1);
+        assert_eq!(db.itemset_ids()[15], 2);
+        // Order and duplicates within a transaction do not make a new set.
+        let mut db = TransactionDb::new();
+        db.push([3, 1, 2]);
+        db.push([2, 3, 1, 1]);
+        assert_eq!(db.itemsets().len(), 1);
+        assert_eq!(db.itemset_ids(), &[0, 0]);
+        assert_eq!(db.support(&[1, 3]), 2);
+    }
+
+    #[test]
+    fn support_accepts_unsorted_and_repeated_items() {
+        let db = two_cluster_db();
+        assert_eq!(db.support(&[3, 1]), 10);
+        assert_eq!(db.support(&[2, 2]), 10);
+        assert_eq!(db.support(&[10, 1, 10]), 1);
+    }
+
+    #[test]
+    fn itemset_dependences_follow_itemset_ids() {
+        let db = two_cluster_db();
+        let deps = db.itemset_dependences();
+        assert_eq!(deps.len(), 3);
+        for ((set, _), d) in db.itemsets().zip(&deps) {
+            assert_eq!(*d, db.dependence(set));
+        }
+        assert_eq!(
+            db.cohesive_fractions(&[0.8, 0.1]),
+            vec![db.cohesive_fraction(0.8), db.cohesive_fraction(0.1)]
+        );
     }
 
     #[test]
     fn empty_db_edge_cases() {
         let db: TransactionDb<u32> = TransactionDb::new();
         assert!(db.is_empty());
+        assert_eq!(db.itemsets().len(), 0);
         assert_eq!(db.cohesive_fraction(0.5), 0.0);
         assert!(MPatternMiner::new(0.5).mine(&db).is_empty());
         assert!(db.items().is_empty());

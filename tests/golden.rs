@@ -1,11 +1,16 @@
-//! Golden-policy regression test: a committed log fixture is trained
-//! with a pinned configuration and the serialized policy must match the
-//! committed snapshot byte for byte.
+//! Golden regression tests: a committed log fixture is run through a
+//! pinned configuration and the result must match a committed snapshot
+//! byte for byte.
 //!
-//! This locks down the *entire* deterministic pipeline — log parsing,
-//! noise filtering, type ranking, per-type seed derivation, Q-learning,
-//! parallel fan-out/merge, and policy serialization. Any intentional
-//! change to one of those stages must regenerate the snapshot:
+//! * `golden.policy` locks down the *entire* deterministic pipeline — log
+//!   parsing, noise filtering, type ranking, per-type seed derivation,
+//!   Q-learning, parallel fan-out/merge, and policy serialization.
+//! * `golden.filter` locks down the m-pattern noise filter on its own:
+//!   the Figure-3 cohesion curve, the mined symptom clusters and the
+//!   clean/noisy verdict counts at `minp = 0.1`.
+//!
+//! Any intentional change to one of those stages must regenerate the
+//! snapshots:
 //!
 //! ```text
 //! REGEN_GOLDEN=1 cargo test -p recovery-core --test golden
@@ -14,7 +19,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use recovery_core::experiment::ExperimentContext;
+use recovery_core::error_type::NoiseFilter;
+use recovery_core::experiment::{fig3_cohesion_curve_of, ExperimentContext};
 use recovery_core::persist::policy_to_text;
 use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_simlog::RecoveryLog;
@@ -47,13 +53,43 @@ fn train_golden_policy() -> String {
     policy_to_text(&policy, &symptoms)
 }
 
-#[test]
-fn trained_policy_matches_committed_snapshot() {
-    let actual = train_golden_policy();
-    let snapshot_path = fixture("golden.policy");
+/// The noise filter's view of the fixture log at the paper's
+/// `minp = 0.1`, as `autorecover mine` computes it, one line per fact:
+/// the Figure-3 curve (shortest round-trip floats), the symptom clusters
+/// by name, and the verdict counts.
+fn golden_filter_report() -> String {
+    let text = fs::read_to_string(fixture("golden.log")).expect("committed log fixture");
+    let mut log = RecoveryLog::from_text(&text).expect("fixture log parses");
+    let filter = NoiseFilter::new(0.1);
+    let outcome = filter.partition(log.split_processes());
+    let mut out = String::new();
+    for (minp, fraction) in fig3_cohesion_curve_of(&outcome.db) {
+        out.push_str(&format!("fig3 minp={minp:?} cohesive={fraction:?}\n"));
+    }
+    let clusters = filter.clusters(&outcome.db);
+    out.push_str(&format!("clusters {}\n", clusters.len()));
+    for cluster in &clusters {
+        let names: Vec<&str> = cluster
+            .iter()
+            .map(|&s| log.symptoms().name(s).unwrap_or("?"))
+            .collect();
+        out.push_str(&format!("cluster {}\n", names.join(" ")));
+    }
+    out.push_str(&format!(
+        "clean {}\nnoisy {}\n",
+        outcome.clean.len(),
+        outcome.noisy.len()
+    ));
+    out
+}
+
+/// Compares `actual` with the committed snapshot `name`, or rewrites the
+/// snapshot when `REGEN_GOLDEN` is set.
+fn check_snapshot(name: &str, what: &str, actual: &str) {
+    let snapshot_path = fixture(name);
 
     if std::env::var_os("REGEN_GOLDEN").is_some() {
-        fs::write(&snapshot_path, &actual).expect("write regenerated snapshot");
+        fs::write(&snapshot_path, actual).expect("write regenerated snapshot");
         eprintln!("regenerated {}", snapshot_path.display());
         return;
     }
@@ -79,12 +115,22 @@ fn trained_policy_matches_committed_snapshot() {
                 )
             });
         panic!(
-            "GOLDEN POLICY DRIFT — the trained policy no longer matches \
-             tests/fixtures/golden.policy ({} expected lines, {} actual).\n{first_diff}\n\
+            "GOLDEN {what} DRIFT — the output no longer matches \
+             tests/fixtures/{name} ({} expected lines, {} actual).\n{first_diff}\n\
              If this change is intentional, regenerate the snapshot and commit it:\n\
              \n    REGEN_GOLDEN=1 cargo test -p recovery-core --test golden\n",
             expected.lines().count(),
             actual.lines().count(),
         );
     }
+}
+
+#[test]
+fn trained_policy_matches_committed_snapshot() {
+    check_snapshot("golden.policy", "POLICY", &train_golden_policy());
+}
+
+#[test]
+fn noise_filter_matches_committed_snapshot() {
+    check_snapshot("golden.filter", "FILTER", &golden_filter_report());
 }

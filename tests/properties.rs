@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use recovery_core::error_type::ErrorType;
+use recovery_core::error_type::{ErrorType, NoiseFilter};
 use recovery_core::exact::EmpiricalTypeModel;
 use recovery_core::platform::{CostEstimation, SimulationPlatform};
 use recovery_core::policy::UserStatePolicy;
@@ -331,20 +331,117 @@ proptest! {
 
 // ---------- mpattern ----------
 
+/// Transactions drawn from a pool of at most five itemsets, so nearly
+/// every case repeats an itemset. Items lie in `0..universe` and may come
+/// unsorted and duplicated within a transaction, as raw symptom lists do.
+fn arb_repeating_transactions(
+    universe: u32,
+    max_items: usize,
+    max_transactions: usize,
+) -> impl Strategy<Value = Vec<Vec<u32>>> {
+    (
+        proptest::collection::vec(proptest::collection::vec(0..universe, 1..max_items), 1..6),
+        proptest::collection::vec(0usize..1_000, 1..max_transactions),
+    )
+        .prop_map(|(pool, picks)| {
+            picks
+                .into_iter()
+                .map(|i| pool[i % pool.len()].clone())
+                .collect()
+        })
+}
+
+/// Transactions of `raw` containing every item of `items`, counted one by
+/// one: the oracle the database's multiplicity-weighted counts must meet.
+fn naive_support(raw: &[Vec<u32>], items: &[u32]) -> usize {
+    raw.iter()
+        .filter(|t| items.iter().all(|i| t.contains(i)))
+        .count()
+}
+
+/// The dependence of `items` over `raw`, from [`naive_support`].
+fn naive_dependence(raw: &[Vec<u32>], items: &[u32]) -> f64 {
+    let support = naive_support(raw, items);
+    if items.len() <= 1 {
+        return if items.is_empty() || support > 0 {
+            1.0
+        } else {
+            0.0
+        };
+    }
+    let mut min_ratio = f64::INFINITY;
+    for &item in items {
+        let s = naive_support(raw, &[item]);
+        if s == 0 {
+            return 0.0;
+        }
+        min_ratio = min_ratio.min(support as f64 / s as f64);
+    }
+    min_ratio
+}
+
+/// A transaction's symptom set as the filter judges it: sorted, distinct.
+fn distinct_sorted(t: &[u32]) -> Vec<u32> {
+    let mut set = t.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// Checks `support`, `dependence`, `cohesive_fraction` and every
+/// transaction's verdict of `db` against naive counts over `raw`, the
+/// transactions `db` was built from.
+fn check_against_naive_counts(db: &TransactionDb<u32>, raw: &[Vec<u32>]) -> TestCaseResult {
+    prop_assert_eq!(db.len(), raw.len());
+    prop_assert_eq!(db.itemset_ids().len(), raw.len());
+    let sets: Vec<Vec<u32>> = db.itemsets().map(|(set, _)| set.to_vec()).collect();
+    for (set, count) in db.itemsets() {
+        prop_assert_eq!(
+            count,
+            raw.iter().filter(|t| distinct_sorted(t) == set).count()
+        );
+    }
+    let items = db.items();
+    for &a in &items {
+        prop_assert_eq!(db.support(&[a]), naive_support(raw, &[a]));
+        for &b in &items {
+            for query in [vec![a, b], vec![b, a, b]] {
+                prop_assert_eq!(db.support(&query), naive_support(raw, &query));
+                prop_assert_eq!(db.dependence(&query), naive_dependence(raw, &query));
+            }
+        }
+    }
+    let dependences = db.itemset_dependences();
+    for minp_steps in 1..=10 {
+        let minp = minp_steps as f64 / 10.0;
+        let mut cohesive = 0;
+        for (t, &id) in raw.iter().zip(db.itemset_ids()) {
+            let set = distinct_sorted(t);
+            prop_assert_eq!(&sets[id], &set);
+            let verdict = naive_dependence(raw, &set) >= minp;
+            prop_assert_eq!(dependences[id] >= minp, verdict);
+            prop_assert_eq!(db.is_m_pattern(&set, minp), verdict);
+            cohesive += usize::from(verdict);
+        }
+        prop_assert_eq!(
+            db.cohesive_fraction(minp),
+            cohesive as f64 / raw.len() as f64
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Dependence is in [0, 1] and the cohesive fraction is non-increasing
-    /// in minp, for arbitrary transaction databases.
+    /// in minp, for arbitrary transaction databases; every count equals
+    /// the naive count over the raw transactions.
     #[test]
-    fn mpattern_monotonicity(
-        transactions in proptest::collection::vec(
-            proptest::collection::vec(0u32..15, 1..6), 1..40
-        )
-    ) {
-        let db: TransactionDb<u32> = transactions.into_iter().collect();
-        for t in db.transactions() {
-            let d = db.dependence(t);
+    fn mpattern_monotonicity(transactions in arb_repeating_transactions(15, 6, 40)) {
+        let db: TransactionDb<u32> = transactions.iter().cloned().collect();
+        for (set, _) in db.itemsets() {
+            let d = db.dependence(set);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&d), "dependence {d}");
         }
         let mut prev = f64::INFINITY;
@@ -353,23 +450,68 @@ proptest! {
             prop_assert!(f <= prev + 1e-12, "cohesion increased at {i}");
             prev = f;
         }
+        check_against_naive_counts(&db, &transactions)?;
     }
 
     /// Support is anti-monotone: adding an item never raises support.
     #[test]
     fn support_is_anti_monotone(
-        transactions in proptest::collection::vec(
-            proptest::collection::vec(0u32..10, 1..5), 1..30
-        ),
+        transactions in arb_repeating_transactions(10, 5, 30),
         a in 0u32..10,
         b in 0u32..10,
     ) {
-        let db: TransactionDb<u32> = transactions.into_iter().collect();
+        let db: TransactionDb<u32> = transactions.iter().cloned().collect();
         let single = db.support(&[a]);
         let mut pair = vec![a, b];
         pair.sort_unstable();
         pair.dedup();
         prop_assert!(db.support(&pair) <= single);
+        prop_assert_eq!(db.support(&pair), naive_support(&transactions, &pair));
+    }
+
+    /// The noise filter routes every process by its symptom set's naive
+    /// verdict, keeping the input order on both sides.
+    #[test]
+    fn noise_filter_verdicts_match_naive_counts(
+        transactions in arb_repeating_transactions(12, 5, 40),
+        minp_steps in 1u32..11,
+    ) {
+        let processes: Vec<RecoveryProcess> = transactions
+            .iter()
+            .enumerate()
+            .map(|(i, symptoms)| {
+                let start = i as u64 * 1_000;
+                RecoveryProcess::new(
+                    MachineId::new(i as u32),
+                    symptoms
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &s)| (SimTime::from_secs(start + j as u64), SymptomId::new(s)))
+                        .collect(),
+                    vec![ActionRecord {
+                        time: SimTime::from_secs(start + 100),
+                        action: RepairAction::Reboot,
+                    }],
+                    SimTime::from_secs(start + 200),
+                )
+            })
+            .collect();
+        let minp = minp_steps as f64 / 10.0;
+        let outcome = NoiseFilter::new(minp).partition(processes);
+        let (mut clean, mut noisy) = (Vec::new(), Vec::new());
+        for (i, t) in transactions.iter().enumerate() {
+            if naive_dependence(&transactions, &distinct_sorted(t)) >= minp {
+                clean.push(i as u32);
+            } else {
+                noisy.push(i as u32);
+            }
+        }
+        let machines = |ps: &[RecoveryProcess]| -> Vec<u32> {
+            ps.iter().map(|p| p.machine().index()).collect()
+        };
+        prop_assert_eq!(machines(&outcome.clean), clean);
+        prop_assert_eq!(machines(&outcome.noisy), noisy);
+        prop_assert_eq!(outcome.db.len(), transactions.len());
     }
 }
 
@@ -382,18 +524,19 @@ proptest! {
     /// enumeration on small item universes, across thresholds.
     #[test]
     fn miner_matches_brute_force(
-        transactions in proptest::collection::vec(
-            proptest::collection::vec(0u32..7, 1..5), 1..25
-        ),
+        transactions in arb_repeating_transactions(7, 5, 25),
         minp_steps in 1u32..10,
         min_support in 1usize..4,
     ) {
-        let db: TransactionDb<u32> = transactions.into_iter().collect();
+        let db: TransactionDb<u32> = transactions.iter().cloned().collect();
         let minp = minp_steps as f64 / 10.0;
         let mined = recovery_mpattern::MPatternMiner::new(minp)
             .with_min_support(min_support)
             .mine(&db);
         let reference = recovery_mpattern::brute_force_mine(&db, minp, min_support);
+        for p in &reference {
+            prop_assert_eq!(p.support, naive_support(&transactions, &p.items));
+        }
         prop_assert_eq!(mined, reference);
     }
 }
