@@ -1,14 +1,15 @@
-//! Sharded ingestion vs the sequential parser, plus the allocation-free
+//! Pooled ingestion vs the sequential path, plus the allocation-free
 //! replay hot path.
 //!
 //! Two measurements back the perf claims of the ingestion work:
 //!
-//! * **Ingestion throughput.** `recovery_core::ingest::ingest` (catalog
-//!   prescan + parse shards + split shards) against the sequential
-//!   `RecoveryLog::from_text` + `split_processes` path, asserting the
-//!   outputs are identical before timing anything. In sampling mode
-//!   (`cargo bench -- --bench`) the comparison is written to
-//!   `BENCH_ingest.json` at the workspace root.
+//! * **Ingestion throughput.** `recovery_core::ingest::ingest` (the one
+//!   sequential parse loop, then process extraction split into shards
+//!   over the pool) against `RecoveryLog::from_text` + `split_processes`,
+//!   asserting the outputs are identical before timing anything. Both
+//!   arms parse the same way, so the comparison measures the split's
+//!   fan-out. In sampling mode (`cargo bench -- --bench`) it is written
+//!   to `BENCH_ingest.json` at the workspace root.
 //! * **Replay allocations.** A counting global allocator measures heap
 //!   allocations per replayed attempt for the cached
 //!   (`SimulationPlatform::attempt_cached`) and uncached

@@ -74,16 +74,15 @@ fn parse_error_policy(args: &Args) -> Result<ParseErrorPolicy, String> {
     }
 }
 
-/// Reads and parses the positional log argument with the sharded ingestion
-/// pipeline, honoring `--threads` and `--on-parse-error`. Returns the pool
-/// next to the log so the caller can shard process extraction through the
-/// same workers.
+/// Reads and parses the positional log argument, honoring
+/// `--on-parse-error`. Returns a pool of `--threads` workers next to the
+/// log so the caller can shard process extraction through it.
 fn load_log(args: &Args, session: &Session) -> Result<(RecoveryLog, WorkerPool), String> {
     let pool = WorkerPool::new(parse_threads(args)?);
     let policy = parse_error_policy(args)?;
     let path = args.positional(0).ok_or("expected a log file argument")?;
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let (log, quarantine) = ingest::parse_log_with_policy(&text, policy, &pool, &session.telemetry)
+    let (log, quarantine) = ingest::parse_log_with_policy(&text, policy, &session.telemetry)
         .map_err(|e| format!("parsing {path}: {e}"))?;
     if !quarantine.is_clean() {
         session.info(&format!(
@@ -993,13 +992,9 @@ pub fn serve(args: &Args, session: &Session) -> Result<(), String> {
             let pool = WorkerPool::new(parse_threads(args)?);
             let log_text =
                 fs::read_to_string(log_path).map_err(|e| format!("reading {log_path}: {e}"))?;
-            let (mut log, quarantine) = ingest::parse_log_with_policy(
-                &log_text,
-                parse_error_policy(args)?,
-                &pool,
-                &telemetry,
-            )
-            .map_err(|e| e.to_string())?;
+            let (mut log, quarantine) =
+                ingest::parse_log_with_policy(&log_text, parse_error_policy(args)?, &telemetry)
+                    .map_err(|e| e.to_string())?;
             if quarantine.skipped() > 0 {
                 session.info(&format!(
                     "quarantined {} malformed log lines",

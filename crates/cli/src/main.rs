@@ -148,9 +148,8 @@ GLOBAL FLAGS (accepted by every command):
                         fail (default; stop at the first error), skip
                         (drop malformed lines, counting them per kind),
                         or quarantine (skip + retain the first 64
-                        offending lines for inspection). Surviving
-                        entries and all quarantine counters are
-                        byte-identical for every --threads value.
+                        offending lines for inspection). Parsing is
+                        one sequential pass, whatever --threads says.
   --metrics-out FILE    Write telemetry as JSON lines: per-stage span
                         timings, training progress events, and a final
                         metrics snapshot (counters/gauges/histograms).

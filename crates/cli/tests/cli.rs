@@ -265,10 +265,9 @@ fn metrics_out_writes_jsonl_with_phase_spans() {
         assert_json_object(line);
         assert!(line.contains("\"type\":\""), "{line}");
     }
-    // Phase spans of the train pipeline were recorded. `parse_shards`
-    // is emitted by the sharded ingestion pipeline on every thread
-    // count (the sequential path times its parse under the same name).
-    for phase in ["parse_shards", "prepare", "platform_build", "train"] {
+    // Phase spans of the train pipeline were recorded, the one
+    // sequential log parse included.
+    for phase in ["parse", "prepare", "platform_build", "train"] {
         assert!(
             text.contains(&format!("\"name\":\"{phase}\"")),
             "missing span {phase} in:\n{text}"

@@ -42,7 +42,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use recovery_simlog::{LogEntry, RecoveryLog, RecoveryProcess, SimDuration, SymptomCatalog};
+use recovery_simlog::{RecoveryLog, RecoveryProcess, SimDuration, SymptomCatalog};
 use recovery_telemetry::Telemetry;
 
 use crate::fault::{CrashPlan, CrashPoint};
@@ -582,9 +582,10 @@ impl DurableLoop {
     /// cover. Returns `None` when the directory holds no usable
     /// checkpoint (fresh start; a torn journal is truncated to empty).
     ///
-    /// Replay re-parses each journal record against a clone of
-    /// `symptoms` — every simulated description already exists there,
-    /// so `SymptomId`s match the original run's interning and ranking
+    /// Replay re-parses each journal record with the one log parser,
+    /// against a clone of `symptoms` carried from record to record —
+    /// every simulated description already exists there, so
+    /// `SymptomId`s match the original run's interning and ranking
     /// tie-breaks stay identical.
     ///
     /// # Errors
@@ -660,18 +661,12 @@ impl DurableLoop {
         let mut catalog_symptoms = symptoms.clone();
         let mut accumulated: Vec<RecoveryProcess> = Vec::new();
         for record in &scan.records[..keep] {
-            let mut entries = Vec::new();
-            for (i, line) in record.payload.lines().enumerate() {
-                let line = line.trim_end_matches('\r');
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let entry = LogEntry::parse_line(line, &mut catalog_symptoms)
-                    .map_err(|e| format!("journal record {}: line {}: {e}", record.index, i + 1))?;
-                entries.push(entry);
-            }
-            let mut log = RecoveryLog::from_parts(entries, catalog_symptoms.clone());
+            let mut log =
+                RecoveryLog::from_text_with(&record.payload, catalog_symptoms, |line, _, e| {
+                    Err(format!("journal record {}: line {line}: {e}", record.index))
+                })?;
             let processes = crate::ingest::split_processes(&mut log, pool, &replay_telemetry);
+            catalog_symptoms = std::mem::take(log.symptoms_mut());
             accumulated.extend(processes);
             accumulated.sort_by_key(|p| (p.start(), p.machine()));
         }
@@ -1019,6 +1014,32 @@ mod tests {
         let pool = WorkerPool::new(1);
         let resumed = durable.resume(&symptoms, 7, 4, &pool).unwrap();
         assert!(resumed.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_names_the_journal_record_and_line_of_a_bad_entry() {
+        let dir = temp_dir("bad-entry");
+        let mut durable = DurableLoop::open(&dir).unwrap();
+        let symptoms = SymptomCatalog::new();
+        let telemetry = Telemetry::disabled();
+        let windows = [
+            "2006-01-01 00:00:00\tM0001\terror:A\n2006-01-01 00:10:00\tM0001\tSuccess\n",
+            "# window 1\nnot-a-time\tM0001\terror:A\n",
+        ];
+        for (window, log) in windows.iter().enumerate() {
+            durable
+                .record_window(window, 3, 7, log, &[], None, &symptoms, &telemetry)
+                .unwrap();
+        }
+        let err = DurableLoop::open(&dir)
+            .unwrap()
+            .resume(&symptoms, 7, 3, &WorkerPool::new(1))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "journal record 1: line 2: invalid timestamp: \"not-a-time\""
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,31 +1,20 @@
-//! Sharded log ingestion: parallel parsing and process extraction with
-//! byte-identical output for any thread count.
+//! Log ingestion: one sequential parse, then process extraction sharded
+//! over a [`WorkerPool`] with byte-identical output for any thread count.
 //!
-//! Field-scale recovery logs run to millions of lines, and both steps of
-//! turning them into training data — [`RecoveryLog::from_text`] and
-//! [`RecoveryLog::split_processes`] — were single-threaded. This module
-//! fans them out over a [`WorkerPool`] while preserving the workspace's
-//! determinism contract:
-//!
-//! * **Catalog prescan** (sequential). Symptom descriptions are interned
-//!   in first-appearance line order *before* any fan-out, so `SymptomId`s
-//!   never depend on which worker saw a description first.
-//! * **Parse shards** (parallel). The text is split into contiguous line
-//!   ranges; each worker parses its range against the shared read-only
-//!   catalog. Concatenating shard outputs in range order reproduces the
-//!   sequential entry order, and the first parse error of the
-//!   lowest-numbered failing line wins — exactly the sequential error.
-//! * **Split shards** (parallel). Machines never interact during process
-//!   extraction, so each worker runs the per-machine state machine over
-//!   the machines of its shard (`machine.index() % shards`). The merge
-//!   stable-sorts on `(start, machine)`: same-machine ties keep their
-//!   per-machine chronological order (a machine lives entirely in one
-//!   shard), so the result is byte-identical to the sequential split.
-//!
-//! Phase timings are reported through [`Telemetry`] spans
-//! (`catalog_prescan`, `parse_shards`, `merge_entries`, `split_shards`,
-//! `merge_processes`), so `--metrics-out` captures ingestion like it
-//! already captures training.
+//! * **Parse** (sequential, span `parse`). Every reader of log text runs
+//!   the one loop of [`RecoveryLog::from_text_with`]: each line is
+//!   classified once and symptoms are interned in first-appearance line
+//!   order. On a 2-core host two parse shards took as long as one thread
+//!   over the whole text, so parsing does not fan out, and neither its
+//!   output nor its trace depends on the thread count.
+//! * **Split shards** (parallel, span `split_shards`). Machines never
+//!   interact during process extraction, so each of [`SPLIT_SHARDS`]
+//!   workers runs the per-machine state machine over the machines of its
+//!   shard (`machine.index() % SPLIT_SHARDS`). The merge (span
+//!   `merge_processes`) stable-sorts on `(start, machine)`: same-machine
+//!   ties keep their per-machine chronological order (a machine lives
+//!   entirely in one shard), so the result is byte-identical to
+//!   [`RecoveryLog::split_processes`].
 //!
 //! # Lenient ingestion
 //!
@@ -44,10 +33,10 @@
 //!   [`QUARANTINE_CAPACITY`] offending lines (number, kind, truncated
 //!   text) in a bounded [`QuarantineReport`] buffer for inspection.
 //!
-//! Lenient parsing always runs the prescan-and-shard path — even on a
-//! single thread — so which lines survive is decided by the same code
-//! for every thread count, and the surviving log plus every quarantine
-//! counter is byte-identical across pool sizes. Skipped lines are
+//! Both run the same loop as strict parsing and record each malformed
+//! line into one report as they meet it. A skipped line whose third
+//! field is a symptom still interns it, so `SymptomId`s follow first
+//! appearance in the text whichever lines survive. Skipped lines are
 //! surfaced through telemetry (`ingest.lines_skipped`,
 //! `ingest.parse_error.<kind>`, `ingest.quarantined` counters and
 //! `quarantine` events), so degraded ingestion is observable, never
@@ -57,12 +46,12 @@ use std::fmt;
 use std::str::FromStr;
 
 use recovery_simlog::{
-    extract_processes, LogEntry, ParseLogError, ParseLogErrorKind, RecoveryLog, RecoveryProcess,
+    extract_processes, ParseLogError, ParseLogErrorKind, RecoveryLog, RecoveryProcess,
     SymptomCatalog,
 };
 use recovery_telemetry::{Event, Telemetry};
 
-use crate::parallel::{chunk_ranges, WorkerPool};
+use crate::parallel::WorkerPool;
 
 /// How log-reading entry points react to a malformed line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -162,42 +151,25 @@ impl QuarantineReport {
         self.skipped == 0
     }
 
-    fn record(&mut self, line: usize, error: &ParseLogError, text: &str, retain: bool) {
+    fn record(&mut self, line: usize, kind: ParseLogErrorKind, text: &str, retain: bool) {
         self.skipped += 1;
-        self.counts[error.kind().index()] += 1;
-        if retain && self.lines.len() < QUARANTINE_CAPACITY {
+        self.counts[kind.index()] += 1;
+        if !retain {
+            return;
+        }
+        if self.lines.len() < QUARANTINE_CAPACITY {
             self.lines.push(QuarantinedLine {
                 line,
-                kind: error.kind(),
+                kind,
                 text: text.chars().take(QUARANTINE_EXCERPT_CHARS).collect(),
             });
+        } else {
+            self.dropped += 1;
         }
-    }
-
-    /// Merges shard-local reports in shard (= line) order, keeping the
-    /// globally first [`QUARANTINE_CAPACITY`] retained lines.
-    fn merge(reports: Vec<QuarantineReport>, retain: bool) -> QuarantineReport {
-        let mut merged = QuarantineReport::default();
-        for report in reports {
-            merged.skipped += report.skipped;
-            for (total, part) in merged.counts.iter_mut().zip(report.counts) {
-                *total += part;
-            }
-            for line in report.lines {
-                if merged.lines.len() < QUARANTINE_CAPACITY {
-                    merged.lines.push(line);
-                }
-            }
-        }
-        if retain {
-            merged.dropped = merged.skipped - merged.lines.len() as u64;
-        }
-        merged
     }
 
     /// Publishes the report's counters and retained lines through
-    /// `telemetry`. Emitted once, post-merge, on the driver thread, so
-    /// the JSONL stream is deterministic for any thread count.
+    /// `telemetry`, once the parse is done.
     fn observe(&self, telemetry: &Telemetry) {
         if self.is_clean() {
             return;
@@ -235,71 +207,30 @@ impl QuarantineReport {
     }
 }
 
-/// Parses a textual recovery log, sharding the line-level work over
-/// `pool`. Equivalent to [`RecoveryLog::from_text`] — same entries, same
-/// symptom catalog, same first error — for every thread count.
+/// Parses a textual recovery log in a `parse` span: exactly
+/// [`RecoveryLog::from_text`].
+///
+/// `_pool` is unused, since parsing is sequential; it stays in the
+/// signature for existing callers.
 ///
 /// # Errors
 ///
-/// Returns the first [`ParseLogError`] (lowest line number), annotated
-/// with its 1-based line number, exactly as the sequential parser does.
+/// Returns the first [`ParseLogError`], annotated with its 1-based line
+/// number.
 pub fn parse_log(
     text: &str,
-    pool: &WorkerPool,
+    _pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Result<RecoveryLog, ParseLogError> {
-    if pool.is_sequential() {
-        let _span = telemetry.span("parse_shards");
-        return RecoveryLog::from_text(text);
-    }
-    let symptoms = {
-        let _span = telemetry.span("catalog_prescan");
-        RecoveryLog::prescan_symptoms(text)
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let ranges = chunk_ranges(lines.len(), pool.threads());
-    let shards = {
-        let _span = telemetry.span("parse_shards");
-        pool.map_indexed_traced(ranges.len(), telemetry, "shard", |i| {
-            parse_shard(&lines[ranges[i].clone()], ranges[i].start, &symptoms)
-        })
-    };
-    let _span = telemetry.span("merge_entries");
-    let mut entries: Vec<LogEntry> = Vec::with_capacity(lines.len());
-    for shard in shards {
-        // Shards are contiguous ascending line ranges and each worker
-        // stops at its own first error, so the first failing shard in
-        // range order carries the globally first error.
-        entries.extend(shard?);
-    }
-    Ok(RecoveryLog::from_parts(entries, symptoms))
-}
-
-/// Parses one contiguous range of lines against the prescanned catalog.
-/// `first_line` is the 0-based index of `lines[0]` in the full text.
-fn parse_shard(
-    lines: &[&str],
-    first_line: usize,
-    symptoms: &SymptomCatalog,
-) -> Result<Vec<LogEntry>, ParseLogError> {
-    let mut entries = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let entry = LogEntry::parse_line_interned(line, symptoms)
-            .map_err(|e| e.at_line(first_line + i + 1))?;
-        entries.push(entry);
-    }
-    Ok(entries)
+    let _span = telemetry.span("parse");
+    RecoveryLog::from_text(text)
 }
 
 /// [`parse_log`] with a [`ParseErrorPolicy`]: strict ([`ParseErrorPolicy::Fail`])
-/// behaves exactly like [`parse_log`] — same code path, same first
-/// error, byte-identical log — and returns an empty report. The lenient
-/// policies never fail on malformed lines; they skip them and describe
-/// what was skipped in the returned [`QuarantineReport`].
+/// stops at the first malformed line exactly like [`parse_log`] and
+/// returns an empty report. The lenient policies never fail on
+/// malformed lines; they skip them and describe what was skipped in the
+/// returned [`QuarantineReport`].
 ///
 /// # Errors
 ///
@@ -308,73 +239,22 @@ fn parse_shard(
 pub fn parse_log_with_policy(
     text: &str,
     policy: ParseErrorPolicy,
-    pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Result<(RecoveryLog, QuarantineReport), ParseLogError> {
-    if policy == ParseErrorPolicy::Fail {
-        return parse_log(text, pool, telemetry).map(|log| (log, QuarantineReport::default()));
-    }
     let retain = policy == ParseErrorPolicy::Quarantine;
-    // Lenient parsing always prescans and shards — even sequentially —
-    // so line survival is decided identically for every thread count.
-    // (The prescan interns symptom descriptions by the third tab field
-    // alone, so a line whose timestamp or machine id is corrupt can
-    // still contribute its symptom to the catalog; that choice is the
-    // same for every pool size, which is what determinism requires.)
-    let symptoms = {
-        let _span = telemetry.span("catalog_prescan");
-        RecoveryLog::prescan_symptoms(text)
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let ranges = chunk_ranges(lines.len(), pool.threads());
-    let shards = {
-        let _span = telemetry.span("parse_shards");
-        pool.map_indexed_traced(ranges.len(), telemetry, "shard", |i| {
-            parse_shard_lenient(
-                &lines[ranges[i].clone()],
-                ranges[i].start,
-                &symptoms,
-                retain,
-            )
-        })
-    };
-    let _span = telemetry.span("merge_entries");
-    let mut entries: Vec<LogEntry> = Vec::with_capacity(lines.len());
-    let mut reports = Vec::with_capacity(shards.len());
-    for (shard_entries, shard_report) in shards {
-        entries.extend(shard_entries);
-        reports.push(shard_report);
-    }
-    let report = QuarantineReport::merge(reports, retain);
-    report.observe(telemetry);
-    Ok((RecoveryLog::from_parts(entries, symptoms), report))
-}
-
-/// Parses one contiguous line range leniently: malformed lines are
-/// recorded in the shard-local report instead of failing the shard.
-/// Shard-local retained lines are already capped at
-/// [`QUARANTINE_CAPACITY`]; since shards are ascending contiguous
-/// ranges, merging in shard order and re-capping yields the globally
-/// first lines.
-fn parse_shard_lenient(
-    lines: &[&str],
-    first_line: usize,
-    symptoms: &SymptomCatalog,
-    retain: bool,
-) -> (Vec<LogEntry>, QuarantineReport) {
-    let mut entries = Vec::with_capacity(lines.len());
     let mut report = QuarantineReport::default();
-    for (i, line) in lines.iter().enumerate() {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match LogEntry::parse_line_interned(line, symptoms) {
-            Ok(entry) => entries.push(entry),
-            Err(error) => report.record(first_line + i + 1, &error, line, retain),
-        }
-    }
-    (entries, report)
+    let log = {
+        let _span = telemetry.span("parse");
+        RecoveryLog::from_text_with(text, SymptomCatalog::new(), |line, text, error| {
+            if policy == ParseErrorPolicy::Fail {
+                return Err(error.at_line(line));
+            }
+            report.record(line, error.kind(), text, retain);
+            Ok(())
+        })?
+    };
+    report.observe(telemetry);
+    Ok((log, report))
 }
 
 /// How many machine-partition shards [`split_processes`] fans out,
@@ -391,8 +271,8 @@ pub const SPLIT_SHARDS: usize = 8;
 /// Splits the log into complete recovery processes, sharding the
 /// per-machine extraction into [`SPLIT_SHARDS`] partitions over `pool`.
 /// Equivalent to [`RecoveryLog::split_processes`] for every thread
-/// count — and, like lenient parsing, it always shards (even on a
-/// sequential pool) so the recorded trace tree is thread-count-invariant.
+/// count — and it always shards (even on a sequential pool) so the
+/// recorded trace tree is thread-count-invariant.
 pub fn split_processes(
     log: &mut RecoveryLog,
     pool: &WorkerPool,
@@ -413,8 +293,8 @@ pub fn split_processes(
     processes
 }
 
-/// Parses a textual log and splits it into processes in one sharded
-/// pipeline: the common ingestion entry point of the CLI and benches.
+/// Parses a textual log and splits it into processes: the common
+/// ingestion entry point of the CLI and benches.
 ///
 /// # Errors
 ///
@@ -453,7 +333,7 @@ pub fn ingest_with_policy(
     pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Result<IngestOutcome, ParseLogError> {
-    let (mut log, quarantine) = parse_log_with_policy(text, policy, pool, telemetry)?;
+    let (mut log, quarantine) = parse_log_with_policy(text, policy, telemetry)?;
     let processes = split_processes(&mut log, pool, telemetry);
     Ok(IngestOutcome {
         log,
@@ -500,7 +380,7 @@ mod tests {
     fn sharded_parse_reports_the_first_error() {
         let mut text = sample_text();
         let lines = text.lines().count();
-        // Corrupt two lines; the earlier one must win under any sharding.
+        // Corrupt two lines; the earlier one must win for any pool.
         let mut corrupted: Vec<String> = text.lines().map(str::to_owned).collect();
         corrupted[lines / 3] = "garbage".into();
         corrupted[2 * lines / 3] = "more garbage".into();
@@ -528,14 +408,10 @@ mod tests {
     fn strict_policy_is_the_existing_parser() {
         let text = sample_text();
         let expected = RecoveryLog::from_text(&text).unwrap();
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            let (log, report) =
-                parse_log_with_policy(&text, ParseErrorPolicy::Fail, &pool, &Telemetry::disabled())
-                    .unwrap();
-            assert_eq!(log, expected, "{threads} threads");
-            assert!(report.is_clean());
-        }
+        let (log, report) =
+            parse_log_with_policy(&text, ParseErrorPolicy::Fail, &Telemetry::disabled()).unwrap();
+        assert_eq!(log, expected);
+        assert!(report.is_clean());
     }
 
     #[test]
@@ -546,39 +422,24 @@ mod tests {
         corrupted[total / 4] = "garbage without tabs".into();
         corrupted[total / 2] = "also garbage".into();
         let corrupted = corrupted.join("\n");
-        let mut baseline: Option<(RecoveryLog, QuarantineReport)> = None;
-        for threads in [1, 2, 8] {
-            let pool = WorkerPool::new(threads);
-            let (log, report) = parse_log_with_policy(
-                &corrupted,
-                ParseErrorPolicy::Quarantine,
-                &pool,
-                &Telemetry::disabled(),
-            )
-            .unwrap();
-            assert_eq!(report.skipped(), 2, "{threads} threads");
-            // A tab-less line dies parsing its first (timestamp) field.
-            assert_eq!(report.count(ParseLogErrorKind::Timestamp), 2);
-            assert_eq!(report.lines().len(), 2);
-            assert_eq!(report.lines()[0].line, total / 4 + 1);
-            assert_eq!(report.lines()[0].text, "garbage without tabs");
-            assert_eq!(report.dropped(), 0);
-            match &baseline {
-                None => baseline = Some((log, report)),
-                Some((first_log, first_report)) => {
-                    assert_eq!(&log, first_log, "{threads} threads");
-                    assert_eq!(&report, first_report, "{threads} threads");
-                }
-            }
-        }
-        // Skip mode: same counters, no retained lines.
-        let (_, skip_report) = parse_log_with_policy(
+        let (log, report) = parse_log_with_policy(
             &corrupted,
-            ParseErrorPolicy::Skip,
-            &WorkerPool::new(2),
+            ParseErrorPolicy::Quarantine,
             &Telemetry::disabled(),
         )
         .unwrap();
+        assert_eq!(report.skipped(), 2);
+        // A tab-less line dies parsing its first (timestamp) field.
+        assert_eq!(report.count(ParseLogErrorKind::Timestamp), 2);
+        assert_eq!(report.lines().len(), 2);
+        assert_eq!(report.lines()[0].line, total / 4 + 1);
+        assert_eq!(report.lines()[0].text, "garbage without tabs");
+        assert_eq!(report.dropped(), 0);
+        // Skip mode: same survivors and counters, no retained lines.
+        let (skip_log, skip_report) =
+            parse_log_with_policy(&corrupted, ParseErrorPolicy::Skip, &Telemetry::disabled())
+                .unwrap();
+        assert_eq!(skip_log, log);
         assert_eq!(skip_report.skipped(), 2);
         assert!(skip_report.lines().is_empty());
         assert_eq!(skip_report.dropped(), 0);
@@ -590,8 +451,7 @@ mod tests {
         let strict = RecoveryLog::from_text(&text).unwrap();
         for policy in [ParseErrorPolicy::Skip, ParseErrorPolicy::Quarantine] {
             let (log, report) =
-                parse_log_with_policy(&text, policy, &WorkerPool::new(3), &Telemetry::disabled())
-                    .unwrap();
+                parse_log_with_policy(&text, policy, &Telemetry::disabled()).unwrap();
             assert_eq!(log, strict, "{policy}");
             assert!(report.is_clean(), "{policy}");
         }
@@ -604,18 +464,14 @@ mod tests {
         for i in 0..total {
             text.push_str(&format!("junk line {i}\n"));
         }
-        let (log, report) = parse_log_with_policy(
-            &text,
-            ParseErrorPolicy::Quarantine,
-            &WorkerPool::new(4),
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+        let (log, report) =
+            parse_log_with_policy(&text, ParseErrorPolicy::Quarantine, &Telemetry::disabled())
+                .unwrap();
         assert!(log.is_empty());
         assert_eq!(report.skipped(), total as u64);
         assert_eq!(report.lines().len(), super::QUARANTINE_CAPACITY);
         assert_eq!(report.dropped(), 20);
-        // The retained lines are the globally first ones, in order.
+        // The retained lines are the first ones, in order.
         for (i, line) in report.lines().iter().enumerate() {
             assert_eq!(
                 line.line,

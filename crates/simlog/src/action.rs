@@ -114,6 +114,19 @@ impl RepairAction {
             RepairAction::Rma => "RMA",
         }
     }
+
+    /// The action whose log token is `token`, or `None` — the
+    /// allocation-free form of [`str::parse`] the log parser classifies
+    /// every description with.
+    pub(crate) fn from_token(token: &str) -> Option<RepairAction> {
+        match token {
+            "TRYNOP" => Some(RepairAction::TryNop),
+            "REBOOT" => Some(RepairAction::Reboot),
+            "REIMAGE" => Some(RepairAction::Reimage),
+            "RMA" => Some(RepairAction::Rma),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for RepairAction {
@@ -126,13 +139,7 @@ impl FromStr for RepairAction {
     type Err = ParseLogError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "TRYNOP" => Ok(RepairAction::TryNop),
-            "REBOOT" => Ok(RepairAction::Reboot),
-            "REIMAGE" => Ok(RepairAction::Reimage),
-            "RMA" => Ok(RepairAction::Rma),
-            _ => Err(ParseLogError::action(s)),
-        }
+        RepairAction::from_token(s).ok_or_else(|| ParseLogError::action(s))
     }
 }
 
@@ -164,6 +171,7 @@ mod tests {
     fn tokens_round_trip() {
         for a in RepairAction::ALL {
             assert_eq!(a.as_str().parse::<RepairAction>().unwrap(), a);
+            assert_eq!(RepairAction::from_token(a.as_str()), Some(a));
         }
     }
 
@@ -171,6 +179,7 @@ mod tests {
     fn rejects_unknown_tokens() {
         for s in ["", "reboot", "REBOOT ", "POWERCYCLE"] {
             assert!(s.parse::<RepairAction>().is_err(), "{s:?} should not parse");
+            assert_eq!(RepairAction::from_token(s), None, "{s:?}");
         }
     }
 

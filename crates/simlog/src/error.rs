@@ -29,7 +29,7 @@ pub enum ParseLogErrorKind {
     /// The line did not have the three tab-separated fields of Table 1.
     Entry,
     /// The description was not a valid symptom (no `category:component`
-    /// colon, or missing from a prescanned read-only catalog).
+    /// colon).
     Symptom,
 }
 

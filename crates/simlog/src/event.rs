@@ -35,6 +35,20 @@ impl LogEvent {
     pub fn is_success(&self) -> bool {
         matches!(self, LogEvent::Success)
     }
+
+    /// Classifies a description by direct token match, interning it when
+    /// it is a symptom.
+    fn classify(description: &str, symptoms: &mut SymptomCatalog) -> Result<Self, ParseLogError> {
+        if description == "Success" {
+            Ok(LogEvent::Success)
+        } else if let Some(action) = RepairAction::from_token(description) {
+            Ok(LogEvent::Action(action))
+        } else if description.contains(':') {
+            Ok(LogEvent::Symptom(symptoms.intern(description)))
+        } else {
+            Err(ParseLogError::symptom(description))
+        }
+    }
 }
 
 /// One `<time, machine, description>` entry of the recovery log.
@@ -72,80 +86,37 @@ impl LogEntry {
     /// Parses one tab-separated log line, interning any new symptom
     /// description into `symptoms`.
     ///
+    /// The description is classified — and a symptom interned — before
+    /// the time and machine fields are checked, so a line rejected for a
+    /// bad timestamp or machine id still interns its symptom. Lenient
+    /// ingestion relies on this: its `SymptomId`s follow the first
+    /// appearance of each description in the text, skipped lines
+    /// included.
+    ///
     /// # Errors
     ///
     /// Returns a [`ParseLogError`] when the line does not have three
     /// tab-separated fields or a field fails to parse. A description is
-    /// interpreted as an action if it matches an action token, as `Success`
-    /// if it is the literal `Success`, and as a symptom otherwise —
+    /// interpreted as `Success` if it is the literal `Success`, as an
+    /// action if it matches an action token, and as a symptom otherwise —
     /// symptoms must contain a `:` (category:component) to be accepted.
     pub fn parse_line(line: &str, symptoms: &mut SymptomCatalog) -> Result<Self, ParseLogError> {
-        let (time, machine, description) = Self::parse_fields(line)?;
-        let event = if description == "Success" {
-            LogEvent::Success
-        } else if let Ok(action) = description.parse::<RepairAction>() {
-            LogEvent::Action(action)
-        } else if description.contains(':') {
-            LogEvent::Symptom(symptoms.intern(description))
-        } else {
-            return Err(ParseLogError::symptom(description));
-        };
-        Ok(LogEntry {
-            time,
-            machine,
-            event,
-        })
-    }
-
-    /// [`LogEntry::parse_line`] against a *read-only* catalog: symptom
-    /// descriptions are resolved with [`SymptomCatalog::id`] instead of
-    /// interned. This is the shard-worker form of parsing — the catalog is
-    /// built in a sequential prescan (see
-    /// [`crate::RecoveryLog::prescan_symptoms`]) so workers can share it
-    /// immutably and `SymptomId`s stay identical for any shard count.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`LogEntry::parse_line`] rejects, plus symptom
-    /// descriptions missing from `symptoms` (which means the catalog was
-    /// not prescanned from the same text).
-    pub fn parse_line_interned(
-        line: &str,
-        symptoms: &SymptomCatalog,
-    ) -> Result<Self, ParseLogError> {
-        let (time, machine, description) = Self::parse_fields(line)?;
-        let event = if description == "Success" {
-            LogEvent::Success
-        } else if let Ok(action) = description.parse::<RepairAction>() {
-            LogEvent::Action(action)
-        } else if description.contains(':') {
-            match symptoms.id(description) {
-                Some(id) => LogEvent::Symptom(id),
-                None => return Err(ParseLogError::symptom(description)),
-            }
-        } else {
-            return Err(ParseLogError::symptom(description));
-        };
-        Ok(LogEntry {
-            time,
-            machine,
-            event,
-        })
-    }
-
-    /// Splits one log line into its `(time, machine, description)` fields.
-    fn parse_fields(line: &str) -> Result<(SimTime, MachineId, &str), ParseLogError> {
         let mut fields = line.splitn(3, '\t');
-        let time = fields
-            .next()
-            .ok_or_else(|| ParseLogError::entry(line))?
-            .parse::<SimTime>()?;
-        let machine = fields
-            .next()
+        let (time, machine, description) =
+            (fields.next().unwrap_or(""), fields.next(), fields.next());
+        let event = description.map(|d| LogEvent::classify(d, symptoms));
+        let time = time.parse::<SimTime>()?;
+        let machine = machine
             .ok_or_else(|| ParseLogError::entry(line))?
             .parse::<MachineId>()?;
-        let description = fields.next().ok_or_else(|| ParseLogError::entry(line))?;
-        Ok((time, machine, description))
+        // No third field is a malformed entry; a third field that is no
+        // description is the classification's error.
+        let event = event.ok_or_else(|| ParseLogError::entry(line))??;
+        Ok(LogEntry {
+            time,
+            machine,
+            event,
+        })
     }
 }
 
@@ -164,6 +135,7 @@ impl fmt::Display for LogEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ParseLogErrorKind;
 
     fn entry(event: LogEvent) -> LogEntry {
         LogEntry {
@@ -213,40 +185,66 @@ mod tests {
     }
 
     #[test]
-    fn interned_parse_matches_mutable_parse() {
+    fn malformed_line_still_interns_its_symptom() {
         let mut catalog = SymptomCatalog::new();
-        let id = catalog.intern("errorHardware:EventLog");
-        for event in [
-            LogEvent::Symptom(id),
-            LogEvent::Action(RepairAction::Reimage),
-            LogEvent::Success,
+        for line in [
+            "not a time\tM0423\terror:BadTime",
+            "2006-01-01 03:07:12\tbadmachine\terror:BadMachine",
         ] {
-            let line = entry(event).format_line(&catalog);
-            let mutable = LogEntry::parse_line(&line, &mut catalog.clone()).unwrap();
-            let interned = LogEntry::parse_line_interned(&line, &catalog).unwrap();
-            assert_eq!(mutable, interned);
+            assert!(
+                LogEntry::parse_line(line, &mut catalog).is_err(),
+                "{line:?}"
+            );
         }
-        // A symptom missing from the read-only catalog is an error, not an
-        // implicit intern.
-        let line = "2006-01-01 03:07:12\tM0423\terror:NotPrescanned";
-        assert!(LogEntry::parse_line_interned(line, &catalog).is_err());
+        assert_eq!(catalog.id("error:BadTime"), Some(SymptomId::new(0)));
+        assert_eq!(catalog.id("error:BadMachine"), Some(SymptomId::new(1)));
+        // Descriptions that are not symptoms never intern, whatever fails.
+        for line in [
+            "not a time\tM0423\tSuccess",
+            "not a time\tM0423\tREBOOT",
+            "not a time\tM0423\tnocolon",
+            "2006-01-01 03:07:12\tM0423",
+        ] {
+            assert!(
+                LogEntry::parse_line(line, &mut catalog).is_err(),
+                "{line:?}"
+            );
+        }
+        assert_eq!(catalog.len(), 2);
     }
 
     #[test]
     fn rejects_malformed_lines() {
         let mut symptoms = SymptomCatalog::new();
-        for line in [
-            "",
-            "2006-01-01 03:07:12",
-            "2006-01-01 03:07:12\tM0423",
-            "not a time\tM0423\tSuccess",
-            "2006-01-01 03:07:12\tbadmachine\tSuccess",
-            "2006-01-01 03:07:12\tM0423\tnocolon",
+        // The first field that fails names the error kind.
+        for (line, kind) in [
+            ("", ParseLogErrorKind::Timestamp),
+            ("2006-01-01 03:07:12", ParseLogErrorKind::Entry),
+            ("2006-01-01 03:07:12\tM0423", ParseLogErrorKind::Entry),
+            ("not a time\tM0423\tSuccess", ParseLogErrorKind::Timestamp),
+            (
+                "not a time\tbadmachine\tnocolon",
+                ParseLogErrorKind::Timestamp,
+            ),
+            (
+                "2006-01-01 03:07:12\tbadmachine\tSuccess",
+                ParseLogErrorKind::Machine,
+            ),
+            (
+                "2006-01-01 03:07:12\tbadmachine\tnocolon",
+                ParseLogErrorKind::Machine,
+            ),
+            (
+                "2006-01-01 03:07:12\tM0423\tnocolon",
+                ParseLogErrorKind::Symptom,
+            ),
+            (
+                "2006-01-01 03:07:12\tM0423\tREBOOT ",
+                ParseLogErrorKind::Symptom,
+            ),
         ] {
-            assert!(
-                LogEntry::parse_line(line, &mut symptoms).is_err(),
-                "{line:?} should not parse"
-            );
+            let err = LogEntry::parse_line(line, &mut symptoms).unwrap_err();
+            assert_eq!(err.kind(), kind, "{line:?}");
         }
     }
 

@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::action::RepairAction;
 use crate::error::ParseLogError;
 use crate::event::{LogEntry, LogEvent};
 use crate::machine::MachineId;
@@ -52,21 +51,6 @@ impl RecoveryLog {
             entries: Vec::new(),
             symptoms,
             sorted: true,
-        }
-    }
-
-    /// Assembles a log from already-parsed entries and their catalog (the
-    /// merge step of sharded ingestion). Sortedness is detected with one
-    /// scan, so a chronologically merged entry stream keeps the lazy-sort
-    /// fast path.
-    pub fn from_parts(entries: Vec<LogEntry>, symptoms: SymptomCatalog) -> Self {
-        let sorted = entries
-            .windows(2)
-            .all(|w| (w[0].time, w[0].machine) <= (w[1].time, w[1].machine));
-        RecoveryLog {
-            entries,
-            symptoms,
-            sorted,
         }
     }
 
@@ -144,46 +128,45 @@ impl RecoveryLog {
     /// Returns the first [`ParseLogError`], annotated with its 1-based line
     /// number. Blank lines and lines starting with `#` are skipped.
     pub fn from_text(text: &str) -> Result<Self, ParseLogError> {
-        let mut log = RecoveryLog::new();
+        Self::from_text_with(text, SymptomCatalog::new(), |line, _, error| {
+            Err(error.at_line(line))
+        })
+    }
+
+    /// The one parse loop behind every reader of log text: strict and
+    /// lenient ingestion and journal replay.
+    ///
+    /// Lines are parsed in order with [`LogEntry::parse_line`], interning
+    /// symptoms into `symptoms` (a catalog carried over from earlier
+    /// text, or an empty one). Blank lines and lines starting with `#`
+    /// are skipped. Each malformed line goes to `on_error` with its
+    /// 1-based number, its text and the error: returning `Ok(())` skips
+    /// the line, returning `Err` stops the parse with that error. A
+    /// skipped line has already interned its symptom, if it has one.
+    ///
+    /// # Errors
+    ///
+    /// The first error `on_error` returns.
+    pub fn from_text_with<E>(
+        text: &str,
+        symptoms: SymptomCatalog,
+        mut on_error: impl FnMut(usize, &str, ParseLogError) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut log = RecoveryLog::with_symptoms(symptoms);
+        // Reserved once: growing by doubling would raise peak heap by up
+        // to the entry vector's size at the last reallocation.
+        log.entries.reserve(text.lines().count());
         for (i, line) in text.lines().enumerate() {
             let line = line.trim_end_matches('\r');
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let entry =
-                LogEntry::parse_line(line, &mut log.symptoms).map_err(|e| e.at_line(i + 1))?;
-            log.push(entry);
+            match LogEntry::parse_line(line, &mut log.symptoms) {
+                Ok(entry) => log.push(entry),
+                Err(error) => on_error(i + 1, line, error)?,
+            }
         }
         Ok(log)
-    }
-
-    /// Builds the symptom catalog of a textual log in one sequential pass,
-    /// without validating the time/machine fields. Descriptions are
-    /// interned in first-appearance line order — exactly the ids
-    /// [`RecoveryLog::from_text`] assigns — so shard workers parsing
-    /// disjoint line ranges against this catalog (with
-    /// [`LogEntry::parse_line_interned`]) reproduce the single-threaded
-    /// `SymptomId`s for any shard count.
-    pub fn prescan_symptoms(text: &str) -> SymptomCatalog {
-        let mut symptoms = SymptomCatalog::new();
-        for line in text.lines() {
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some(description) = line.splitn(3, '\t').nth(2) else {
-                continue;
-            };
-            // The same classification order as `LogEntry::parse_line`:
-            // only descriptions that would parse as symptoms are interned.
-            if description != "Success"
-                && description.parse::<RepairAction>().is_err()
-                && description.contains(':')
-            {
-                symptoms.intern(description);
-            }
-        }
-        symptoms
     }
 
     /// Audits the log: how many complete processes it contains, and what
@@ -439,25 +422,57 @@ mod tests {
     }
 
     #[test]
-    fn prescan_matches_from_text_catalog() {
-        let mut log = two_machine_log();
-        let text = log.to_text();
-        let parsed = RecoveryLog::from_text(&text).unwrap();
-        assert_eq!(RecoveryLog::prescan_symptoms(&text), *parsed.symptoms());
-        // Comment/blank lines and action/Success descriptions never intern.
-        assert!(RecoveryLog::prescan_symptoms("# error:A\n\nx\ty\tSuccess\n").is_empty());
+    fn lenient_parse_interns_in_line_order() {
+        use crate::error::ParseLogErrorKind as Kind;
+        let text = "# error:Comment\n\n\
+                    not a time\tM0001\terror:A\n\
+                    2006-01-01 00:00:00\tM0001\tSuccess\n\
+                    2006-01-01 00:00:01\tM0001\tREBOOT\n\
+                    2006-01-01 00:00:02\tnode-9\terror:B\n\
+                    2006-01-01 00:00:03\tM0001\tnocolon\n\
+                    2006-01-01 00:00:04\tM0001\terror:C\n\
+                    2006-01-01 00:00:05\tM0001\terror:A\n";
+        let mut skipped = Vec::new();
+        let log = RecoveryLog::from_text_with(text, SymptomCatalog::new(), |line, _, error| {
+            skipped.push((line, error.kind()));
+            Ok::<(), ParseLogError>(())
+        })
+        .unwrap();
+        assert_eq!(
+            skipped,
+            [(3, Kind::Timestamp), (6, Kind::Machine), (7, Kind::Symptom)]
+        );
+        assert_eq!(log.len(), 4);
+        // Skipped lines intern their symptoms where they appear; comment,
+        // action and `Success` lines never intern.
+        let names: Vec<&str> = log.symptoms().iter().map(|(_, name)| name).collect();
+        assert_eq!(names, ["error:A", "error:B", "error:C"]);
+        // A strict parse stops at the first malformed line.
+        assert_eq!(RecoveryLog::from_text(text).unwrap_err().line(), Some(3));
     }
 
     #[test]
-    fn from_parts_round_trips_and_detects_order() {
+    fn from_text_sorts_out_of_order_lines() {
         let mut log = two_machine_log();
-        let sorted_entries = log.entries().to_vec();
-        let mut rebuilt = RecoveryLog::from_parts(sorted_entries.clone(), log.symptoms().clone());
-        assert_eq!(rebuilt.split_processes(), log.split_processes());
-        // Reversed entries must still split identically via the lazy sort.
-        let reversed: Vec<_> = sorted_entries.into_iter().rev().collect();
-        let mut shuffled = RecoveryLog::from_parts(reversed, log.symptoms().clone());
-        assert_eq!(shuffled.split_processes(), log.split_processes());
+        let text = log.to_text();
+        let reversed: String = text.lines().rev().map(|l| format!("{l}\n")).collect();
+        let mut parsed = RecoveryLog::from_text(&reversed).unwrap();
+        assert_eq!(parsed.to_text(), text);
+        assert_eq!(parsed.split_processes().len(), 2);
+    }
+
+    #[test]
+    fn from_text_with_carries_the_catalog_over() {
+        let mut first = RecoveryLog::from_text("2006-01-01 00:00:00\tM0001\terror:A\n").unwrap();
+        let carried = std::mem::take(first.symptoms_mut());
+        let second = RecoveryLog::from_text_with(
+            "2006-01-01 00:00:00\tM0001\terror:B\n2006-01-01 00:00:01\tM0001\terror:A\n",
+            carried,
+            |line, _, error| Err(error.at_line(line)),
+        )
+        .unwrap();
+        let names: Vec<&str> = second.symptoms().iter().map(|(_, name)| name).collect();
+        assert_eq!(names, ["error:A", "error:B"]);
     }
 
     #[test]

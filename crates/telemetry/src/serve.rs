@@ -52,8 +52,10 @@ pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 /// re-checking the shutdown flag.
 const EVENT_POLL: Duration = Duration::from_millis(200);
 
-/// Maximum accepted header block size, bytes.
-const MAX_HEADER_BYTES: usize = 8 * 1024;
+/// Maximum accepted request head (request line plus header block,
+/// blank line included), bytes. Requests above this are dropped after
+/// reading at most this many head bytes.
+pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// Maximum accepted request body size, bytes. Requests above this are
 /// dropped rather than buffered (the policy daemon's `/advise` and
@@ -346,23 +348,28 @@ pub fn respond_telemetry(
 
 /// Reads one request — request line, headers, and a `Content-Length`
 /// body — and returns it, or `None` for anything unparsable or
-/// over-sized. The header block is bounded by [`MAX_HEADER_BYTES`] and
-/// the body by [`MAX_BODY_BYTES`].
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequest>> {
+/// over-sized. Each head line is read through [`Read::take`], capped at
+/// what is left of [`MAX_HEADER_BYTES`], so a line without a newline is
+/// never buffered past the cap; the body is bounded by
+/// [`MAX_BODY_BYTES`]. A head line that reaches the cap, or a head block
+/// that does not end within it, yields `None`.
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<HttpRequest>> {
+    let mut left = MAX_HEADER_BYTES;
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
-        return Ok(None);
+    match read_head_line(reader, &mut left, &mut request_line)? {
+        None | Some(0) => return Ok(None),
+        Some(_) => {}
     }
     // Drain the header block so the client never sees a reset while the
     // request is still in flight, scanning for Content-Length.
-    let mut drained = 0usize;
     let mut content_length = 0usize;
+    let mut header = String::new();
     loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        drained += n;
-        if n == 0 || header == "\r\n" || header == "\n" || drained > MAX_HEADER_BYTES {
-            break;
+        match read_head_line(reader, &mut left, &mut header)? {
+            None => return Ok(None),
+            Some(0) => break,
+            Some(_) if header == "\r\n" || header == "\n" => break,
+            Some(_) => {}
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -388,6 +395,20 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Http
         path: path.to_string(),
         body,
     }))
+}
+
+/// Reads one head line into `line`, reading at most the `left` bytes
+/// still allowed and charging them. Returns the bytes read (0 at end of
+/// input), or `None` when the line reached the cap without its newline.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    left: &mut usize,
+    line: &mut String,
+) -> io::Result<Option<usize>> {
+    line.clear();
+    let n = reader.by_ref().take(*left as u64).read_line(line)?;
+    *left -= n;
+    Ok((*left > 0 || line.ends_with('\n')).then_some(n))
 }
 
 /// Writes one `Connection: close` HTTP response.

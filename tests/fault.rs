@@ -225,6 +225,145 @@ fn truncated_input_survives_quarantine_mode() {
     assert_eq!(lenient.quarantine.lines()[0].line, torn.lines[0]);
 }
 
+/// Lines of `golden.log` corrupted for `golden.quarantine`, on top of
+/// every [`QUARANTINE_STRIDE`]th line. Each of these carries the first
+/// appearance of a symptom, so the fixture pins which `SymptomId` a
+/// symptom gets when the line that introduces it is skipped.
+const FIRST_APPEARANCE_CORRUPTIONS: [(usize, CorruptionMode); 5] = [
+    (2, CorruptionMode::Timestamp),
+    (108, CorruptionMode::Timestamp),
+    (137, CorruptionMode::Machine),
+    (140, CorruptionMode::Structure),
+    (173, CorruptionMode::Symptom),
+];
+
+/// Every this-many-th line of `golden.log` is corrupted too, cycling
+/// through the four modes: more lines than the quarantine buffer holds,
+/// so the fixture pins `dropped` as well.
+const QUARANTINE_STRIDE: usize = 50;
+
+/// `golden.log` with the fixed corruptions of `golden.quarantine`.
+fn corrupted_golden_log() -> String {
+    const MODES: [CorruptionMode; 4] = [
+        CorruptionMode::Timestamp,
+        CorruptionMode::Machine,
+        CorruptionMode::Structure,
+        CorruptionMode::Symptom,
+    ];
+    let text = fs::read_to_string(fixture("golden.log")).expect("committed log fixture");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let strided = (QUARANTINE_STRIDE..=lines.len())
+        .step_by(QUARANTINE_STRIDE)
+        .map(|n| (n, MODES[(n / QUARANTINE_STRIDE) % MODES.len()]));
+    for (n, mode) in FIRST_APPEARANCE_CORRUPTIONS.into_iter().chain(strided) {
+        // A one-line text has exactly one eligible line to corrupt.
+        lines[n - 1] = corrupt_lines(&lines[n - 1], 0, 1, mode).text;
+    }
+    lines.join("\n") + "\n"
+}
+
+/// Renders one lenient ingestion of the corrupted golden log: the
+/// symptom catalog in id order, the quarantine report, and every
+/// process with its symptoms as ids, so a shifted `SymptomId` shows up
+/// as a byte difference.
+fn render_quarantine(policy: ParseErrorPolicy, outcome: &ingest::IngestOutcome) -> String {
+    let report = &outcome.quarantine;
+    let mut out = format!(
+        "policy {policy}\ncatalog {}\n",
+        outcome.log.symptoms().len()
+    );
+    for (id, name) in outcome.log.symptoms().iter() {
+        out.push_str(&format!("symptom {id} {name}\n"));
+    }
+    out.push_str(&format!("skipped {}\n", report.skipped()));
+    for kind in ParseLogErrorKind::ALL {
+        out.push_str(&format!("kind {} {}\n", kind.label(), report.count(kind)));
+    }
+    out.push_str(&format!("retained {}\n", report.lines().len()));
+    for line in report.lines() {
+        out.push_str(&format!(
+            "line {} {} {:?}\n",
+            line.line,
+            line.kind.label(),
+            line.text
+        ));
+    }
+    out.push_str(&format!(
+        "dropped {}\nprocesses {}\n",
+        report.dropped(),
+        outcome.processes.len()
+    ));
+    for p in &outcome.processes {
+        let symptoms: Vec<String> = p
+            .symptoms()
+            .iter()
+            .map(|(t, s)| format!("{s}@{t}"))
+            .collect();
+        let actions: Vec<String> = p
+            .actions()
+            .iter()
+            .map(|a| format!("{}@{}", a.action, a.time))
+            .collect();
+        out.push_str(&format!(
+            "machine {} success {} symptoms {} actions {}\n",
+            p.machine().index(),
+            p.success_time(),
+            symptoms.join(", "),
+            actions.join(", ")
+        ));
+    }
+    out
+}
+
+/// Lenient ingestion of a corrupted golden log matches the committed
+/// `golden.quarantine` bytes under both lenient policies, at 1 and 2
+/// threads: surviving entries, quarantine counters and retained lines,
+/// and every `SymptomId` — including the ids of symptoms whose first
+/// appearance sits on a skipped line.
+///
+/// Any intentional change to lenient parsing must regenerate it:
+///
+/// ```text
+/// REGEN_GOLDEN=1 cargo test -p recovery-core --test fault golden_quarantine
+/// ```
+#[test]
+fn lenient_ingestion_matches_the_golden_quarantine_fixture() {
+    let text = corrupted_golden_log();
+    let path = fixture("golden.quarantine");
+    for threads in [1, 2] {
+        let pool = WorkerPool::new(threads);
+        let mut actual = String::new();
+        for policy in [ParseErrorPolicy::Skip, ParseErrorPolicy::Quarantine] {
+            let outcome = ingest::ingest_with_policy(&text, policy, &pool, &Telemetry::disabled())
+                .expect("lenient ingestion never fails on bad lines");
+            actual.push_str(&render_quarantine(policy, &outcome));
+        }
+        if std::env::var_os("REGEN_GOLDEN").is_some() {
+            fs::write(&path, &actual).expect("write regenerated snapshot");
+            continue;
+        }
+        let expected = fs::read_to_string(&path).expect("committed golden.quarantine");
+        if actual != expected {
+            let first_diff = actual
+                .lines()
+                .zip(expected.lines())
+                .position(|(a, e)| a != e)
+                .map_or("line counts differ".to_owned(), |i| {
+                    format!(
+                        "first differing line {}:\n  expected: {}\n  actual:   {}",
+                        i + 1,
+                        expected.lines().nth(i).unwrap_or(""),
+                        actual.lines().nth(i).unwrap_or("")
+                    )
+                });
+            panic!(
+                "GOLDEN QUARANTINE DRIFT at {threads} threads — lenient ingestion no \
+                 longer matches tests/fixtures/golden.quarantine.\n{first_diff}"
+            );
+        }
+    }
+}
+
 /// An injected worker panic is retried on the pool and the run's output
 /// is byte-identical to the run with no panics at all.
 #[test]

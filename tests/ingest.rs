@@ -1,7 +1,7 @@
-//! Sharded-ingestion regression tests: the parallel parse + split
-//! pipeline of `recovery_core::ingest` must reproduce the sequential
-//! bytes for every thread count, and a committed fixture pins the
-//! processes extracted from the golden log.
+//! Ingestion regression tests: the parse + sharded split pipeline of
+//! `recovery_core::ingest` must reproduce the sequential bytes for
+//! every thread count, and a committed fixture pins the processes
+//! extracted from the golden log.
 //!
 //! Any intentional change to parsing, symptom interning, or process
 //! extraction must regenerate the snapshot:
@@ -157,8 +157,9 @@ fn golden_log_processes_match_committed_snapshot() {
     }
 }
 
-/// The telemetry spans of the sharded phases must appear in the metrics
-/// snapshot, so `--metrics-out` captures ingestion like training.
+/// The telemetry spans of the ingestion phases — the one parse and the
+/// sharded split — must appear in the metrics snapshot, so
+/// `--metrics-out` captures ingestion like training.
 #[test]
 fn ingestion_phases_report_telemetry_spans() {
     let text = LogGenerator::new(GeneratorConfig::small())
@@ -169,13 +170,7 @@ fn ingestion_phases_report_telemetry_spans() {
     let pool = WorkerPool::new(4);
     let _ = ingest::ingest(&text, &pool, &telemetry).expect("sharded ingest");
     let snapshot = telemetry.snapshot().expect("enabled telemetry snapshots");
-    for phase in [
-        "catalog_prescan",
-        "parse_shards",
-        "merge_entries",
-        "split_shards",
-        "merge_processes",
-    ] {
+    for phase in ["parse", "split_shards", "merge_processes"] {
         assert_eq!(
             snapshot.counters.get(&format!("span.{phase}.calls")),
             Some(&1),

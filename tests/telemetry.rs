@@ -388,3 +388,214 @@ fn flatjson_round_trips_the_bus_event_shapes() {
     assert!(parse_line(&access[..access.len() - 2]).is_none());
     assert!(parse_line(&format!("{access}x")).is_none());
 }
+
+/// Fuzzing of the two parsers on the live endpoints that read outside
+/// bytes: the HTTP request reader both servers share, and the flat JSON
+/// line parser behind `watch` and the daemon's request bodies.
+mod outside_bytes {
+    use std::io::Cursor;
+
+    use proptest::prelude::*;
+    use recovery_telemetry::flatjson::{parse_line, Field};
+    use recovery_telemetry::serve::{read_request, MAX_BODY_BYTES, MAX_HEADER_BYTES};
+    use recovery_telemetry::{Event, HttpRequest, Value};
+
+    /// Feeds `bytes` to the request reader; returns what it read and how
+    /// many bytes it consumed.
+    fn read(bytes: &[u8]) -> (Option<HttpRequest>, usize) {
+        let mut cursor = Cursor::new(bytes);
+        let request = read_request(&mut cursor).ok().flatten();
+        (request, cursor.position() as usize)
+    }
+
+    /// A run of one byte that is never a newline.
+    fn run(len: usize, byte: u8) -> Vec<u8> {
+        vec![if byte == b'\n' { b' ' } else { byte }; len]
+    }
+
+    /// Request-head pieces mixed with arbitrary bytes and long runs
+    /// without a newline.
+    fn request_soup() -> impl Strategy<Value = Vec<u8>> {
+        let piece = prop_oneof![
+            Just(b"GET /metrics HTTP/1.0\r\n".to_vec()),
+            Just(b"POST /advise?x=1 HTTP/1.1\r\n".to_vec()),
+            Just(b"\r\n".to_vec()),
+            Just(b"\n".to_vec()),
+            (0usize..64).prop_map(|n| format!("Content-Length: {n}\r\n").into_bytes()),
+            (0usize..2 * MAX_BODY_BYTES)
+                .prop_map(|n| format!("content-length:{n}\r\n").into_bytes()),
+            proptest::collection::vec(0u8..=255, 0..32),
+            (1usize..4 * MAX_HEADER_BYTES, 0u8..=255).prop_map(|(len, byte)| run(len, byte)),
+        ];
+        proptest::collection::vec(piece, 0..8).prop_map(|pieces| pieces.concat())
+    }
+
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![0u32..0x80, 0x80u32..0xD800, 0xE000u32..0x11_0000]
+            .prop_map(|c| char::from_u32(c).expect("a scalar value"))
+    }
+
+    fn any_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any_char(), 0..12).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// An event field value and the field the parser must return for it.
+    fn any_value() -> impl Strategy<Value = (Value, Field)> {
+        prop_oneof![
+            (0u64..=u64::MAX).prop_map(|v| (Value::U64(v), Field::Num(v as f64))),
+            (i64::MIN..=i64::MAX).prop_map(|v| (Value::I64(v), Field::Num(v as f64))),
+            (0u64..=u64::MAX).prop_map(|bits| {
+                let v = f64::from_bits(bits);
+                let field = if v.is_finite() {
+                    Field::Num(v)
+                } else {
+                    Field::Null
+                };
+                (Value::F64(v), field)
+            }),
+            (0u8..2).prop_map(|b| (Value::Bool(b == 1), Field::Bool(b == 1))),
+            any_string().prop_map(|s| (Value::Str(s.clone()), Field::Str(s))),
+        ]
+    }
+
+    /// JSON-significant fragments mixed with arbitrary characters.
+    fn json_soup() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            prop_oneof![
+                Just("{"),
+                Just("}"),
+                Just("["),
+                Just("]"),
+                Just("\""),
+                Just("\\"),
+                Just(":"),
+                Just(","),
+                Just("\\u"),
+                Just("\\ud83d"),
+                Just("\\ude00"),
+                Just("true"),
+                Just("nul"),
+                Just("-"),
+                Just("0"),
+                Just("1e"),
+                Just("."),
+                Just(" "),
+            ]
+            .prop_map(str::to_owned),
+            any_char().prop_map(String::from),
+        ];
+        proptest::collection::vec(piece, 0..48).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On arbitrary bytes the reader never panics and never reads
+        /// more than the head cap plus the largest body it accepts —
+        /// plus nothing beyond the body of a request it returns.
+        #[test]
+        fn read_request_is_panic_free_and_bounded(bytes in request_soup()) {
+            let (request, consumed) = read(&bytes);
+            prop_assert!(consumed <= MAX_HEADER_BYTES + MAX_BODY_BYTES, "consumed {consumed}");
+            if let Some(request) = request {
+                prop_assert!(
+                    consumed <= MAX_HEADER_BYTES + request.body.len(),
+                    "consumed {consumed} for a {}-byte body",
+                    request.body.len()
+                );
+            }
+        }
+
+        /// A line with no newline is read only up to the head cap, and a
+        /// head that reaches the cap is dropped.
+        #[test]
+        fn read_request_caps_a_line_without_newline(
+            prefix in prop_oneof![
+                Just(""),
+                Just("GET /metrics HTTP/1.0\r\n"),
+                Just("GET /metrics HTTP/1.0\r\nHost: x\r\n"),
+            ],
+            len in 0usize..3 * MAX_HEADER_BYTES,
+            byte in 0u8..=255,
+        ) {
+            let bytes = [prefix.as_bytes(), &run(len, byte)].concat();
+            let (request, consumed) = read(&bytes);
+            prop_assert!(consumed <= MAX_HEADER_BYTES, "consumed {consumed} of {}", bytes.len());
+            if bytes.len() >= MAX_HEADER_BYTES {
+                prop_assert!(request.is_none(), "a head of {} bytes was accepted", bytes.len());
+            }
+        }
+
+        /// A well-formed request is read up to its head plus its declared
+        /// body and no further; an over-long head or body is dropped.
+        #[test]
+        fn read_request_reads_the_head_and_the_declared_body_only(
+            pads in 0usize..12,
+            pad in 0usize..1000,
+            declared in prop_oneof![0usize..200, MAX_BODY_BYTES - 1..MAX_BODY_BYTES + 2],
+            delta in 0usize..3,
+        ) {
+            let mut head = format!("POST /advise HTTP/1.0\r\nContent-Length: {declared}\r\n");
+            for _ in 0..pads {
+                head.push_str(&format!("X-Pad: {}\r\n", "p".repeat(pad)));
+            }
+            head.push_str("\r\n");
+            // One byte short of the declared body, exactly it, or one more.
+            let sent = (declared + delta).saturating_sub(1);
+            let body: Vec<u8> = (0..sent).map(|i| i as u8).collect();
+            let (request, consumed) = read(&[head.as_bytes(), &body].concat());
+            if head.len() > MAX_HEADER_BYTES {
+                prop_assert!(request.is_none());
+                prop_assert!(consumed <= MAX_HEADER_BYTES, "consumed {consumed}");
+            } else if declared > MAX_BODY_BYTES {
+                prop_assert!(request.is_none());
+                prop_assert!(consumed <= head.len(), "consumed {consumed}");
+            } else if sent < declared {
+                prop_assert!(request.is_none());
+                prop_assert!(consumed <= head.len() + declared, "consumed {consumed}");
+            } else {
+                let request = request.expect("a well-formed request");
+                prop_assert_eq!(request.method.as_str(), "POST");
+                prop_assert_eq!(request.path.as_str(), "/advise");
+                prop_assert_eq!(&request.body[..], &body[..declared]);
+                prop_assert_eq!(consumed, head.len() + declared);
+            }
+        }
+
+        /// The flat JSON parser never panics on arbitrary text, and on
+        /// a rendered event cut or spliced anywhere.
+        #[test]
+        fn flatjson_parse_line_is_panic_free(
+            text in json_soup(),
+            (kind, value) in (any_string(), any_value()),
+            cut in 0usize..200,
+            splice in json_soup(),
+        ) {
+            let _ = parse_line(&text);
+            let rendered = Event::new(&kind).with("v", value.0).to_json();
+            let mut at = cut.min(rendered.len());
+            while !rendered.is_char_boundary(at) {
+                at -= 1;
+            }
+            let _ = parse_line(&rendered[..at]);
+            let _ = parse_line(&format!("{}{splice}{}", &rendered[..at], &rendered[at..]));
+        }
+
+        /// Every line an `Event` renders parses back to exactly its
+        /// fields: the kind as `type`, then each field in order.
+        #[test]
+        fn flatjson_returns_exactly_the_fields_of_a_rendered_event(
+            kind in any_string(),
+            fields in proptest::collection::vec((any_string(), any_value()), 0..6),
+        ) {
+            let mut event = Event::new(&kind);
+            let mut expected = vec![("type".to_owned(), Field::Str(kind.clone()))];
+            for (key, (value, field)) in fields {
+                event = event.with(&key, value);
+                expected.push((key, field));
+            }
+            let line = event.to_json();
+            prop_assert_eq!(parse_line(&line), Some(expected), "{}", line);
+        }
+    }
+}
