@@ -1,7 +1,7 @@
-//! Pooled ingestion vs the sequential path, plus the allocation-free
-//! replay hot path.
+//! Pooled ingestion vs the sequential path, the log-line codec, plus the
+//! allocation-free replay hot path.
 //!
-//! Two measurements back the perf claims of the ingestion work:
+//! Three measurements back the perf claims of the ingestion work:
 //!
 //! * **Ingestion throughput.** `recovery_core::ingest::ingest` (the one
 //!   sequential parse loop, then process extraction split into shards
@@ -10,6 +10,11 @@
 //!   arms parse the same way, so the comparison measures the split's
 //!   fan-out. In sampling mode (`cargo bench -- --bench`) it is written
 //!   to `BENCH_ingest.json` at the workspace root.
+//! * **Codec speed.** After asserting that parsing the text and
+//!   rendering it back gives the same bytes, the sequential parse
+//!   (`RecoveryLog::from_text`) and the render (`RecoveryLog::to_text`)
+//!   are timed per line, as `parse_ns_per_line` and
+//!   `render_ns_per_line`.
 //! * **Replay allocations.** A counting global allocator measures heap
 //!   allocations per replayed attempt for the cached
 //!   (`SimulationPlatform::attempt_cached`) and uncached
@@ -207,7 +212,13 @@ fn main() {
     // The parallel arm must actually fan out: never fewer than 2 workers.
     let pool_threads = available.max(2);
 
-    // Correctness before speed: the sharded output must be identical.
+    // Correctness before speed: the codec reads back exactly what it
+    // wrote, and the sharded output must be identical.
+    let mut parsed = RecoveryLog::from_text(&text).expect("bench log parses");
+    assert!(
+        parsed.to_text() == text,
+        "parse then render changed the log text"
+    );
     let (log, processes) = sequential_ingest(&text);
     for threads in [2, pool_threads] {
         let (sharded_log, sharded) = sharded_ingest(&text, threads);
@@ -252,6 +263,16 @@ fn main() {
         .find(|(n, _)| *n == pool_threads)
         .expect("pool_threads is in the series");
 
+    let lines = text.lines().count() as f64;
+    let parse_ns_per_line = best_of_ms(5, || {
+        std::hint::black_box(RecoveryLog::from_text(&text).expect("bench log parses"));
+    }) * 1e6
+        / lines;
+    let render_ns_per_line = best_of_ms(5, || {
+        std::hint::black_box(parsed.to_text());
+    }) * 1e6
+        / lines;
+
     let (cached, uncached) = replay_microbench(&processes);
     assert!(
         cached.allocs_per_attempt == 0.0,
@@ -275,6 +296,8 @@ fn main() {
          \"threads\":{pool_threads},\"sequential_ms\":{sequential_ms:.3},\
          \"parallel_ms\":{parallel_ms:.3},\"speedup\":{:.3},\
          \"series\":[{series_json}],\
+         \"parse_ns_per_line\":{parse_ns_per_line:.1},\
+         \"render_ns_per_line\":{render_ns_per_line:.1},\
          \"replay\":{{\"attempts\":{},\
          \"cached_allocs_per_attempt\":{:.4},\
          \"uncached_allocs_per_attempt\":{:.4},\

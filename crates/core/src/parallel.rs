@@ -174,11 +174,6 @@ impl WorkerPool {
         self.threads.get()
     }
 
-    /// Whether the pool runs on the calling thread only.
-    pub fn is_sequential(&self) -> bool {
-        self.threads.get() == 1
-    }
-
     /// Applies `f` to every index in `0..n` and returns the results in
     /// index order, regardless of which worker computed what.
     ///
@@ -498,35 +493,6 @@ impl Default for WorkerPool {
     }
 }
 
-/// Splits `0..n` into at most `parts` contiguous near-equal ranges that
-/// cover it exactly, longer ranges first. The partition is a pure
-/// function of `(n, parts)`, so shard boundaries — and therefore every
-/// shard-then-merge result built on them — are deterministic.
-///
-/// Returns fewer than `parts` ranges when `n < parts` (never an empty
-/// range), and no ranges at all for `n == 0`.
-///
-/// # Panics
-///
-/// Panics if `parts` is zero.
-pub fn chunk_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(parts > 0, "need at least one chunk");
-    if n == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(n);
-    let base = n / parts;
-    let extra = n % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,36 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_ranges_cover_exactly_and_balance() {
-        for n in [0usize, 1, 2, 7, 100, 1013] {
-            for parts in [1usize, 2, 3, 8, 64] {
-                let ranges = chunk_ranges(n, parts);
-                assert!(ranges.len() <= parts);
-                let total: usize = ranges.iter().map(ExactSizeIterator::len).sum();
-                assert_eq!(total, n, "n={n} parts={parts}");
-                let mut expected_start = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expected_start);
-                    assert!(!r.is_empty());
-                    expected_start = r.end;
-                }
-                if let (Some(first), Some(last)) = (ranges.first(), ranges.last()) {
-                    assert!(first.len() - last.len() <= 1, "n={n} parts={parts}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one chunk")]
-    fn chunk_ranges_rejects_zero_parts() {
-        let _ = chunk_ranges(10, 0);
-    }
-
-    #[test]
     fn available_pool_has_at_least_one_thread() {
         assert!(WorkerPool::available().threads() >= 1);
-        assert!(WorkerPool::sequential().is_sequential());
-        assert!(!WorkerPool::new(2).is_sequential());
     }
 }

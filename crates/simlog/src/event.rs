@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::action::RepairAction;
+use crate::codec::{self, LineReader};
 use crate::error::ParseLogError;
 use crate::machine::MachineId;
 use crate::symptom::{SymptomCatalog, SymptomId};
@@ -35,20 +36,6 @@ impl LogEvent {
     pub fn is_success(&self) -> bool {
         matches!(self, LogEvent::Success)
     }
-
-    /// Classifies a description by direct token match, interning it when
-    /// it is a symptom.
-    fn classify(description: &str, symptoms: &mut SymptomCatalog) -> Result<Self, ParseLogError> {
-        if description == "Success" {
-            Ok(LogEvent::Success)
-        } else if let Some(action) = RepairAction::from_token(description) {
-            Ok(LogEvent::Action(action))
-        } else if description.contains(':') {
-            Ok(LogEvent::Symptom(symptoms.intern(description)))
-        } else {
-            Err(ParseLogError::symptom(description))
-        }
-    }
 }
 
 /// One `<time, machine, description>` entry of the recovery log.
@@ -72,15 +59,7 @@ impl LogEntry {
     /// `symptoms`; entries and catalog always travel together in this
     /// crate, so a miss indicates a programming error.
     pub fn format_line(&self, symptoms: &SymptomCatalog) -> String {
-        let description = match self.event {
-            LogEvent::Symptom(id) => symptoms
-                .name(id)
-                .unwrap_or_else(|| panic!("symptom {id} missing from catalog"))
-                .to_owned(),
-            LogEvent::Action(a) => a.to_string(),
-            LogEvent::Success => "Success".to_owned(),
-        };
-        format!("{}\t{}\t{}", self.time, self.machine, description)
+        codec::render_line(self, symptoms)
     }
 
     /// Parses one tab-separated log line, interning any new symptom
@@ -96,27 +75,15 @@ impl LogEntry {
     /// # Errors
     ///
     /// Returns a [`ParseLogError`] when the line does not have three
-    /// tab-separated fields or a field fails to parse. A description is
-    /// interpreted as `Success` if it is the literal `Success`, as an
-    /// action if it matches an action token, and as a symptom otherwise —
-    /// symptoms must contain a `:` (category:component) to be accepted.
+    /// tab-separated fields or a field fails to parse. The time and
+    /// machine fields must be exactly what [`LogEntry::format_line`]
+    /// writes: no signs, no unpadded or over-padded numbers. A
+    /// description is interpreted as `Success` if it is the literal
+    /// `Success`, as an action if it matches an action token, and as a
+    /// symptom otherwise — symptoms must contain a `:`
+    /// (category:component) to be accepted.
     pub fn parse_line(line: &str, symptoms: &mut SymptomCatalog) -> Result<Self, ParseLogError> {
-        let mut fields = line.splitn(3, '\t');
-        let (time, machine, description) =
-            (fields.next().unwrap_or(""), fields.next(), fields.next());
-        let event = description.map(|d| LogEvent::classify(d, symptoms));
-        let time = time.parse::<SimTime>()?;
-        let machine = machine
-            .ok_or_else(|| ParseLogError::entry(line))?
-            .parse::<MachineId>()?;
-        // No third field is a malformed entry; a third field that is no
-        // description is the classification's error.
-        let event = event.ok_or_else(|| ParseLogError::entry(line))??;
-        Ok(LogEntry {
-            time,
-            machine,
-            event,
-        })
+        LineReader::default().line(line, symptoms)
     }
 }
 
@@ -241,6 +208,15 @@ mod tests {
             (
                 "2006-01-01 03:07:12\tM0423\tREBOOT ",
                 ParseLogErrorKind::Symptom,
+            ),
+            // Fields the renderer never writes.
+            (
+                "+2006-01-01 03:07:12\tM0423\tSuccess",
+                ParseLogErrorKind::Timestamp,
+            ),
+            (
+                "2006-01-01 03:07:12\tM7\tSuccess",
+                ParseLogErrorKind::Machine,
             ),
         ] {
             let err = LogEntry::parse_line(line, &mut symptoms).unwrap_err();

@@ -44,6 +44,7 @@ pub mod action;
 pub mod availability;
 pub mod catalog;
 pub mod cluster;
+mod codec;
 pub mod dist;
 pub mod error;
 pub mod event;

@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::codec::{self, LineReader};
 use crate::error::ParseLogError;
 use crate::event::{LogEntry, LogEvent};
 use crate::machine::MachineId;
@@ -109,15 +110,11 @@ impl RecoveryLog {
     }
 
     /// Serializes the whole log in the textual format (one entry per
-    /// line, tab-separated, as in the paper's Table 1).
+    /// line, tab-separated, as in the paper's Table 1), into a string
+    /// allocated once at its exact length.
     pub fn to_text(&mut self) -> String {
         self.ensure_sorted();
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&e.format_line(&self.symptoms));
-            out.push('\n');
-        }
-        out
+        codec::render_lines(&self.entries, &self.symptoms)
     }
 
     /// Parses a textual log produced by [`RecoveryLog::to_text`] (or by any
@@ -136,7 +133,7 @@ impl RecoveryLog {
     /// The one parse loop behind every reader of log text: strict and
     /// lenient ingestion and journal replay.
     ///
-    /// Lines are parsed in order with [`LogEntry::parse_line`], interning
+    /// Lines are parsed in order as by [`LogEntry::parse_line`], interning
     /// symptoms into `symptoms` (a catalog carried over from earlier
     /// text, or an empty one). Blank lines and lines starting with `#`
     /// are skipped. Each malformed line goes to `on_error` with its
@@ -153,15 +150,17 @@ impl RecoveryLog {
         mut on_error: impl FnMut(usize, &str, ParseLogError) -> Result<(), E>,
     ) -> Result<Self, E> {
         let mut log = RecoveryLog::with_symptoms(symptoms);
-        // Reserved once: growing by doubling would raise peak heap by up
-        // to the entry vector's size at the last reallocation.
-        log.entries.reserve(text.lines().count());
+        // Reserved once, for as many entries as `text.lines()` yields:
+        // growing by doubling would raise peak heap by up to the entry
+        // vector's size at the last reallocation.
+        log.entries.reserve(line_count(text));
+        let mut reader = LineReader::default();
         for (i, line) in text.lines().enumerate() {
             let line = line.trim_end_matches('\r');
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            match LogEntry::parse_line(line, &mut log.symptoms) {
+            match reader.line(line, &mut log.symptoms) {
                 Ok(entry) => log.push(entry),
                 Err(error) => on_error(i + 1, line, error)?,
             }
@@ -217,6 +216,23 @@ impl RecoveryLog {
         processes.sort_by_key(|p| (p.start(), p.machine()));
         processes
     }
+}
+
+/// The number of lines `text.lines()` yields, from a count of `\n`
+/// bytes taken eight bytes at a time.
+fn line_count(text: &str) -> usize {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let words = text.as_bytes().chunks_exact(8);
+    let tail = words.remainder().iter().filter(|&&b| b == b'\n').count();
+    let newlines: usize = words
+        .map(|word| {
+            let word = u64::from_ne_bytes(word.try_into().expect("8-byte chunk"));
+            let x = word ^ 0x0a0a_0a0a_0a0a_0a0a;
+            // The high bit of each byte of `x` that is zero, and only those.
+            (!(((x & LOW7) + LOW7) | x | LOW7)).count_ones() as usize
+        })
+        .sum();
+    newlines + tail + usize::from(!text.is_empty() && !text.ends_with('\n'))
 }
 
 /// Runs the per-machine process state machine over chronologically sorted
@@ -523,6 +539,28 @@ mod tests {
         // The simulator finishes every process it opens.
         assert_eq!(audit.unfinished_processes, 0);
         assert!(audit.is_clean());
+    }
+
+    #[test]
+    fn line_count_matches_lines() {
+        let mut text = String::new();
+        for piece in [
+            "",
+            "\n",
+            "a",
+            "\r\n",
+            "\t\n\n",
+            "2006-01-01 00:00:00\tM0001\n",
+            "\u{e9}\n",
+        ] {
+            for _ in 0..9 {
+                text.push_str(piece);
+                assert_eq!(line_count(&text), text.lines().count(), "{text:?}");
+                let unterminated = format!("{text}x");
+                assert_eq!(line_count(&unterminated), unterminated.lines().count());
+            }
+        }
+        assert_eq!(line_count(""), 0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::codec;
 use crate::error::ParseLogError;
 
 /// Identifies one machine in the monitored cluster.
@@ -34,21 +35,17 @@ impl MachineId {
 
 impl fmt::Display for MachineId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "M{:04}", self.0)
+        codec::fmt_machine(*self, f)
     }
 }
 
 impl FromStr for MachineId {
     type Err = ParseLogError;
 
+    /// Parses exactly what [`fmt::Display`] writes: `M` and four digits,
+    /// or more without a leading zero.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let digits = s
-            .strip_prefix('M')
-            .ok_or_else(|| ParseLogError::machine(s))?;
-        digits
-            .parse::<u32>()
-            .map(MachineId)
-            .map_err(|_| ParseLogError::machine(s))
+        codec::parse_machine(s)
     }
 }
 
@@ -70,7 +67,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        for idx in [0u32, 1, 42, 9999, 123_456] {
+        for idx in [0u32, 1, 42, 9999, 123_456, u32::MAX] {
             let m = MachineId::new(idx);
             assert_eq!(m.to_string().parse::<MachineId>().unwrap(), m);
         }
@@ -78,7 +75,20 @@ mod tests {
 
     #[test]
     fn rejects_malformed_ids() {
-        for s in ["", "M", "0423", "Mforty", "N0423", "M-1"] {
+        for s in [
+            "",
+            "M",
+            "0423",
+            "Mforty",
+            "N0423",
+            "M-1",
+            "M+423",
+            "M7",
+            "M00423",
+            "M 423",
+            "m0423",
+            "M4294967296",
+        ] {
             assert!(s.parse::<MachineId>().is_err(), "{s:?} should not parse");
         }
     }

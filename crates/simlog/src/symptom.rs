@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Interned identifier of one distinct symptom description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,6 +44,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Hands a bucket key to the intern index as its own hash: the key is
+/// already an FNV-1a hash of the name, so hashing it again through the
+/// default SipHash would only cost time.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(bytes);
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// Bidirectional mapping between symptom descriptions and [`SymptomId`]s.
 ///
 /// Names are *arena-interned*: every distinct description is stored once,
@@ -67,7 +88,7 @@ pub struct SymptomCatalog {
     /// Byte span of each id's name within `arena`, indexed by id.
     spans: Vec<(u32, u32)>,
     /// Name-hash → candidate ids (collisions resolved by comparison).
-    buckets: HashMap<u64, Vec<SymptomId>>,
+    buckets: HashMap<u64, Vec<SymptomId>, BuildHasherDefault<KeyHasher>>,
 }
 
 impl SymptomCatalog {

@@ -12,14 +12,15 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::str::FromStr;
 
+use crate::codec::{self, LineReader};
 use crate::error::ParseLogError;
 
 /// Calendar year of the log epoch used when rendering [`SimTime`].
 pub const EPOCH_YEAR: i64 = 2006;
 
-/// Days from 0000-03-01 to the log epoch (2006-01-01), used internally by
+/// Days from 1970-01-01 to the log epoch (2006-01-01), used internally by
 /// the civil-date conversion.
-const EPOCH_DAYS: i64 = days_from_civil(EPOCH_YEAR, 1, 1);
+const EPOCH_DAYS: i64 = days_from_civil(EPOCH_YEAR, 1, 1).expect("the epoch is representable");
 
 /// An absolute instant on the simulation clock, in whole seconds since the
 /// log epoch (2006-01-01 00:00:00).
@@ -97,7 +98,7 @@ impl SimTime {
     /// Builds an instant from calendar fields.
     ///
     /// Returns `None` if the fields do not name a valid date-time at or
-    /// after the epoch.
+    /// after the epoch, or one too late for a `u64` of seconds.
     pub fn from_calendar(
         year: i64,
         month: u32,
@@ -106,7 +107,8 @@ impl SimTime {
         minute: u32,
         second: u32,
     ) -> Option<Self> {
-        if !(1..=12).contains(&month)
+        if year < EPOCH_YEAR
+            || !(1..=12).contains(&month)
             || day < 1
             || day > days_in_month(year, month)
             || hour > 23
@@ -115,16 +117,9 @@ impl SimTime {
         {
             return None;
         }
-        let days = days_from_civil(year, month, day) - EPOCH_DAYS;
-        if days < 0 {
-            return None;
-        }
-        Some(SimTime(
-            days as u64 * 86_400
-                + u64::from(hour) * 3600
-                + u64::from(minute) * 60
-                + u64::from(second),
-        ))
+        let days = u64::try_from(days_from_civil(year, month, day)? - EPOCH_DAYS).ok()?;
+        let clock = u64::from(hour) * 3600 + u64::from(minute) * 60 + u64::from(second);
+        days.checked_mul(86_400)?.checked_add(clock).map(SimTime)
     }
 }
 
@@ -211,8 +206,7 @@ impl fmt::Display for SimTime {
     /// Renders as `YYYY-MM-DD hh:mm:ss`, the timestamp format of the
     /// textual recovery log.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (y, mo, d, h, mi, s) = self.to_calendar();
-        write!(f, "{y:04}-{mo:02}-{d:02} {h:02}:{mi:02}:{s:02}")
+        codec::fmt_time(*self, f)
     }
 }
 
@@ -233,37 +227,30 @@ impl fmt::Display for SimDuration {
 impl FromStr for SimTime {
     type Err = ParseLogError;
 
-    /// Parses the `YYYY-MM-DD hh:mm:ss` rendering of [`SimTime`].
+    /// Parses exactly what [`fmt::Display`] writes, `YYYY-MM-DD hh:mm:ss`:
+    /// two digits per field after the year, four digits of year or more
+    /// without a leading zero, no signs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = || ParseLogError::timestamp(s);
-        let (date, clock) = s.split_once(' ').ok_or_else(bad)?;
-        let mut dit = date.splitn(3, '-');
-        let mut cit = clock.splitn(3, ':');
-        let next_num = |it: &mut dyn Iterator<Item = &str>| -> Result<i64, ParseLogError> {
-            it.next().ok_or_else(bad)?.parse::<i64>().map_err(|_| bad())
-        };
-        let year = next_num(&mut dit)?;
-        let month = next_num(&mut dit)? as u32;
-        let day = next_num(&mut dit)? as u32;
-        let hour = next_num(&mut cit)? as u32;
-        let minute = next_num(&mut cit)? as u32;
-        let second = next_num(&mut cit)? as u32;
-        SimTime::from_calendar(year, month, day, hour, minute, second).ok_or_else(bad)
+        LineReader::default().time(s)
     }
 }
 
-/// Days since 0000-03-01 for a civil date (Howard Hinnant's algorithm).
-const fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
+/// Days since 1970-01-01 for a civil date in year 1 or later (Howard
+/// Hinnant's algorithm), or `None` if the count overflows an `i64`.
+const fn days_from_civil(y: i64, m: u32, d: u32) -> Option<i64> {
     let y = if m <= 2 { y - 1 } else { y };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
+    let era = y / 400;
     let yoe = y - era * 400;
     let mp = (m as i64 + 9) % 12;
     let doy = (153 * mp + 2) / 5 + d as i64 - 1;
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-    era * 146_097 + doe - 719_468
+    match era.checked_mul(146_097) {
+        Some(days) => days.checked_add(doe - 719_468),
+        None => None,
+    }
 }
 
-/// Civil date for days since 0000-03-01 (inverse of [`days_from_civil`]).
+/// Civil date for days since 1970-01-01 (inverse of [`days_from_civil`]).
 fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
@@ -290,6 +277,7 @@ fn days_in_month(year: i64, month: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ParseLogErrorKind;
 
     #[test]
     fn epoch_renders_as_new_year_2006() {
@@ -347,9 +335,49 @@ mod tests {
             "03:07:12",
             "2006/01/01 03:07:12",
             "2006-01-01 3:7",
+            // Forms the renderer never writes.
+            "2006-1-01 00:00:00",
+            "2006-01-01 3:07:12",
+            "+2006-01-01 00:00:00",
+            "2006-01-+1 00:00:00",
+            "02006-01-01 00:00:00",
+            "2006-01-01  00:00:00",
+            "2006-01-01 00:00:00 ",
+            "2006-01-01T00:00:00",
+            "2006-01-01 23:59:60",
         ] {
             assert!(s.parse::<SimTime>().is_err(), "{s:?} should not parse");
         }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_timestamp_errors_not_wraps() {
+        // Each of these parsed (as a wrapped value) or panicked when the
+        // fields went through `parse::<i64>` and `as u32`.
+        for s in [
+            "2006-4294967297-01 00:00:00",
+            "2006-01-01 4294967296:00:00",
+            "2006-01-4294967298 00:00:00",
+            "99999999999999-03-01 00:00:00",
+            "9223372036854775807-03-01 00:00:00",
+            "99999999999999999999-03-01 00:00:00",
+        ] {
+            let err = s.parse::<SimTime>().unwrap_err();
+            assert_eq!(err.kind(), ParseLogErrorKind::Timestamp, "{s:?}");
+        }
+        assert!(SimTime::from_calendar(i64::MAX, 3, 1, 0, 0, 0).is_none());
+        assert!(SimTime::from_calendar(i64::MIN, 3, 1, 0, 0, 0).is_none());
+        assert!(SimTime::from_calendar(99_999_999_999_999, 3, 1, 0, 0, 0).is_none());
+    }
+
+    #[test]
+    fn the_last_second_round_trips() {
+        let last = SimTime::from_secs(u64::MAX);
+        let shown = last.to_string();
+        assert_eq!(shown.parse::<SimTime>().unwrap(), last);
+        let (y, mo, d, h, mi, s) = last.to_calendar();
+        assert_eq!(SimTime::from_calendar(y, mo, d, h, mi, s), Some(last));
+        assert!(SimTime::from_calendar(y + 1, mo, d, 0, 0, 0).is_none());
     }
 
     #[test]

@@ -85,8 +85,9 @@ fn arb_processes() -> impl Strategy<Value = Vec<RecoveryProcess>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any log built from valid entries survives the textual round trip
-    /// with identical processes.
+    /// Any log built from valid entries survives the textual round trip:
+    /// the re-rendered text is byte-identical, the entries are equal, and
+    /// so are the processes.
     #[test]
     fn log_text_round_trip(processes in arb_processes()) {
         let mut log = RecoveryLog::new();
@@ -105,13 +106,20 @@ proptest! {
         }
         let text = log.to_text();
         let mut parsed = RecoveryLog::from_text(&text).expect("own output parses");
+        prop_assert_eq!(parsed.to_text(), text.clone());
+        // Parsing against the writer's catalog keeps its symptom ids.
+        let mut replayed = RecoveryLog::from_text_with(&text, log.symptoms().clone(), |line, _, e| {
+            Err(e.at_line(line))
+        })
+        .expect("own output parses");
+        prop_assert_eq!(replayed.entries(), log.entries());
         prop_assert_eq!(parsed.len(), log.len());
         let a = log.split_processes();
         let b = parsed.split_processes();
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.downtime(), y.downtime());
-            prop_assert_eq!(x.actions().len(), y.actions().len());
+            prop_assert_eq!(x.actions(), y.actions());
         }
     }
 
@@ -131,6 +139,217 @@ proptest! {
         let b = ActionMultiset::from_actions(actions.clone());
         prop_assert_eq!(a, b);
         prop_assert_eq!(a.total(), actions.len());
+    }
+}
+
+// ---------- log-line codec ----------
+
+/// Seconds of 10000-01-01 00:00:00, the first five-digit year.
+fn year_10000() -> u64 {
+    SimTime::from_calendar(10_000, 1, 1, 0, 0, 0)
+        .expect("representable")
+        .as_secs()
+}
+
+/// Instants that cross day, month and year boundaries, leap days, the
+/// five-digit years and the last representable second.
+fn arb_time() -> impl Strategy<Value = SimTime> {
+    prop_oneof![
+        // A second near either end of a day in the first 12 years.
+        (0u64..4_400, prop_oneof![0u64..90, 86_310u64..86_400])
+            .prop_map(|(day, s)| day * 86_400 + s),
+        0u64..400_000_000,
+        (0u64..2 * 86_400 * 366).prop_map(|s| year_10000() - 86_400 * 366 + s),
+        year_10000()..u64::MAX,
+        (0u64..200_000).prop_map(|back| u64::MAX - back),
+    ]
+    .prop_map(SimTime::from_secs)
+}
+
+fn arb_machine() -> impl Strategy<Value = MachineId> {
+    prop_oneof![
+        0u32..10,
+        9_990u32..10_010,
+        0u32..200_000,
+        (0u32..1_000).prop_map(|d| u32::MAX - d)
+    ]
+    .prop_map(MachineId::new)
+}
+
+fn arb_event() -> impl Strategy<Value = LogEvent> {
+    prop_oneof![
+        (0u32..12).prop_map(|i| LogEvent::Symptom(SymptomId::new(i))),
+        arb_action().prop_map(LogEvent::Action),
+        Just(LogEvent::Success),
+    ]
+}
+
+/// Entries in arbitrary order, with symptoms from `codec_catalog`.
+fn arb_entries() -> impl Strategy<Value = Vec<LogEntry>> {
+    proptest::collection::vec((arb_time(), arb_machine(), arb_event()), 0..40).prop_map(|v| {
+        v.into_iter()
+            .map(|(time, machine, event)| LogEntry {
+                time,
+                machine,
+                event,
+            })
+            .collect()
+    })
+}
+
+fn codec_catalog() -> recovery_simlog::SymptomCatalog {
+    let mut catalog = recovery_simlog::SymptomCatalog::new();
+    for i in 0..12 {
+        catalog.intern(&format!(
+            "error{}:Component-{i}",
+            if i % 2 == 0 { "" } else { "Hardware" }
+        ));
+    }
+    catalog
+}
+
+/// The rendering the log format specifies, from the calendar fields.
+fn oracle_time(t: SimTime) -> String {
+    let (y, mo, d, h, mi, s) = t.to_calendar();
+    format!("{y:04}-{mo:02}-{d:02} {h:02}:{mi:02}:{s:02}")
+}
+
+/// One edit at `at` (taken modulo the length): replace, insert or
+/// delete, with bytes that keep a line near its rendered form.
+fn mutate(line: &mut Vec<u8>, op: u8, at: usize, byte: u8) {
+    const BYTES: &[u8] = b"0123456789-: \t+M0";
+    let byte = BYTES[byte as usize % BYTES.len()];
+    match op % 3 {
+        0 if !line.is_empty() => {
+            let at = at % line.len();
+            line[at] = byte;
+        }
+        1 => line.insert(at % (line.len() + 1), byte),
+        _ if !line.is_empty() => {
+            line.remove(at % line.len());
+        }
+        _ => line.push(byte),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// parse(render(entries)) == entries, through every reader: the
+    /// sorted text of `to_text`, and the lines one by one in their
+    /// arbitrary order (so a cached date from one line must not leak
+    /// into a later, earlier one).
+    #[test]
+    fn codec_round_trips_entry_sequences(entries in arb_entries()) {
+        let catalog = codec_catalog();
+        let mut log = RecoveryLog::with_symptoms(catalog.clone());
+        for &e in &entries {
+            log.push(e);
+        }
+        let text = log.to_text();
+        let strict = |line: usize, _: &str, e: recovery_simlog::ParseLogError| Err(e.at_line(line));
+        let mut parsed = RecoveryLog::from_text_with(&text, catalog.clone(), strict)
+            .expect("own output parses");
+        prop_assert_eq!(parsed.entries(), log.entries());
+        prop_assert_eq!(parsed.to_text(), text.clone());
+
+        let unsorted: String = entries.iter().map(|e| e.format_line(&catalog) + "\n").collect();
+        let mut parsed = RecoveryLog::from_text_with(&unsorted, catalog.clone(), strict)
+            .expect("own output parses");
+        prop_assert_eq!(parsed.entries(), log.entries());
+        let mut symptoms = catalog.clone();
+        for (e, line) in entries.iter().zip(unsorted.lines()) {
+            prop_assert_eq!(LogEntry::parse_line(line, &mut symptoms).unwrap(), *e);
+        }
+        prop_assert_eq!(symptoms, catalog);
+    }
+
+    /// The codec writes exactly what `SimTime`'s and `MachineId`'s
+    /// `Display` write, and both match the format's specification.
+    #[test]
+    fn codec_renders_what_display_writes(entries in arb_entries()) {
+        let catalog = codec_catalog();
+        let mut log = RecoveryLog::with_symptoms(catalog.clone());
+        for &e in &entries {
+            log.push(e);
+        }
+        let text = log.to_text();
+        let sorted = log.entries().to_vec();
+        prop_assert_eq!(text.lines().count(), sorted.len());
+        for (e, line) in sorted.iter().zip(text.lines()) {
+            let description = match e.event {
+                LogEvent::Symptom(id) => catalog.name(id).unwrap().to_owned(),
+                LogEvent::Action(a) => a.to_string(),
+                LogEvent::Success => "Success".to_owned(),
+            };
+            let expected = format!("{}\t{}\t{description}", e.time, e.machine);
+            prop_assert_eq!(line, expected.as_str());
+            prop_assert_eq!(e.format_line(&catalog), expected.clone());
+            prop_assert_eq!(e.time.to_string(), oracle_time(e.time));
+            prop_assert_eq!(e.machine.to_string(), format!("M{:04}", e.machine.index()));
+        }
+    }
+
+    /// Every line the parser accepts renders back to itself: the parser
+    /// takes no sign, width or leading zero the renderer would not write.
+    #[test]
+    fn codec_accepts_only_what_it_renders(
+        time in arb_time(),
+        machine in arb_machine(),
+        event in arb_event(),
+        edits in proptest::collection::vec((0u8..3, 0usize..64, 0u8..32), 1..4),
+    ) {
+        let catalog = codec_catalog();
+        let entry = LogEntry { time, machine, event };
+        let mut line = entry.format_line(&catalog).into_bytes();
+        for &(op, at, byte) in &edits {
+            mutate(&mut line, op, at, byte);
+        }
+        let line = String::from_utf8(line).expect("ASCII edits");
+        let mut symptoms = catalog.clone();
+        if let Ok(parsed) = LogEntry::parse_line(&line, &mut symptoms) {
+            prop_assert_eq!(parsed.format_line(&symptoms), line.clone());
+        }
+        let mut fields = line.splitn(3, '\t');
+        if let Some(field) = fields.next() {
+            if let Ok(t) = field.parse::<SimTime>() {
+                prop_assert_eq!(t.to_string(), field);
+            }
+        }
+        if let Some(field) = fields.next() {
+            if let Ok(m) = field.parse::<MachineId>() {
+                prop_assert_eq!(m.to_string(), field);
+            }
+        }
+    }
+
+    /// No input makes the parser panic: arbitrary bytes, alone or spliced
+    /// into a rendered line, under strict and lenient parsing.
+    #[test]
+    fn codec_parser_never_panics(
+        bytes in proptest::collection::vec(0u8..=255, 0..80),
+        time in arb_time(),
+        at in 0usize..40,
+    ) {
+        let catalog = codec_catalog();
+        let line = LogEntry { time, machine: MachineId::new(7), event: LogEvent::Success }
+            .format_line(&catalog);
+        let at = at.min(line.len());
+        let mut spliced = line.as_bytes()[..at].to_vec();
+        spliced.extend_from_slice(&bytes);
+        spliced.extend_from_slice(&line.as_bytes()[at..]);
+        for input in [bytes, spliced] {
+            let text = String::from_utf8_lossy(&input).into_owned();
+            let _ = RecoveryLog::from_text(&text);
+            let lenient = RecoveryLog::from_text_with(&text, catalog.clone(), |_, _, _| {
+                Ok::<(), recovery_simlog::ParseLogError>(())
+            });
+            prop_assert!(lenient.is_ok());
+            for field in text.split(['\t', '\n']) {
+                let _ = field.parse::<SimTime>();
+                let _ = field.parse::<MachineId>();
+            }
+        }
     }
 }
 
