@@ -16,6 +16,9 @@
 //!   pattern as `benches/ingest.rs`) measures heap allocations for a
 //!   short and a long run; the difference is purely per-episode work,
 //!   and it must be exactly zero.
+//! * **Table size** — the bytes one per-type `DenseQTable` allocates at
+//!   the paper's N = 20, which must stay at most 1 MiB. This guard also
+//!   runs without `--bench`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,31 +40,36 @@ use recovery_simlog::{
     SymptomId,
 };
 
-/// Counts heap allocations so the episode-loop arm can certify that the
-/// loop's steady state performs none per sweep.
+/// Counts heap allocations and their bytes, so the episode-loop arm can
+/// certify that the loop's steady state performs none per sweep and the
+/// table guard can weigh a per-type table.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     // Delegate instead of inheriting the trait defaults: the default
     // `alloc_zeroed` is `alloc` + an eager memset, which would charge the
-    // table's multi-MB zeroed slabs an up-front page-touching cost the
+    // table's zeroed slabs an up-front page-touching cost the
     // system allocator's calloc path (lazily zeroed fresh pages) never
     // pays; the default `realloc` is alloc + copy + dealloc, which would
     // slow `Vec` growth. Both still count as one allocation.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -191,6 +199,22 @@ fn loop_workload() -> Vec<RecoveryProcess> {
     processes
 }
 
+/// The most one per-type table may allocate at N = 20. The table over
+/// the C(24, 4) = 10,626 reachable states takes about 0.7 MB; the
+/// mixed-radix cube it replaced took about 13 MB.
+const MAX_TABLE_BYTES: u64 = 1 << 20;
+
+/// Heap bytes one per-type `DenseQTable` allocates for `et`'s replay
+/// environment.
+fn table_bytes(trainer: &OfflineTrainer, et: ErrorType) -> u64 {
+    let env = trainer.replay_env(et).expect("type has processes");
+    let before = BYTES.load(Ordering::Relaxed);
+    let table = DenseQTable::new(env.num_states(), env.num_actions());
+    let bytes = BYTES.load(Ordering::Relaxed) - before;
+    drop(table);
+    bytes
+}
+
 /// Times `f` a few times and returns the best wall-clock in milliseconds.
 fn best_of_ms(reps: u32, mut f: impl FnMut()) -> f64 {
     (0..reps)
@@ -218,14 +242,20 @@ fn loop_allocs(trainer: &OfflineTrainer, et: ErrorType, sweeps: u64) -> u64 {
 
 fn main() {
     benches();
+    let synth = loop_workload();
+    let et = ErrorTypeRanking::from_processes(&synth).top_k(1)[0];
+    let trainer = OfflineTrainer::new(&synth, TrainerConfig::fast());
+    assert_eq!(trainer.config().max_attempts, 20, "the guard is for N = 20");
+    let table = table_bytes(&trainer, et);
+    assert!(
+        table <= MAX_TABLE_BYTES,
+        "a per-type table at N = 20 allocates {table} bytes, over {MAX_TABLE_BYTES}"
+    );
     // `cargo test` runs bench binaries without `--bench`; only the real
     // bench invocation measures and records the comparison file.
     if !std::env::args().any(|a| a == "--bench") {
         return;
     }
-    let synth = loop_workload();
-    let et = ErrorTypeRanking::from_processes(&synth).top_k(1)[0];
-    let trainer = OfflineTrainer::new(&synth, TrainerConfig::fast());
 
     // Throughput: best-of-three wall clock for the long run, sweeps per
     // second.
@@ -256,7 +286,7 @@ fn main() {
     let section = format!(
         "{{\"sweeps\":{LONG_SWEEPS},\"calibration_sweeps\":{SHORT_SWEEPS},\
          \"host_cores\":{host_cores},\"ms\":{ms:.3},\"episodes_per_s\":{per_s:.0},\
-         \"allocs_per_episode\":{allocs:.2}}}"
+         \"allocs_per_episode\":{allocs:.2},\"table_bytes\":{table}}}"
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
     match recovery_bench::write_bench_section(out, "episode_loop", &section) {

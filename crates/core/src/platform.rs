@@ -165,6 +165,19 @@ pub struct ReplayCache {
     detection_average: f64,
 }
 
+/// The per-type half of a [`ReplayCache`]: the type's average cost of
+/// each action by outcome and its average detection lead, the same for
+/// every process of the type. Look it up once with
+/// [`SimulationPlatform::type_costs`] and build each process's cache from
+/// it with [`SimulationPlatform::replay_cache_of`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TypeCosts {
+    error_type: ErrorType,
+    /// `average_cost(et, action, cured)` at `[action][cured as usize]`.
+    average: [[f64; 2]; RepairAction::COUNT],
+    detection_average: f64,
+}
+
 /// The log-replay simulation platform.
 ///
 /// ```
@@ -293,6 +306,21 @@ impl SimulationPlatform {
         }
     }
 
+    /// The average costs every [`ReplayCache`] of type `et` reads: each
+    /// action's average by outcome, and the average detection lead.
+    pub(crate) fn type_costs(&self, et: ErrorType) -> TypeCosts {
+        TypeCosts {
+            error_type: et,
+            average: RepairAction::ALL.map(|a| {
+                [
+                    self.average_cost(et, a, false),
+                    self.average_cost(et, a, true),
+                ]
+            }),
+            detection_average: self.average_detection_lead(et),
+        }
+    }
+
     /// Precomputes everything [`SimulationPlatform::attempt`] would
     /// re-derive per attempt against `truth`: the H1/H2 verdict and
     /// average fallback per action, the occurrence-indexed actual costs,
@@ -300,28 +328,39 @@ impl SimulationPlatform {
     /// attempts allocation-free with
     /// [`SimulationPlatform::attempt_cached`].
     pub fn replay_cache(&self, truth: &RecoveryProcess) -> ReplayCache {
-        let et = ErrorType::of(truth);
+        self.replay_cache_of(&self.type_costs(ErrorType::of(truth)), truth)
+    }
+
+    /// [`SimulationPlatform::replay_cache`] with the averages of
+    /// `truth`'s type already looked up, for callers that cache many
+    /// processes of one type.
+    pub(crate) fn replay_cache_of(
+        &self,
+        type_costs: &TypeCosts,
+        truth: &RecoveryProcess,
+    ) -> ReplayCache {
+        debug_assert_eq!(type_costs.error_type, ErrorType::of(truth));
         let required = truth.required_action();
         let mut cured = [false; RepairAction::COUNT];
         let mut average = [0.0; RepairAction::COUNT];
         for a in RepairAction::ALL {
             cured[a.index()] = a.at_least_as_strong_as(required);
-            average[a.index()] = self.average_cost(et, a, cured[a.index()]);
+            average[a.index()] = type_costs.average[a.index()][usize::from(cured[a.index()])];
         }
-        let costs = truth.action_costs();
         let mut offsets = [0u32; RepairAction::COUNT + 1];
-        let mut actual = Vec::with_capacity(costs.len());
+        let mut actual = Vec::with_capacity(truth.actions().len());
         for i in 0..RepairAction::COUNT {
             offsets[i] = actual.len() as u32;
             // A logged attempt matches replay only when its outcome equals
             // the replay verdict for the action (the `last == cured`
             // condition of `RecoveryProcess::nth_action_cost`); the
             // chronological order of `action_costs` is occurrence order.
-            for c in &costs {
-                if c.action.index() == i && c.cured == cured[i] {
-                    actual.push(c.cost.as_secs_f64());
-                }
-            }
+            actual.extend(
+                truth
+                    .action_costs()
+                    .filter(|c| c.action.index() == i && c.cured == cured[i])
+                    .map(|c| c.cost.as_secs_f64()),
+            );
         }
         offsets[RepairAction::COUNT] = actual.len() as u32;
         ReplayCache {
@@ -330,7 +369,7 @@ impl SimulationPlatform {
             offsets,
             actual,
             detection_actual: truth.detection_lead().as_secs_f64(),
-            detection_average: self.average_detection_lead(et),
+            detection_average: type_costs.detection_average,
         }
     }
 

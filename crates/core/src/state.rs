@@ -12,6 +12,7 @@
 //! without losing the Markov property.
 
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 use recovery_simlog::RepairAction;
 
@@ -184,25 +185,122 @@ impl fmt::Display for RecoveryState {
 /// flat-array Q-table every learner trains on (`recovery-mdp`'s
 /// `DenseQTable`).
 ///
-/// Within one error type a state is just its [`ActionMultiset`], and
-/// every per-action count is bounded by the episode step cap `N` (an
-/// episode of at most `N` steps adds at most `N` occurrences in total).
-/// The multiset therefore embeds injectively into a mixed-radix integer
-/// with radix `N + 1` per action:
+/// Within one error type a state is just its [`ActionMultiset`], and an
+/// episode of at most `N` steps reaches only multisets whose *total* is
+/// at most `N`. The codec indexes exactly those: a multiset with counts
+/// `c0..c3` (in action-index order) is the 4-combination
+/// `q_j = c0 + … + c(j-1) + (j - 1)` of `0..N + 4` (stars and bars), and
+/// its index is that combination's rank in the combinatorial number
+/// system:
 ///
 /// ```text
-/// index = Σ_a count(a) * (N + 1)^a.index()
+/// index = C(q1, 1) + C(q2, 2) + C(q3, 3) + C(q4, 4)
 /// ```
 ///
-/// The initial (empty) state is index 0, and trying one more action is a
-/// **constant stride add** — no re-encoding in the episode loop. The
-/// codec spans the full `(N + 1)^COUNT` cube (194 481 states at the
-/// paper's N = 20, ~13 MB of transient table per type), trading a few
-/// megabytes for branch-free O(1) transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The empty multiset is index 0, shallower multisets rank before deeper
+/// ones, and `num_states()` is `C(N + 4, 4)` — 10,626 states at the
+/// paper's N = 20, so a per-type `DenseQTable` is about 0.7 MB. The
+/// mixed-radix cube this replaced spanned every per-action count up to
+/// `N` (`21^4` = 194,481 states, ~13 MB per type): constant-stride
+/// transitions, but allocating and zero-filling the cube cost more than
+/// the episodes it served, and far more with two threads allocating at
+/// once.
+///
+/// Transitions, decodes and digit reads are table lookups: every codec
+/// of the same `N` shares one read-only layout (per-state digits and
+/// successor indexes, ~210 KB at N = 20), built on first use and kept
+/// for the life of the process.
+#[derive(Clone, Copy)]
 pub struct StateCodec {
-    radix: usize,
-    strides: [usize; RepairAction::COUNT],
+    layout: &'static Layout,
+}
+
+/// The shared, read-only tables behind every [`StateCodec`] of one cap.
+struct Layout {
+    max_attempts: usize,
+    /// Per-action counts of each index.
+    digits: Box<[[u8; RepairAction::COUNT]]>,
+    /// `successors[index][a]` is the index after one more `a`. At the
+    /// cap the successor lies past `num_states()`, where `encode` puts
+    /// over-cap multisets too.
+    successors: Box<[[u32; RepairAction::COUNT]]>,
+}
+
+/// Every layout built so far, one per attempt cap.
+static LAYOUTS: Mutex<Vec<&'static Layout>> = Mutex::new(Vec::new());
+
+/// `C(n, k)`; exact, since each partial product is `C(n, i + 1) * (i + 1)`.
+fn choose(n: usize, k: usize) -> usize {
+    if k > n {
+        return 0;
+    }
+    (0..k).fold(1, |acc, i| acc * (n - i) / (i + 1))
+}
+
+/// The combinatorial-number-system rank of per-action counts given in
+/// action-index order.
+fn rank(counts: [usize; RepairAction::COUNT]) -> usize {
+    let mut prefix = 0;
+    let mut rank = 0;
+    for (j, c) in counts.into_iter().enumerate() {
+        prefix += c;
+        rank += choose(prefix + j, j + 1);
+    }
+    rank
+}
+
+impl Layout {
+    /// The layout for cap `max_attempts`, built on first request.
+    fn shared(max_attempts: usize) -> &'static Layout {
+        // Only a completed layout is ever pushed, so a registry poisoned
+        // by a panic elsewhere is still consistent.
+        let mut layouts = LAYOUTS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(layout) = layouts.iter().find(|l| l.max_attempts == max_attempts) {
+            return layout;
+        }
+        let layout: &'static Layout = Box::leak(Box::new(Layout::build(max_attempts)));
+        layouts.push(layout);
+        layout
+    }
+
+    fn build(max_attempts: usize) -> Layout {
+        let num_states = choose(max_attempts + RepairAction::COUNT, RepairAction::COUNT);
+        let mut digits = vec![[0u8; RepairAction::COUNT]; num_states];
+        let mut successors = vec![[0u32; RepairAction::COUNT]; num_states];
+        // Visit every count vector with total ≤ cap: bump the first digit
+        // while the total allows, else carry the first non-zero digit.
+        let mut counts = [0usize; RepairAction::COUNT];
+        let mut total = 0;
+        loop {
+            let index = rank(counts);
+            digits[index] = counts.map(|c| c as u8);
+            for (a, slot) in successors[index].iter_mut().enumerate() {
+                let mut next = counts;
+                next[a] += 1;
+                *slot = u32::try_from(rank(next)).expect("ranks below C(260, 4) fit u32");
+            }
+            if total < max_attempts {
+                counts[0] += 1;
+                total += 1;
+                continue;
+            }
+            let first = counts
+                .iter()
+                .position(|&c| c > 0)
+                .expect("total is the cap");
+            if first + 1 == RepairAction::COUNT {
+                break;
+            }
+            total = total - counts[first] + 1;
+            counts[first] = 0;
+            counts[first + 1] += 1;
+        }
+        Layout {
+            max_attempts,
+            digits: digits.into_boxed_slice(),
+            successors: successors.into_boxed_slice(),
+        }
+    }
 }
 
 impl StateCodec {
@@ -210,89 +308,77 @@ impl StateCodec {
     ///
     /// # Panics
     ///
-    /// Panics if `max_attempts` is zero or the packed space would
-    /// overflow `usize`.
+    /// Panics if `max_attempts` is zero or above 255, the per-action
+    /// count range of an [`ActionMultiset`].
     pub fn new(max_attempts: usize) -> Self {
         assert!(max_attempts > 0, "need at least one attempt");
-        let radix = max_attempts
-            .checked_add(1)
-            .expect("attempt cap overflows the packed radix");
-        let mut strides = [0usize; RepairAction::COUNT];
-        let mut stride = 1usize;
-        for (i, slot) in strides.iter_mut().enumerate() {
-            *slot = stride;
-            if i + 1 < RepairAction::COUNT {
-                stride = stride
-                    .checked_mul(radix)
-                    .expect("attempt cap overflows the packed state space");
-            }
+        assert!(
+            max_attempts <= usize::from(u8::MAX),
+            "attempt cap exceeds the multiset's per-action count range"
+        );
+        StateCodec {
+            layout: Layout::shared(max_attempts),
         }
-        StateCodec { radix, strides }
     }
 
     /// Exclusive upper bound on packed indexes — the Q-table's state
-    /// dimension.
+    /// dimension, `C(max_attempts + 4, 4)`.
     pub fn num_states(&self) -> usize {
-        self.strides[RepairAction::COUNT - 1] * self.radix
+        self.layout.digits.len()
     }
 
     /// The index of the empty multiset (the initial state).
     pub const INITIAL: usize = 0;
 
-    /// Packs a tried-action multiset.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any per-action count exceeds the
-    /// attempt cap — such a state cannot arise within the episode cap.
+    /// Packs a tried-action multiset. The packing is injective over all
+    /// multisets; one over the attempt cap packs at or past
+    /// [`StateCodec::num_states`], so any table lookup of it panics.
     pub fn encode(&self, tried: &ActionMultiset) -> usize {
-        let mut index = 0usize;
-        for a in RepairAction::ALL {
-            let count = tried.count(a) as usize;
-            debug_assert!(count < self.radix, "count {count} exceeds the attempt cap");
-            index += count * self.strides[a.index()];
-        }
-        index
+        rank(tried.0.map(usize::from))
     }
 
     /// Unpacks an index back into its multiset.
     pub fn decode(&self, index: usize) -> ActionMultiset {
-        debug_assert!(index < self.num_states(), "index {index} out of range");
-        let mut tried = ActionMultiset::EMPTY;
-        for a in RepairAction::ALL {
-            let count = (index / self.strides[a.index()]) % self.radix;
-            for _ in 0..count {
-                tried = tried.with(a);
-            }
-        }
-        tried
+        ActionMultiset(self.layout.digits[index])
     }
 
     /// The index after one more (failed) occurrence of `action` — the
     /// O(1) hot-path transition mirroring [`RecoveryState::after`].
     #[inline]
     pub fn after(&self, index: usize, action: RepairAction) -> usize {
-        index + self.strides[action.index()]
+        self.layout.successors[index][action.index()] as usize
     }
 
     /// Per-action counts of a packed index, without materializing the
     /// multiset: `(counts, total)`.
     #[inline]
     pub fn counts(&self, index: usize) -> ([usize; RepairAction::COUNT], usize) {
-        let mut counts = [0usize; RepairAction::COUNT];
-        let mut total = 0usize;
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = (index / self.strides[i]) % self.radix;
-            total += *slot;
-        }
-        (counts, total)
+        let counts = self.layout.digits[index].map(usize::from);
+        (counts, counts.iter().sum())
     }
 
-    /// The count of one action's digit — a single divide instead of the
-    /// full [`StateCodec::counts`] decode, for the per-step hot path.
+    /// The count of one action in a packed index.
     #[inline]
     pub fn count_of(&self, index: usize, action: RepairAction) -> usize {
-        (index / self.strides[action.index()]) % self.radix
+        usize::from(self.layout.digits[index][action.index()])
+    }
+}
+
+/// Codecs are equal when they share a layout, i.e. the same cap.
+impl PartialEq for StateCodec {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.layout, other.layout)
+    }
+}
+
+impl Eq for StateCodec {}
+
+impl fmt::Debug for StateCodec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateCodec")
+            .field("max_attempts", &self.layout.max_attempts)
+            .field("num_states", &self.num_states())
+            .finish()
     }
 }
 
@@ -396,34 +482,42 @@ mod tests {
 
     #[test]
     fn codec_round_trips_and_is_injective_within_the_cap() {
-        let cap = 4usize;
-        let codec = StateCodec::new(cap);
-        assert_eq!(
-            codec.num_states(),
-            (cap + 1).pow(RepairAction::COUNT as u32)
-        );
-        let mut seen = std::collections::HashSet::new();
-        // Enumerate every multiset with all per-action counts ≤ cap.
-        for n0 in 0..=cap {
-            for n1 in 0..=cap {
-                for n2 in 0..=cap {
-                    for n3 in 0..=cap {
-                        let m = ActionMultiset::from_actions(
-                            std::iter::repeat_n(RepairAction::TryNop, n0)
-                                .chain(std::iter::repeat_n(RepairAction::Reboot, n1))
-                                .chain(std::iter::repeat_n(RepairAction::Reimage, n2))
-                                .chain(std::iter::repeat_n(RepairAction::Rma, n3)),
-                        );
-                        let idx = codec.encode(&m);
-                        assert!(idx < codec.num_states());
-                        assert!(seen.insert(idx), "collision at {m}");
-                        assert_eq!(codec.decode(idx), m, "round trip of {m}");
-                        let (counts, total) = codec.counts(idx);
-                        assert_eq!(counts, [n0, n1, n2, n3]);
-                        assert_eq!(total, m.total());
+        for cap in (1..=6).chain([20]) {
+            let codec = StateCodec::new(cap);
+            // C(cap + 4, 4): the multisets of four actions with total ≤ cap.
+            assert_eq!(
+                codec.num_states(),
+                (cap + 1) * (cap + 2) * (cap + 3) * (cap + 4) / 24,
+                "cap {cap}"
+            );
+            let mut seen = std::collections::HashSet::new();
+            for n0 in 0..=cap {
+                for n1 in 0..=cap - n0 {
+                    for n2 in 0..=cap - n0 - n1 {
+                        for n3 in 0..=cap - n0 - n1 - n2 {
+                            let counts = [n0, n1, n2, n3];
+                            let m = ActionMultiset::from_actions(
+                                RepairAction::ALL
+                                    .into_iter()
+                                    .flat_map(|a| std::iter::repeat_n(a, counts[a.index()])),
+                            );
+                            let idx = codec.encode(&m);
+                            assert!(idx < codec.num_states(), "{m} out of range at cap {cap}");
+                            assert!(seen.insert(idx), "collision at {m}, cap {cap}");
+                            assert_eq!(codec.decode(idx), m, "round trip of {m}");
+                            assert_eq!(codec.counts(idx), (counts, m.total()));
+                            for a in RepairAction::ALL {
+                                assert_eq!(codec.count_of(idx, a), counts[a.index()]);
+                                if m.total() < cap {
+                                    assert_eq!(codec.after(idx, a), codec.encode(&m.with(a)));
+                                }
+                            }
+                        }
                     }
                 }
             }
+            assert_eq!(seen.len(), codec.num_states(), "every index is a state");
+            assert_eq!(codec.encode(&ActionMultiset::EMPTY), StateCodec::INITIAL);
         }
     }
 

@@ -241,13 +241,6 @@ pub struct ReplayEnv<'a> {
     /// the env. `Cell` slots instead of a `RefCell` around the vector:
     /// the hot path reads one byte with no borrow-flag traffic.
     menus: Vec<std::cell::Cell<u8>>,
-    /// Tried-action counts of the in-flight episode's current state,
-    /// maintained incrementally across `reset`/`step` so the per-step
-    /// occurrence lookup is an array read instead of a packed-digit
-    /// divide. Training loops always step from the state the previous
-    /// `reset`/`step` returned (debug-asserted), so the running counts
-    /// and the packed index never disagree.
-    tried: [usize; RepairAction::COUNT],
 }
 
 impl ReplayEnv<'_> {
@@ -314,7 +307,6 @@ impl Environment for ReplayEnv<'_> {
     fn reset(&mut self) -> usize {
         // The paper's SelectProcess step: draw one recovery process.
         self.current = self.rng.gen_range(0..self.caches.len());
-        self.tried = [0; RepairAction::COUNT];
         StateCodec::INITIAL
     }
 
@@ -336,13 +328,7 @@ impl Environment for ReplayEnv<'_> {
 
     fn step(&mut self, state: usize, action: usize) -> Step {
         let action = RepairAction::ALL[action];
-        debug_assert_eq!(
-            self.tried[action.index()],
-            self.codec.count_of(state, action),
-            "step must follow the state the previous reset/step returned"
-        );
-        let occurrence = self.tried[action.index()];
-        self.tried[action.index()] += 1;
+        let occurrence = self.codec.count_of(state, action);
         let outcome = self
             .platform
             .attempt_cached(&self.caches[self.current], action, occurrence);
@@ -474,9 +460,10 @@ impl<'a> OfflineTrainer<'a> {
     /// the type alone.
     pub fn replay_env(&self, et: ErrorType) -> Option<ReplayEnv<'_>> {
         let processes = self.by_type.get(&et)?;
+        let type_costs = self.platform.type_costs(et);
         let caches = processes
             .iter()
-            .map(|p| self.platform.replay_cache(p))
+            .map(|p| self.platform.replay_cache_of(&type_costs, p))
             .collect();
         let codec = StateCodec::new(self.config.max_attempts);
         Some(ReplayEnv {
@@ -489,7 +476,6 @@ impl<'a> OfflineTrainer<'a> {
             rng: StdRng::seed_from_u64(self.type_seed(et, 0x000_5EEDE)),
             current: 0,
             menus: vec![std::cell::Cell::new(0u8); codec.num_states()],
-            tried: [0; RepairAction::COUNT],
         })
     }
 

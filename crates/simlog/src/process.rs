@@ -171,30 +171,28 @@ impl RecoveryProcess {
     }
 
     /// Reconstructs the per-attempt cost of every action from the log
-    /// timestamps: each attempt is charged the span to the next attempt,
-    /// and the final attempt is charged the span to `Success`.
-    pub fn action_costs(&self) -> Vec<ActionCost> {
+    /// timestamps, in attempt order and without allocating: each attempt
+    /// is charged the span to the next attempt, and the final attempt is
+    /// charged the span to `Success`.
+    pub fn action_costs(&self) -> impl ExactSizeIterator<Item = ActionCost> + '_ {
         let n = self.actions.len();
-        (0..n)
-            .map(|i| {
-                let end = if i + 1 < n {
-                    self.actions[i + 1].time
-                } else {
-                    self.success_time
-                };
-                ActionCost {
-                    action: self.actions[i].action,
-                    cost: end.duration_since(self.actions[i].time),
-                    cured: i + 1 == n,
-                }
-            })
-            .collect()
+        (0..n).map(move |i| {
+            let end = if i + 1 < n {
+                self.actions[i + 1].time
+            } else {
+                self.success_time
+            };
+            ActionCost {
+                action: self.actions[i].action,
+                cost: end.duration_since(self.actions[i].time),
+                cured: i + 1 == n,
+            }
+        })
     }
 
     /// The cost of the `occurrence`-th attempt (0-based) of `action` with
-    /// the given outcome, scanning the process without allocating — the
-    /// hot-path form of [`RecoveryProcess::action_costs`] used by replay,
-    /// which calls it once per simulated attempt.
+    /// the given outcome, as [`RecoveryProcess::action_costs`] reports
+    /// it — used by uncached replay once per simulated attempt.
     pub fn nth_action_cost(
         &self,
         action: RepairAction,
@@ -278,7 +276,7 @@ mod tests {
     #[test]
     fn table1_action_costs() {
         let p = table1();
-        let costs = p.action_costs();
+        let costs: Vec<_> = p.action_costs().collect();
         assert_eq!(costs.len(), 2);
         // TRYNOP runs 3:23:26 → 3:42:10 = 1124 s, fails.
         assert_eq!(costs[0].action, RepairAction::TryNop);
@@ -324,8 +322,9 @@ mod tests {
     #[test]
     fn nth_action_cost_matches_the_allocating_form() {
         let p = table1();
-        for (i, ac) in p.action_costs().iter().enumerate() {
-            let occurrence = p.action_costs()[..i]
+        let costs: Vec<_> = p.action_costs().collect();
+        for (i, ac) in costs.iter().enumerate() {
+            let occurrence = costs[..i]
                 .iter()
                 .filter(|x| x.action == ac.action && x.cured == ac.cured)
                 .count();
@@ -352,7 +351,7 @@ mod tests {
         assert_eq!(p.final_action(), None);
         assert_eq!(p.required_action(), RepairAction::TryNop);
         assert_eq!(p.correct_actions(), vec![RepairAction::TryNop]);
-        assert!(p.action_costs().is_empty());
+        assert_eq!(p.action_costs().len(), 0);
         assert_eq!(p.detection_lead(), SimDuration::from_secs(120));
     }
 
