@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use recovery_telemetry::{Event, EventBus, JsonlSink, MetricsServer, Telemetry};
+use recovery_telemetry::{Event, EventBus, HttpServer, JsonlSink, Telemetry};
 
 use crate::args::Args;
 
@@ -25,7 +25,7 @@ pub struct Session {
     /// `--metrics-listen` was given.
     pub telemetry: Telemetry,
     /// The live exposition server, when `--metrics-listen` was given.
-    server: Option<MetricsServer>,
+    server: Option<HttpServer>,
     /// How long [`Session::finish`] keeps the server up after the
     /// command completes (`--serve-linger SECS`), so scrapers can fetch
     /// the final state of short-lived runs.
@@ -62,7 +62,7 @@ impl Session {
         };
         let server = match listen {
             Some(addr) => Some(
-                MetricsServer::bind(addr, telemetry.clone())
+                HttpServer::bind(addr, telemetry.clone())
                     .map_err(|e| format!("--metrics-listen {addr}: {e}"))?,
             ),
             None => None,
@@ -93,7 +93,7 @@ impl Session {
 
     /// The bound address of the live exposition server, if one is up.
     pub fn serve_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(MetricsServer::local_addr)
+        self.server.as_ref().map(HttpServer::local_addr)
     }
 
     /// Logs a progress line (always shown) on stderr.

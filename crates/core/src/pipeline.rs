@@ -30,17 +30,14 @@
 //! `loop.fallback.<reason>` counters. Fault tests script failures into
 //! the loop with [`ContinuousLoopConfig::faults`].
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 use recovery_simlog::{
     stats, ClusterConfig, ClusterSim, FaultCatalog, RecoveryLog, RecoveryProcess, SimDuration,
     UserDefinedPolicy,
 };
-use recovery_telemetry::{Event, ObserverHandle, Telemetry, TrainingObserver, DURATION_MS_BOUNDS};
+use recovery_telemetry::{Event, ObserverHandle, Telemetry, DURATION_MS_BOUNDS};
 
 use crate::error_type::NoiseFilter;
 use crate::fault::LoopFaultPlan;
@@ -249,53 +246,21 @@ pub fn run_continuous_loop(
     catalog: &FaultCatalog,
     config: &ContinuousLoopConfig,
 ) -> Vec<WindowOutcome> {
-    run_continuous_loop_full(catalog, config, &Telemetry::disabled()).outcomes
-}
-
-/// [`run_continuous_loop`] with telemetry: each window's simulation and
-/// retraining phases are recorded as spans, a `window` event is emitted
-/// per completed window, and retraining reports sweep-level hooks through
-/// `telemetry`'s observer. Purely observational — outcomes are identical
-/// to the unobserved run.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_observed(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-) -> Vec<WindowOutcome> {
-    run_continuous_loop_full(catalog, config, telemetry).outcomes
-}
-
-/// [`run_continuous_loop_observed`] returning the final trained policy
-/// alongside the window rows, and driving the live observability plane:
-/// the telemetry handle's [`HealthState`](recovery_telemetry::HealthState)
-/// tracks the loop phase and last window, every window lands in the
-/// `loop.window.ms` wall-time histogram, and the per-window `window`
-/// event carries the enriched summary (status, fallback reason, Q-delta
-/// tail of the retraining step, cumulative pool panic/retry and loop
-/// fallback counters).
-///
-/// All enriched `window` fields are wall-clock-free and thread-count
-/// invariant, preserving the byte-identity of event streams across
-/// `--threads` values (wall time goes only to the histogram).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_full(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-) -> LoopRun {
-    run_continuous_loop_published(catalog, config, telemetry, &mut |_| {})
+    run_continuous_loop_controlled(
+        catalog,
+        config,
+        &Telemetry::disabled(),
+        &mut |_| ObserverHandle::none(),
+        &mut |_| {},
+        &mut LoopControls::default(),
+    )
+    .expect("a loop without durability controls cannot fail")
+    .outcomes
 }
 
 /// Everything the loop knows about a window the moment it completes,
 /// handed to the publication callback of
-/// [`run_continuous_loop_published`]. Borrows stay inside the callback:
+/// [`run_continuous_loop_controlled`]. Borrows stay inside the callback:
 /// a serving plane is expected to copy what it needs into its own
 /// immutable snapshot.
 #[derive(Debug)]
@@ -316,62 +281,6 @@ pub struct WindowPublication<'a> {
     pub accumulated: &'a [RecoveryProcess],
 }
 
-/// [`run_continuous_loop_full`] with a per-window publication callback,
-/// the seam a policy-serving daemon hooks to hot-swap snapshots: the
-/// callback runs after each window's status, health record, and `window`
-/// event are final, and sees a freshly retrained policy only for
-/// `Trained` windows. The callback is purely additive — outcomes and
-/// events are byte-identical to the unpublished run.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_published(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-    publish: &mut dyn FnMut(WindowPublication<'_>),
-) -> LoopRun {
-    run_continuous_loop_instrumented(
-        catalog,
-        config,
-        telemetry,
-        &mut |_| ObserverHandle::none(),
-        publish,
-    )
-}
-
-/// [`run_continuous_loop_published`] with a per-window observer seam:
-/// before each window's retraining step, `window_observer` is called
-/// with the window index and the handle it returns rides along with the
-/// telemetry observer for that retraining only. This is how the CLI
-/// attaches a fresh per-window `DiagnosticsRecorder` (the diagnostics
-/// crate sits above this one, so the recorder cannot be constructed
-/// here) and streams its convergence traces live. The seam is purely
-/// additive: outcomes, events, and policies are byte-identical to the
-/// uninstrumented run.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_instrumented(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-    window_observer: &mut dyn FnMut(usize) -> ObserverHandle,
-    publish: &mut dyn FnMut(WindowPublication<'_>),
-) -> LoopRun {
-    run_continuous_loop_controlled(
-        catalog,
-        config,
-        telemetry,
-        window_observer,
-        publish,
-        &mut LoopControls::default(),
-    )
-    .expect("a loop without durability controls cannot fail")
-}
-
 /// External control inputs for [`run_continuous_loop_controlled`]: a
 /// cooperative stop flag (graceful shutdown checks it at every window
 /// boundary) and an optional durable state handle (journal + checkpoint
@@ -389,9 +298,31 @@ pub struct LoopControls<'a> {
     pub durable: Option<&'a mut crate::durable::DurableLoop>,
 }
 
-/// [`run_continuous_loop_instrumented`] under [`LoopControls`]: the
-/// durability-aware, stop-aware entry point behind
-/// `autorecover loop --state-dir`.
+/// [`run_continuous_loop`] with every seam attached: the entry point
+/// behind `autorecover loop` and `autorecover serve`. Each seam is
+/// purely additive — outcomes, events, and policies are byte-identical
+/// to the plain run.
+///
+/// - `telemetry`: each window's simulation and retraining phases are
+///   recorded as spans, retraining reports sweep-level hooks through the
+///   handle's observer, the [`HealthState`](recovery_telemetry::HealthState)
+///   tracks the loop phase and last window, every window lands in the
+///   `loop.window.ms` wall-time histogram, and a `window` event carries
+///   the enriched summary (status, fallback reason, Q-delta tail of the
+///   retraining step, cumulative pool panic/retry and loop fallback
+///   counters). The event's fields are wall-clock-free and thread-count
+///   invariant, so event streams are byte-identical across `--threads`
+///   values.
+/// - `window_observer` is called with the window index before each
+///   retraining step, and the handle it returns rides along with the
+///   telemetry observer for that retraining only. This is how the CLI
+///   attaches a fresh per-window `DiagnosticsRecorder` (the diagnostics
+///   crate sits above this one) and streams its convergence traces live.
+/// - `publish` runs after each window's status, health record, and
+///   `window` event are final, and sees a freshly retrained policy only
+///   for `Trained` windows: the seam a policy-serving daemon hooks to
+///   hot-swap snapshots.
+/// - `controls` carries the stop flag and the durable state handle.
 ///
 /// With a durable handle, the loop first resumes: journal records are
 /// replayed into the accumulated corpus (same split/sort sequence, same
@@ -659,9 +590,13 @@ pub fn run_continuous_loop_controlled(
 }
 
 /// One retraining step over everything accumulated so far, returning the
-/// trained policy plus its Q-delta tail. Failures — injected panics,
-/// filter blackouts, or genuinely nothing trainable — come back as a
-/// typed [`FallbackReason`] so the caller keeps the last good policy.
+/// trained policy plus its **Q-delta tail**: the largest final
+/// max-Q-delta any trained error type ended on — how unsettled the
+/// slowest-to-converge Q-table still was when its training stopped. The
+/// max over types is order-independent, so the tail is the same for any
+/// thread count. Failures — injected panics, filter blackouts, or
+/// genuinely nothing trainable — come back as a typed [`FallbackReason`]
+/// so the caller keeps the last good policy.
 fn retrain(
     config: &ContinuousLoopConfig,
     accumulated: &[RecoveryProcess],
@@ -669,13 +604,6 @@ fn retrain(
     telemetry: &Telemetry,
     extra_observer: &ObserverHandle,
 ) -> Result<(TrainedPolicy, f64), FallbackReason> {
-    // The tail observer rides along only when telemetry is on: the value
-    // feeds the `window` event, which is only emitted then.
-    let tail = if telemetry.is_enabled() {
-        Some(Arc::new(QDeltaTail::default()))
-    } else {
-        None
-    };
     let trained = catch_unwind(AssertUnwindSafe(|| {
         if config.faults.trips_retrain(window) {
             panic!("faultline: injected retrain panic after window {window}");
@@ -698,71 +626,18 @@ fn retrain(
         if types.is_empty() {
             return Err(FallbackReason::NoTrainableTypes);
         }
-        let observer = match &tail {
-            Some(tail) => telemetry
-                .observer_handle()
-                .fanout(&ObserverHandle::attached(
-                    tail.clone() as Arc<dyn TrainingObserver>
-                )),
-            None => telemetry.observer_handle(),
-        };
-        let observer = observer.fanout(extra_observer);
         let trainer = OfflineTrainer::new(&clean, config.trainer.clone())
             .with_threads(config.threads)
-            .with_observer(observer)
+            .with_observer(telemetry.observer_handle().fanout(extra_observer))
             .with_telemetry(telemetry.clone());
         let tree = SelectionTreeTrainer::new(&trainer, config.tree.clone());
-        let (policy, _) = tree.train(&types);
-        Ok(policy)
+        let (policy, stats) = tree.train(&types);
+        let tail = stats.iter().map(|s| s.final_q_delta).fold(0.0, f64::max);
+        Ok((policy, tail))
     }));
     match trained {
-        Ok(Ok(policy)) => {
-            let tail_value = tail.as_ref().map_or(0.0, |t| t.tail());
-            Ok((policy, tail_value))
-        }
-        Ok(Err(reason)) => Err(reason),
+        Ok(result) => result,
         Err(_) => Err(FallbackReason::TrainingPanicked),
-    }
-}
-
-/// Captures the retraining step's **Q-delta tail**: the largest final
-/// max-Q-delta any trained error type ended on — how unsettled the
-/// slowest-to-converge Q-table still was when its training stopped.
-///
-/// Per-type training runs on worker threads, so the "last `q_delta`
-/// before `training_finished`" pairing is tracked per thread; the fold
-/// is a max over types, which is order-independent and therefore
-/// deterministic for any thread count.
-#[derive(Debug, Default)]
-struct QDeltaTail {
-    last_by_thread: Mutex<HashMap<ThreadId, f64>>,
-    tail: Mutex<f64>,
-}
-
-impl QDeltaTail {
-    fn tail(&self) -> f64 {
-        self.tail.lock().map(|t| *t).unwrap_or(0.0)
-    }
-}
-
-impl TrainingObserver for QDeltaTail {
-    fn q_delta(&self, _sweep: u64, max_delta: f64) {
-        if let Ok(mut last) = self.last_by_thread.lock() {
-            last.insert(std::thread::current().id(), max_delta);
-        }
-    }
-
-    fn training_finished(&self, _error_type: &str, _sweeps: u64, _converged: bool) {
-        let last = self
-            .last_by_thread
-            .lock()
-            .ok()
-            .and_then(|m| m.get(&std::thread::current().id()).copied());
-        if let (Some(last), Ok(mut tail)) = (last, self.tail.lock()) {
-            if last > *tail {
-                *tail = last;
-            }
-        }
     }
 }
 

@@ -173,10 +173,12 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         let mut previous: Option<Candidates> = None;
         let mut stable = 0usize;
         let mut converged = false;
+        let mut final_q_delta = 0.0;
         while sweeps < self.config.max_sweeps {
             let result = driver.train_observed(&mut env, &mut rng, q, observer);
             q = result.q;
             sweeps += result.episodes;
+            final_q_delta = result.final_q_delta;
             let snapshot = self.candidate_snapshot(et, &q, &codec);
             if previous.as_ref() == Some(&snapshot) {
                 stable += 1;
@@ -234,6 +236,7 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
                 sample_count: processes.len(),
                 sweeps,
                 converged,
+                final_q_delta,
             },
         })
     }

@@ -206,6 +206,8 @@ pub struct TypeTrainingStats {
     pub sweeps: u64,
     /// Whether value convergence was reached before the sweep cap.
     pub converged: bool,
+    /// The largest Q-value change of the final sweep.
+    pub final_q_delta: f64,
 }
 
 /// The episodic replay environment for one error type: each episode picks
@@ -578,6 +580,7 @@ impl<'a> OfflineTrainer<'a> {
             sample_count,
             sweeps: result.episodes,
             converged: result.converged,
+            final_q_delta: result.final_q_delta,
         };
         (q, stats)
     }

@@ -440,6 +440,7 @@ mod tests {
             sample_count: 12,
             sweeps: 40,
             converged: true,
+            final_q_delta: 1.0 / 40.0,
         }];
 
         let recorder = DiagnosticsRecorder::new();

@@ -83,6 +83,7 @@ impl DoubleQLearning {
         let mut calm_streak = 0u64;
         let mut episodes = 0u64;
         let mut converged = false;
+        let mut final_q_delta = 0.0f64;
         let mut actions: Vec<usize> = Vec::new();
         let mut backup_actions: Vec<usize> = Vec::new();
         let mut costs: Vec<f64> = Vec::new();
@@ -164,6 +165,7 @@ impl DoubleQLearning {
                 max_delta = max_delta.max(learner.update(s, a, target));
             }
 
+            final_q_delta = max_delta;
             if max_delta < self.config.convergence_tol {
                 calm_streak += 1;
                 if calm_streak >= self.config.convergence_window {
@@ -195,6 +197,7 @@ impl DoubleQLearning {
             q,
             episodes,
             converged,
+            final_q_delta,
         }
     }
 }

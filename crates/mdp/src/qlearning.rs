@@ -108,6 +108,9 @@ pub struct TrainResult {
     /// count at convergence (the paper's Figure 13 metric) is then
     /// `episodes`.
     pub converged: bool,
+    /// The largest Q-value change of the final sweep (0 when no sweep
+    /// ran).
+    pub final_q_delta: f64,
 }
 
 /// Tabular Q-learning driver.
@@ -173,6 +176,7 @@ impl QLearning {
         let mut calm_streak = 0u64;
         let mut episodes = 0u64;
         let mut converged = false;
+        let mut final_q_delta = 0.0f64;
         let phase_boundary = if self.config.exploration_fraction > 0.0 {
             Some((self.config.max_episodes as f64 * self.config.exploration_fraction) as u64)
         } else {
@@ -271,6 +275,7 @@ impl QLearning {
 
             observer.q_delta(episodes, max_delta);
             observer.sweep_complete(episodes);
+            final_q_delta = max_delta;
 
             // --- Convergence window. ---
             if max_delta < self.config.convergence_tol {
@@ -291,6 +296,7 @@ impl QLearning {
             q,
             episodes,
             converged,
+            final_q_delta,
         }
     }
 }

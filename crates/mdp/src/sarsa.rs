@@ -63,6 +63,7 @@ impl Sarsa {
         let mut calm_streak = 0u64;
         let mut episodes = 0u64;
         let mut converged = false;
+        let mut final_q_delta = 0.0f64;
         let mut actions: Vec<usize> = Vec::new();
         let mut costs: Vec<f64> = Vec::new();
         let mut weights: Vec<f64> = Vec::new();
@@ -109,6 +110,7 @@ impl Sarsa {
                 }
             }
 
+            final_q_delta = max_delta;
             if max_delta < self.config.convergence_tol {
                 calm_streak += 1;
                 if calm_streak >= self.config.convergence_window {
@@ -124,6 +126,7 @@ impl Sarsa {
             q,
             episodes,
             converged,
+            final_q_delta,
         }
     }
 }

@@ -1,5 +1,7 @@
-//! The serving daemon: thread-per-connection HTTP over a
-//! [`PolicyStore`], with bounded concurrency and typed load shedding.
+//! The serving daemon: the policy routes over a [`PolicyStore`],
+//! mounted on the workspace's one HTTP server
+//! (`recovery_telemetry::serve::HttpServer`), which owns the listener,
+//! admission, the per-connection thread and the drain.
 //!
 //! Routing, on top of the shared plumbing in `recovery_telemetry::serve`:
 //!
@@ -23,17 +25,18 @@
 //! per-route `serve.route.<route>.ms` one.
 //!
 //! **Shedding contract**: each accepted connection either (a) is shed
-//! *before* any work with a typed `503 {"type":"shed"}` body when
-//! [`ServeConfig::max_inflight`] handlers are already running, (b) is
-//! rejected with a typed `503 {"type":"draining"}` body while the
+//! by the server *before* any work with a typed `503 {"type":"shed"}`
+//! body when [`ServeConfig::max_inflight`] handlers are already running,
+//! (b) is rejected with a typed `503 {"type":"draining"}` body while the
 //! daemon is draining for shutdown, or (c) gets exactly one response
 //! from its handler. All paths increment `serve.requests`; paths (a)
 //! and (b) increment `serve.shed`, path (c) increments `serve.served` —
 //! so `serve.requests == serve.served + serve.shed` holds once a client
 //! has read its response: the handler records a request before it
 //! closes the connection, so end-of-file arrives after the accounting.
-//! Unparsable connections (garbage bytes, oversized bodies) are dropped
-//! without counting: they never became requests.
+//! Unparsable connections (garbage bytes, oversized bodies, requests not
+//! complete within `REQUEST_TIMEOUT` of the accept) are dropped without
+//! counting: they never became requests.
 //!
 //! **Graceful shutdown**: [`ServeDaemon::drain`] quiesces the daemon —
 //! new connections get the typed draining 503, long-lived streams see
@@ -42,23 +45,18 @@
 //! `serve.drained`. Dropping the daemon still works (it hard-stops),
 //! but a drained shutdown never cuts a response mid-flight.
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use recovery_core::ActionMultiset;
 use recovery_diagnostics::Json;
 use recovery_simlog::RepairAction;
 use recovery_telemetry::flatjson::{self, Field};
-use recovery_telemetry::serve::{
-    read_request, respond_telemetry, write_response, write_response_with, ACCEPT_POLL,
-    REQUEST_TIMEOUT,
-};
-use recovery_telemetry::{Event, HttpRequest, Telemetry, DURATION_MS_BOUNDS};
+use recovery_telemetry::serve::{respond_telemetry, write_response_with, MAX_INFLIGHT};
+use recovery_telemetry::{Event, HttpRequest, HttpServer, Mount, Telemetry, DURATION_MS_BOUNDS};
 
 use crate::snapshot::PolicySnapshot;
 use crate::store::PolicyStore;
@@ -77,7 +75,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            max_inflight: 64,
+            max_inflight: MAX_INFLIGHT,
             handler_delay: Duration::ZERO,
         }
     }
@@ -104,12 +102,8 @@ impl ServeConfig {
 /// stream re-checks the shutdown flag a few times per second).
 #[derive(Debug)]
 pub struct ServeDaemon {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    quiesce: Arc<AtomicBool>,
-    inflight: Arc<AtomicUsize>,
+    server: HttpServer,
     telemetry: Telemetry,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl ServeDaemon {
@@ -126,82 +120,34 @@ impl ServeDaemon {
         telemetry: Telemetry,
         config: ServeConfig,
     ) -> io::Result<ServeDaemon> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let quiesce = Arc::new(AtomicBool::new(false));
-        let inflight = Arc::new(AtomicUsize::new(0));
-        let accept_stop = stop.clone();
-        let accept_quiesce = quiesce.clone();
-        let accept_inflight = inflight.clone();
-        let daemon_telemetry = telemetry.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("policy-serve".to_string())
-            .spawn(move || {
-                accept_loop(
-                    listener,
-                    store,
-                    telemetry,
-                    config,
-                    accept_stop,
-                    accept_quiesce,
-                    accept_inflight,
-                )
-            })?;
+        let routes = PolicyRoutes {
+            store,
+            telemetry: telemetry.clone(),
+            delay: config.handler_delay,
+            fallback_ids: AtomicU64::new(0),
+        };
         Ok(ServeDaemon {
-            addr: local,
-            stop,
-            quiesce,
-            inflight,
-            telemetry: daemon_telemetry,
-            accept_thread: Some(accept_thread),
+            server: HttpServer::bind_mount(addr, config.max_inflight, routes)?,
+            telemetry,
         })
     }
 
     /// The actually bound address (resolves port `0` requests).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Connection handlers currently running.
     pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
+        self.server.inflight()
     }
 
-    /// Signals the accept loop to stop taking new connections and every
-    /// long-lived stream to finish. In-flight handlers still complete on
-    /// their own; use [`ServeDaemon::drain`] to wait for them.
-    pub fn shutdown(&self) {
-        self.quiesce.store(true, Ordering::SeqCst);
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Gracefully drains the daemon: stop accepting work (new
-    /// connections get a typed `503 {"type":"draining"}`), let every
-    /// in-flight handler finish, then stop the accept loop. Returns
-    /// `true` when all handlers completed within `timeout`, `false` when
-    /// the deadline cut the wait short (the daemon is stopped either
-    /// way). Increments `serve.drained` exactly once per call.
+    /// [`HttpServer::drain`], counted in `serve.drained` exactly once per
+    /// call.
     pub fn drain(&self, timeout: Duration) -> bool {
-        self.quiesce.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + timeout;
-        while self.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let drained = self.inflight.load(Ordering::SeqCst) == 0;
-        self.stop.store(true, Ordering::SeqCst);
+        let drained = self.server.drain(timeout);
         counter_inc(&self.telemetry, "serve.drained");
         drained
-    }
-}
-
-impl Drop for ServeDaemon {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -211,165 +157,83 @@ fn counter_inc(telemetry: &Telemetry, name: &str) {
     }
 }
 
-/// Answers an accepted connection with a typed 503 off the accept
-/// thread: the socket still holds the client's unread request bytes, and
-/// closing over them raises a RST that can destroy the 503 in flight.
-/// Half-close and drain to EOF instead.
-fn reject_connection(stream: TcpStream, kind: &'static str, reason: &'static str) {
-    let _ = std::thread::Builder::new()
-        .name("policy-shed".to_string())
-        .spawn(move || {
-            let mut stream = stream;
-            stream.set_nodelay(true).ok();
-            let _ = write_response(
-                &mut stream,
-                "503 Service Unavailable",
-                "application/json",
-                &Json::obj()
-                    .field("type", kind)
-                    .field("reason", reason)
-                    .render(),
-            );
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            stream.set_read_timeout(Some(REQUEST_TIMEOUT)).ok();
-            let mut sink = [0u8; 1024];
-            while matches!(io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
-        });
-}
-
-fn accept_loop(
-    listener: TcpListener,
+/// The daemon's mount: the policy routes beside the telemetry views,
+/// each request with its span, id, ledger entry, latency and `access`
+/// event.
+struct PolicyRoutes {
     store: PolicyStore,
     telemetry: Telemetry,
-    config: ServeConfig,
-    stop: Arc<AtomicBool>,
-    quiesce: Arc<AtomicBool>,
-    inflight: Arc<AtomicUsize>,
-) {
-    // Fallback request-id counter for a telemetry-disabled daemon (with
-    // telemetry on, ids come from the trace ids, which are already
-    // unique per handle).
-    let fallback_ids = Arc::new(AtomicU64::new(0));
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // A draining daemon takes no new work: answer with the
-                // typed draining 503 so clients can tell shutdown from
-                // overload.
-                if quiesce.load(Ordering::SeqCst) {
-                    counter_inc(&telemetry, "serve.requests");
-                    counter_inc(&telemetry, "serve.shed");
-                    reject_connection(stream, "draining", "shutting down");
-                    continue;
-                }
-                // The shed decision is taken here, before any request
-                // work: claim a slot, and give it back immediately when
-                // the daemon is saturated.
-                if inflight.fetch_add(1, Ordering::SeqCst) >= config.max_inflight {
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    counter_inc(&telemetry, "serve.requests");
-                    counter_inc(&telemetry, "serve.shed");
-                    reject_connection(stream, "shed", "overloaded");
-                    continue;
-                }
-                let handler_store = store.clone();
-                let handler_telemetry = telemetry.clone();
-                let handler_stop = quiesce.clone();
-                let handler_inflight = inflight.clone();
-                let handler_ids = fallback_ids.clone();
-                let delay = config.handler_delay;
-                let spawned = std::thread::Builder::new()
-                    .name("policy-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(
-                            stream,
-                            &handler_store,
-                            &handler_telemetry,
-                            &handler_stop,
-                            delay,
-                            &handler_ids,
-                        );
-                        handler_inflight.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    // Spawn failure sheds too: the slot was claimed but
-                    // no handler will run or respond.
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    counter_inc(&telemetry, "serve.requests");
-                    counter_inc(&telemetry, "serve.shed");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
-        }
-    }
+    delay: Duration,
+    /// Request ids for a telemetry-disabled daemon (with telemetry on,
+    /// ids come from the trace ids, which are already unique per
+    /// handle).
+    fallback_ids: AtomicU64,
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    store: &PolicyStore,
-    telemetry: &Telemetry,
-    stop: &AtomicBool,
-    delay: Duration,
-    fallback_ids: &AtomicU64,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let request = match read_request(&mut reader)? {
-        Some(request) => request,
-        None => return Ok(()),
-    };
-    drop(reader);
-    counter_inc(telemetry, "serve.requests");
-    let started = Instant::now();
-    if !delay.is_zero() {
-        std::thread::sleep(delay);
+impl Mount for PolicyRoutes {
+    fn rejected(&self) {
+        counter_inc(&self.telemetry, "serve.requests");
+        counter_inc(&self.telemetry, "serve.shed");
     }
-    let label = route_label(&request);
-    // The request span roots this request's trace: the id it allocates
-    // IS the request id, so `X-Request-Id: req-<n>` and `GET
-    // /trace/req-<n>` (after the response) name the same tree.
-    let span = telemetry.span("request");
-    let rid = match span.trace_id() {
-        Some(trace) => format!("req-{trace}"),
-        None => format!("req-{}", fallback_ids.fetch_add(1, Ordering::Relaxed) + 1),
-    };
-    // `route` writes on a clone: this handle keeps the connection open
-    // until the accounting below is recorded.
-    let result = route(
-        &request,
-        stream.try_clone()?,
-        store,
-        telemetry,
-        stop,
-        label,
-        &rid,
-    );
-    drop(span);
-    counter_inc(telemetry, "serve.served");
-    let ms = started.elapsed().as_secs_f64() * 1e3;
-    if let Some(registry) = telemetry.registry() {
-        // The aggregate histogram stays (dashboard continuity); the
-        // per-route one splits it.
-        registry
-            .histogram("serve.request.ms", &DURATION_MS_BOUNDS)
-            .record(ms);
-        registry
-            .histogram(&format!("serve.route.{label}.ms"), &DURATION_MS_BOUNDS)
-            .record(ms);
+
+    fn respond(
+        &self,
+        request: &HttpRequest,
+        stream: TcpStream,
+        quiesce: &AtomicBool,
+    ) -> io::Result<()> {
+        let telemetry = &self.telemetry;
+        counter_inc(telemetry, "serve.requests");
+        let started = Instant::now();
+        if !self.delay.is_zero() {
+            std::thread::sleep(self.delay);
+        }
+        let label = route_label(request);
+        // The request span roots this request's trace: the id it
+        // allocates IS the request id, so `X-Request-Id: req-<n>` and
+        // `GET /trace/req-<n>` (after the response) name the same tree.
+        let span = telemetry.span("request");
+        let rid = match span.trace_id() {
+            Some(trace) => format!("req-{trace}"),
+            None => format!(
+                "req-{}",
+                self.fallback_ids.fetch_add(1, Ordering::Relaxed) + 1
+            ),
+        };
+        // `route` writes on a clone: this handle keeps the connection
+        // open until the accounting below is recorded.
+        let result = route(
+            request,
+            stream.try_clone()?,
+            &self.store,
+            telemetry,
+            quiesce,
+            label,
+            &rid,
+        );
+        drop(span);
+        counter_inc(telemetry, "serve.served");
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        if let Some(registry) = telemetry.registry() {
+            // The aggregate histogram stays (dashboard continuity); the
+            // per-route one splits it.
+            registry
+                .histogram("serve.request.ms", &DURATION_MS_BOUNDS)
+                .record(ms);
+            registry
+                .histogram(&format!("serve.route.{label}.ms"), &DURATION_MS_BOUNDS)
+                .record(ms);
+        }
+        telemetry.emit(
+            &Event::new("access")
+                .with("id", rid.as_str())
+                .with("method", request.method.as_str())
+                .with("path", request.path.as_str())
+                .with("route", label)
+                .with("ms", ms),
+        );
+        result
     }
-    telemetry.emit(
-        &Event::new("access")
-            .with("id", rid.as_str())
-            .with("method", request.method.as_str())
-            .with("path", request.path.as_str())
-            .with("route", label)
-            .with("ms", ms),
-    );
-    result
 }
 
 /// The stable label a request is accounted under: the per-route latency

@@ -1,9 +1,10 @@
 //! # recovery-serve
 //!
-//! The policy-serving plane of the autorecover workspace: a std-only,
-//! thread-per-connection HTTP daemon that exposes a trained recovery
-//! policy to many concurrent clients while the continuous loop keeps
-//! retraining it.
+//! The policy-serving plane of the autorecover workspace: the policy
+//! routes, mounted on the workspace's one std-only, thread-per-connection
+//! HTTP server (`recovery_telemetry::HttpServer`), expose a trained
+//! recovery policy to many concurrent clients while the continuous loop
+//! keeps retraining it.
 //!
 //! The moving parts, smallest first:
 //!
@@ -17,15 +18,16 @@
 //!   off-lock and swap it in with a monotonic version bump. A torn read
 //!   is structurally impossible.
 //! - [`ServeDaemon`] — the HTTP front end: `POST /advise`,
-//!   `POST /simulate`, `GET /policy`, `GET /policy/text`, plus the four
+//!   `POST /simulate`, `GET /policy`, `GET /policy/text`, plus the
 //!   shared telemetry routes (`/metrics`, `/snapshot`, `/healthz`,
-//!   `/events`). Concurrency is bounded by
-//!   [`ServeConfig::max_inflight`]; excess connections are shed with a
-//!   typed `503 {"type":"shed"}` before any work happens.
+//!   `/events`, ...). Concurrency is bounded by
+//!   [`ServeConfig::max_inflight`]; the server sheds excess connections
+//!   with a typed `503 {"type":"shed"}` before any work happens.
 //! - [`publish_snapshot`] — the reload seam: publishes a snapshot,
 //!   bumps the `serve.reload` counter, records the version in the
 //!   health record, and emits a `serve.reload` event. Wired to
-//!   [`recovery_core::pipeline::run_continuous_loop_published`], every
+//!   [`recovery_core::pipeline::run_continuous_loop_controlled`]'s
+//!   publication callback, every
 //!   `Trained` window hot-swaps a new snapshot while a `FellBack` window
 //!   leaves the last-good one serving.
 

@@ -16,10 +16,11 @@
 //!   `convergence_check`, `platform_replay`, ...) with no-op defaults;
 //! - [`Event`] / [`JsonlSink`]: structured JSONL export of events and
 //!   final metric snapshots;
-//! - [`EventBus`] + [`MetricsServer`]: the live observability plane —
+//! - [`EventBus`] + [`HttpServer`]: the live observability plane —
 //!   bounded drop-on-full fan-out of the same event lines, exposed over
 //!   HTTP as `/metrics` (Prometheus text), `/snapshot`, `/healthz`, and
-//!   `/events` (NDJSON).
+//!   `/events` (NDJSON). The same server carries the policy daemon's
+//!   routes as another [`Mount`].
 //!
 //! Everything is std-only. Attaching telemetry never consumes random
 //! numbers or alters control flow, so a seeded run produces
@@ -65,7 +66,7 @@ pub use metrics::{
 };
 pub use observer::{NoopObserver, ObserverHandle, TrainingObserver};
 pub use prometheus::{render_prometheus, render_prometheus_namespaced, NAMESPACE};
-pub use serve::{HttpRequest, MetricsServer};
+pub use serve::{HttpRequest, HttpServer, Mount};
 pub use trace::{TraceContext, TraceNode, TraceTree, TRACE_RING_CAPACITY};
 
 use std::sync::{Arc, Mutex};

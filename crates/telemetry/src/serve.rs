@@ -1,7 +1,11 @@
-//! The live exposition server: a minimal std-only blocking-TCP HTTP
-//! endpoint behind the CLI's global `--metrics-listen ADDR` flag.
+//! The one HTTP server of the workspace: a minimal std-only
+//! blocking-TCP [`HttpServer`] that owns the listener, the accept loop,
+//! admission, the per-connection thread and shutdown, and hands each
+//! parsed request to a [`Mount`] — the set of routes it serves.
 //!
-//! All routes are read-only views of one [`Telemetry`] handle:
+//! Two mounts exist. [`HttpServer::bind`] mounts the read-only telemetry
+//! views of one [`Telemetry`] handle, behind the CLI's global
+//! `--metrics-listen ADDR` flag:
 //!
 //! | route               | body                                                   |
 //! |---------------------|--------------------------------------------------------|
@@ -16,26 +20,36 @@
 //! | `/convergence`      | NDJSON stream of live `convergence` events only        |
 //! | `/convergence/sse`  | the same stream with Server-Sent-Events framing        |
 //!
+//! These requests get no request span, no request id and no `serve.*`
+//! counter, so scrapers never reach the loop's trace ring or counters.
+//! The `recovery-serve` policy daemon mounts its `/advise`, `/simulate`
+//! and `/policy` routes beside the same views ([`respond_telemetry`])
+//! through [`HttpServer::bind_mount`], and keeps its own request ids,
+//! ledger and latency histograms.
+//!
 //! The server is deliberately primitive — one accept thread polling a
 //! non-blocking listener, one short-lived thread per connection, HTTP/1.0
 //! semantics with `Connection: close` — because it must never compete
-//! with the pipeline it observes: every handler only *reads* snapshots
-//! or subscribes to the bounded [`EventBus`], whose backpressure rule
-//! (drop, never block) already guarantees a stuck scraper cannot perturb
-//! training. Byte-identity of trained policies with the server on or off
-//! is enforced by `tests/observe.rs`.
+//! with the pipeline it observes: every telemetry handler only *reads*
+//! snapshots or subscribes to the bounded [`EventBus`], whose
+//! backpressure rule (drop, never block) already guarantees a stuck
+//! scraper cannot perturb training. Byte-identity of trained policies
+//! with the server on or off is enforced by `tests/observe.rs`.
 //!
-//! The request/response plumbing ([`HttpRequest`], [`read_request`],
-//! [`write_response`], [`respond_telemetry`]) is shared with the
-//! `recovery-serve` policy daemon, which mounts the same four telemetry
-//! routes beside its own `/advise`, `/simulate`, and `/policy` handlers.
+//! **Admission**: an accepted connection is answered by the server
+//! itself with a typed `503 {"type":"shed"}` when the mount's in-flight
+//! bound of handlers is already running, or `503 {"type":"draining"}`
+//! once [`HttpServer::drain`] began; the mount hears of each through
+//! [`Mount::rejected`]. Every other connection gets a handler thread,
+//! which drops a request that is unparsable, over-sized, or not complete
+//! within [`REQUEST_TIMEOUT`] of the accept.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::event::snapshot_to_json;
 use crate::prometheus::render_prometheus;
@@ -45,8 +59,13 @@ use crate::Telemetry;
 /// listener (also bounds shutdown latency).
 pub const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// Read timeout for one incoming request head.
+/// How long a client has, from the accept, to deliver its whole request
+/// (head and body).
 pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The in-flight bound of the telemetry-only mount, and the policy
+/// daemon's default one.
+pub const MAX_INFLIGHT: usize = 64;
 
 /// How long an `/events` stream waits for the next bus line before
 /// re-checking the shutdown flag.
@@ -81,38 +100,88 @@ impl HttpRequest {
     }
 }
 
-/// A running exposition server bound to one local address.
+/// The routes one [`HttpServer`] serves.
+pub trait Mount: Send + Sync + 'static {
+    /// Answers one parsed request on `stream`; writing nothing drops the
+    /// connection. `quiesce` is raised when the server drains or shuts
+    /// down, and long-lived streams end on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the socket error that cut the response short.
+    fn respond(
+        &self,
+        request: &HttpRequest,
+        stream: TcpStream,
+        quiesce: &AtomicBool,
+    ) -> io::Result<()>;
+
+    /// Called once for each connection the server answered itself with
+    /// a typed `shed` or `draining` 503, or could not hand to a handler
+    /// thread. The default does nothing.
+    fn rejected(&self) {}
+}
+
+/// A running HTTP server bound to one local address.
 ///
 /// Dropping the server signals shutdown and joins the accept thread;
 /// in-flight connection handlers finish on their own (event streams
-/// re-check the shutdown flag a few times per second).
+/// re-check the quiesce flag a few times per second).
 #[derive(Debug)]
-pub struct MetricsServer {
+pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    gate: Arc<Gate>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
-impl MetricsServer {
+/// What a server shares with its accept and connection threads.
+#[derive(Debug, Default)]
+struct Gate {
+    /// Ends the accept loop.
+    stop: AtomicBool,
+    /// Refuses new work with the typed draining 503 and ends streams.
+    quiesce: AtomicBool,
+    /// Connection handlers currently running.
+    inflight: AtomicUsize,
+}
+
+impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:9187`, port `0` for an ephemeral
-    /// port) and starts serving views of `telemetry`.
+    /// port) and serves the telemetry views of `telemetry`, with at most
+    /// [`MAX_INFLIGHT`] handlers running.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the address cannot be
     /// bound.
-    pub fn bind(addr: &str, telemetry: Telemetry) -> io::Result<MetricsServer> {
+    pub fn bind(addr: &str, telemetry: Telemetry) -> io::Result<HttpServer> {
+        HttpServer::bind_mount(addr, MAX_INFLIGHT, TelemetryRoutes(telemetry))
+    }
+
+    /// Binds `addr` and serves `mount`, shedding connections that arrive
+    /// while `max_inflight` handlers are already running.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error when the address cannot be
+    /// bound.
+    pub fn bind_mount(
+        addr: &str,
+        max_inflight: usize,
+        mount: impl Mount,
+    ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = stop.clone();
+        let gate = Arc::new(Gate::default());
+        let accept_gate = gate.clone();
+        let mount: Arc<dyn Mount> = Arc::new(mount);
         let accept_thread = std::thread::Builder::new()
-            .name("metrics-serve".to_string())
-            .spawn(move || accept_loop(listener, telemetry, accept_stop))?;
-        Ok(MetricsServer {
+            .name("http-serve".to_string())
+            .spawn(move || accept_loop(listener, mount, max_inflight, accept_gate))?;
+        Ok(HttpServer {
             addr: local,
-            stop,
+            gate,
             accept_thread: Some(accept_thread),
         })
     }
@@ -122,13 +191,38 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Signals the accept loop to stop taking new connections.
+    /// Connection handlers currently running.
+    pub fn inflight(&self) -> usize {
+        self.gate.inflight.load(Ordering::SeqCst)
+    }
+
+    /// Signals the accept loop to stop taking new connections and every
+    /// long-lived stream to finish. In-flight handlers still complete on
+    /// their own; use [`HttpServer::drain`] to wait for them.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.gate.quiesce.store(true, Ordering::SeqCst);
+        self.gate.stop.store(true, Ordering::SeqCst);
+    }
+
+    /// Gracefully drains the server: stop accepting work (new
+    /// connections get a typed `503 {"type":"draining"}`), let every
+    /// in-flight handler finish, then stop the accept loop. Returns
+    /// `true` when all handlers completed within `timeout`, `false` when
+    /// the deadline cut the wait short (the server is stopped either
+    /// way).
+    pub fn drain(&self, timeout: Duration) -> bool {
+        self.gate.quiesce.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + timeout;
+        while self.inflight() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let drained = self.inflight() == 0;
+        self.gate.stop.store(true, Ordering::SeqCst);
+        drained
     }
 }
 
-impl Drop for MetricsServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown();
         if let Some(handle) = self.accept_thread.take() {
@@ -137,21 +231,10 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, telemetry: Telemetry, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
+fn accept_loop(listener: TcpListener, mount: Arc<dyn Mount>, max_inflight: usize, gate: Arc<Gate>) {
+    while !gate.stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                let telemetry = telemetry.clone();
-                let stop = stop.clone();
-                // Handlers are short-lived (snapshot renders) or
-                // self-terminating (event streams watch `stop`); they are
-                // deliberately detached.
-                let _ = std::thread::Builder::new()
-                    .name("metrics-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(stream, &telemetry, &stop);
-                    });
-            }
+            Ok((stream, _peer)) => admit(stream, &mount, max_inflight, &gate),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
             }
@@ -160,31 +243,131 @@ fn accept_loop(listener: TcpListener, telemetry: Telemetry, stop: Arc<AtomicBool
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    telemetry: &Telemetry,
-    stop: &AtomicBool,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let request = match read_request(&mut reader)? {
-        Some(request) => request,
-        None => return Ok(()),
-    };
-    // The metrics server is strictly read-only: non-GET is dropped.
-    if request.method != "GET" {
-        return Ok(());
+/// Admits one accepted connection to a handler thread, or answers it
+/// with a typed 503. The shed decision is taken here, before any request
+/// work: claim a slot, and give it back immediately when the server is
+/// saturated.
+fn admit(stream: TcpStream, mount: &Arc<dyn Mount>, max_inflight: usize, gate: &Arc<Gate>) {
+    let deadline = Instant::now() + REQUEST_TIMEOUT;
+    // A draining server takes no new work: the typed draining 503 lets
+    // clients tell shutdown from overload.
+    if gate.quiesce.load(Ordering::SeqCst) {
+        mount.rejected();
+        reject(stream, deadline, "draining", "shutting down");
+        return;
     }
-    let mut stream = stream;
-    match respond_telemetry(&request, stream.try_clone()?, telemetry, stop, None) {
-        Some(result) => result,
-        None => write_response(
-            &mut stream,
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found: /metrics /snapshot /healthz /events /traces /trace/<id> /convergence\n",
-        ),
+    if gate.inflight.fetch_add(1, Ordering::SeqCst) >= max_inflight {
+        gate.inflight.fetch_sub(1, Ordering::SeqCst);
+        mount.rejected();
+        reject(stream, deadline, "shed", "overloaded");
+        return;
+    }
+    let handler_mount = mount.clone();
+    let handler_gate = gate.clone();
+    // Handlers are short-lived (one response) or self-terminating
+    // (streams watch `quiesce`); they are deliberately detached.
+    let spawned = std::thread::Builder::new()
+        .name("http-conn".to_string())
+        .spawn(move || {
+            let _ = serve_connection(stream, deadline, &*handler_mount, &handler_gate.quiesce);
+            handler_gate.inflight.fetch_sub(1, Ordering::SeqCst);
+        });
+    if spawned.is_err() {
+        // The slot was claimed but no handler will run or respond.
+        gate.inflight.fetch_sub(1, Ordering::SeqCst);
+        mount.rejected();
+    }
+}
+
+/// Reads one request under the whole-request `deadline` and hands it to
+/// `mount`; an unparsable, over-sized or late request is dropped without
+/// a response.
+fn serve_connection(
+    stream: TcpStream,
+    deadline: Instant,
+    mount: &dyn Mount,
+    quiesce: &AtomicBool,
+) -> io::Result<()> {
+    stream.set_nodelay(true).ok();
+    let request = read_request(&mut BufReader::new(Deadline {
+        stream: &stream,
+        at: deadline,
+    }))?;
+    match request {
+        Some(request) => mount.respond(&request, stream, quiesce),
+        None => Ok(()),
+    }
+}
+
+/// Answers an accepted connection with a typed 503 off the accept
+/// thread: the socket still holds the client's unread request bytes, and
+/// closing over them raises a RST that can destroy the 503 in flight.
+/// Half-close and drain to EOF (or the `deadline`) instead.
+fn reject(stream: TcpStream, deadline: Instant, kind: &'static str, reason: &'static str) {
+    let _ = std::thread::Builder::new()
+        .name("http-reject".to_string())
+        .spawn(move || {
+            let mut stream = stream;
+            stream.set_nodelay(true).ok();
+            let _ = write_response(
+                &mut stream,
+                "503 Service Unavailable",
+                "application/json",
+                &format!("{{\"type\":\"{kind}\",\"reason\":\"{reason}\"}}"),
+            );
+            let _ = stream.shutdown(Shutdown::Write);
+            let mut unread = Deadline {
+                stream: &stream,
+                at: deadline,
+            };
+            let mut sink = [0u8; 1024];
+            while matches!(unread.read(&mut sink), Ok(n) if n > 0) {}
+        });
+}
+
+/// A socket read that fails with `TimedOut` once `at` has passed: each
+/// read waits at most for what is left until then, so a client trickling
+/// bytes cannot hold a handler past the deadline.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// The telemetry-only mount behind `--metrics-listen`: strictly
+/// read-only GET views, and no request identity or `serve.*` ledger.
+struct TelemetryRoutes(Telemetry);
+
+impl Mount for TelemetryRoutes {
+    fn respond(
+        &self,
+        request: &HttpRequest,
+        mut stream: TcpStream,
+        quiesce: &AtomicBool,
+    ) -> io::Result<()> {
+        if request.method != "GET" {
+            return Ok(());
+        }
+        match respond_telemetry(request, stream.try_clone()?, &self.0, quiesce, None) {
+            Some(result) => result,
+            None => write_response(
+                &mut stream,
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "not found: /metrics /snapshot /healthz /events /traces /trace/<id> /convergence\n",
+            ),
+        }
     }
 }
 
@@ -561,7 +744,7 @@ mod tests {
     #[test]
     fn metrics_endpoint_serves_prometheus_text() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry).expect("bind");
         let (head, body) = http_get(server.local_addr(), "/metrics");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("text/plain; version=0.0.4"), "{head}");
@@ -580,7 +763,7 @@ mod tests {
             .health()
             .unwrap()
             .record_window(1, "trained", None);
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry).expect("bind");
         let (head, body) = http_get(server.local_addr(), "/snapshot");
         assert!(head.contains("application/json"), "{head}");
         assert!(body.starts_with("{\"type\":\"snapshot\""), "{body}");
@@ -592,7 +775,7 @@ mod tests {
 
     #[test]
     fn unknown_routes_get_404_and_post_is_dropped() {
-        let server = MetricsServer::bind("127.0.0.1:0", test_telemetry()).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", test_telemetry()).expect("bind");
         let (head, _) = http_get(server.local_addr(), "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -658,7 +841,7 @@ mod tests {
     #[test]
     fn events_stream_delivers_published_lines_until_close() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         let reader = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -711,7 +894,7 @@ mod tests {
             let _child = telemetry.span("advise");
         }
         let trace = telemetry.last_trace().expect("finished").trace;
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry).expect("bind");
         let addr = server.local_addr();
         let (head, body) = http_get(addr, &format!("/trace/{trace}"));
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -748,7 +931,7 @@ mod tests {
     #[test]
     fn convergence_stream_filters_to_convergence_events_only() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         let reader = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -787,7 +970,7 @@ mod tests {
     #[test]
     fn sse_stream_frames_convergence_lines_as_events() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         let reader = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -839,9 +1022,85 @@ mod tests {
     fn events_without_a_bus_get_503() {
         let telemetry =
             Telemetry::with_parts(Some(JsonlSink::from_writer(Box::new(io::sink()))), None);
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry).expect("bind");
         let (head, body) = http_get(server.local_addr(), "/events");
         assert!(head.starts_with("HTTP/1.1 503"), "{head}");
         assert!(body.contains("no event bus"), "{body}");
+    }
+
+    #[test]
+    fn a_trickled_request_is_cut_off_at_the_whole_request_deadline() {
+        let server = HttpServer::bind("127.0.0.1:0", test_telemetry()).expect("bind");
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let started = Instant::now();
+        let mut reader = stream.try_clone().unwrap();
+        // One byte of a never-ending header line every 100 ms: each read
+        // arrives well within REQUEST_TIMEOUT, the request never does.
+        let trickle = std::thread::spawn(move || {
+            let head = b"GET /metrics HTTP/1.1\r\nX-Slow: ";
+            for &byte in head.iter().chain(std::iter::repeat(&b'a')) {
+                if stream.write_all(&[byte]).is_err() || started.elapsed() > 3 * REQUEST_TIMEOUT {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let limit = REQUEST_TIMEOUT + Duration::from_secs(1);
+        reader.set_read_timeout(Some(limit)).unwrap();
+        let cut = reader.read(&mut [0u8; 64]);
+        let elapsed = started.elapsed();
+        // EOF or a reset, never a response and never our own timeout.
+        match &cut {
+            Ok(n) => assert_eq!(*n, 0, "the trickled request got a response"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "not cut off within {limit:?}: {e}"
+            ),
+        }
+        assert!(elapsed <= limit, "cut off after {elapsed:?}");
+        let settle = Instant::now() + Duration::from_secs(1);
+        while server.inflight() > 0 && Instant::now() < settle {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.inflight(), 0);
+        trickle.join().unwrap();
+    }
+
+    #[test]
+    fn drain_ends_open_streams_and_answers_later_connections_draining() {
+        let server = HttpServer::bind("127.0.0.1:0", test_telemetry()).expect("bind");
+        let addr = server.local_addr();
+        // An /events stream, open once its health hello arrived.
+        let mut events = BufReader::new(TcpStream::connect(addr).unwrap());
+        write!(events.get_mut(), "GET /events HTTP/1.1\r\n\r\n").unwrap();
+        let mut line = String::new();
+        while !line.starts_with("{\"type\":\"health\"") {
+            line.clear();
+            assert!(events.read_line(&mut line).unwrap() > 0, "stream closed");
+        }
+        // A request still arriving keeps the drain waiting, so the server
+        // is provably draining, not stopped, when the last client comes.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        slow.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+        while server.inflight() < 2 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::scope(|scope| {
+            let drain = scope.spawn(|| server.drain(Duration::from_secs(10)));
+            let mut rest = String::new();
+            events.read_to_string(&mut rest).expect("the stream ends");
+            let (head, body) = http_get(addr, "/metrics");
+            assert!(head.starts_with("HTTP/1.1 503"), "{head}");
+            assert_eq!(body, "{\"type\":\"draining\",\"reason\":\"shutting down\"}");
+            slow.write_all(b"\r\n").unwrap();
+            let mut response = String::new();
+            slow.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+            assert!(drain.join().unwrap(), "drain timed out");
+        });
+        assert_eq!(server.inflight(), 0);
     }
 }

@@ -28,15 +28,15 @@ use recovery_core::fault::{
 use recovery_core::ingest::{self, ParseErrorPolicy};
 use recovery_core::parallel::{PoolError, WorkerPool, DEFAULT_RETRY_BUDGET};
 use recovery_core::pipeline::{
-    run_continuous_loop, run_continuous_loop_observed, ContinuousLoopConfig, FallbackReason,
-    WindowStatus,
+    run_continuous_loop, run_continuous_loop_controlled, ContinuousLoopConfig, FallbackReason,
+    LoopControls, WindowStatus,
 };
 use recovery_core::trainer::TrainerConfig;
 use recovery_simlog::{
     CatalogConfig, ClusterConfig, GeneratorConfig, LogGenerator, ParseLogErrorKind,
     RecoveryProcess, SimDuration, SymptomCatalog,
 };
-use recovery_telemetry::Telemetry;
+use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -516,7 +516,14 @@ fn degraded_operation_is_observable_and_deterministic() {
             threads,
             ..small_loop_config(2, LoopFaultPlan::none().with_empty_window(0))
         };
-        let _ = run_continuous_loop_observed(&catalog, &config, &telemetry);
+        let _ = run_continuous_loop_controlled(
+            &catalog,
+            &config,
+            &telemetry,
+            &mut |_| ObserverHandle::none(),
+            &mut |_| {},
+            &mut LoopControls::default(),
+        );
 
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters["ingest.lines_skipped"], 2);

@@ -13,12 +13,12 @@ use std::time::Duration;
 use recovery_core::fault::LoopFaultPlan;
 use recovery_core::persist::policy_to_text;
 use recovery_core::pipeline::{
-    run_continuous_loop_full, run_continuous_loop_instrumented, ContinuousLoopConfig, LoopRun,
+    run_continuous_loop_controlled, ContinuousLoopConfig, LoopControls, LoopRun,
 };
 use recovery_core::trainer::TrainerConfig;
 use recovery_diagnostics::DiagnosticsRecorder;
 use recovery_simlog::{CatalogConfig, ClusterConfig, FaultCatalog, SimDuration};
-use recovery_telemetry::{Event, EventBus, MetricsServer, Telemetry};
+use recovery_telemetry::{Event, EventBus, HttpServer, ObserverHandle, Telemetry};
 
 fn small_cluster() -> ClusterConfig {
     ClusterConfig {
@@ -44,6 +44,23 @@ fn loop_config(windows: usize, threads: usize) -> ContinuousLoopConfig {
     }
 }
 
+/// The loop with telemetry and no other seam.
+fn run_loop(
+    catalog: &FaultCatalog,
+    config: &ContinuousLoopConfig,
+    telemetry: &Telemetry,
+) -> LoopRun {
+    run_continuous_loop_controlled(
+        catalog,
+        config,
+        telemetry,
+        &mut |_| ObserverHandle::none(),
+        &mut |_| {},
+        &mut LoopControls::default(),
+    )
+    .expect("an in-memory loop cannot fail")
+}
+
 /// Plain blocking HTTP GET, returning (head, body).
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to metrics server");
@@ -63,7 +80,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 #[test]
 fn live_observability_does_not_change_loop_outcomes_or_policy() {
     let catalog = small_catalog();
-    let baseline = run_continuous_loop_full(&catalog, &loop_config(3, 1), &Telemetry::disabled());
+    let baseline = run_loop(&catalog, &loop_config(3, 1), &Telemetry::disabled());
     let baseline_policy = baseline
         .policy
         .as_ref()
@@ -75,8 +92,8 @@ fn live_observability_does_not_change_loop_outcomes_or_policy() {
         let stalled = bus.subscribe_with_capacity(1);
         let healthy = bus.subscribe();
         let telemetry = Telemetry::with_parts(None, Some(bus.clone()));
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
-        let observed = run_continuous_loop_full(&catalog, &loop_config(3, threads), &telemetry);
+        let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let observed = run_loop(&catalog, &loop_config(3, threads), &telemetry);
         drop(server);
 
         assert_eq!(
@@ -131,7 +148,7 @@ fn enriched_window_events_are_byte_identical_across_thread_counts() {
         let bus = EventBus::default();
         let sub = bus.subscribe_with_capacity(4096);
         let telemetry = Telemetry::with_parts(None, Some(bus));
-        let _ = run_continuous_loop_full(&catalog, &loop_config(3, threads), &telemetry);
+        let _ = run_loop(&catalog, &loop_config(3, threads), &telemetry);
         sub.drain()
             .into_iter()
             .filter(|l| l.starts_with("{\"type\":\"window\""))
@@ -221,12 +238,12 @@ fn assert_valid_prometheus(body: &str) {
 fn exposition_endpoints_reflect_a_degraded_loop() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
     let config = ContinuousLoopConfig {
         faults: LoopFaultPlan::none().with_empty_window(2),
         ..loop_config(3, 2)
     };
-    let run = run_continuous_loop_full(&catalog, &config, &telemetry);
+    let run = run_loop(&catalog, &config, &telemetry);
     assert!(!run.outcomes[2].status.is_trained(), "window 2 fell back");
 
     let (head, body) = http_get(server.local_addr(), "/metrics");
@@ -272,7 +289,7 @@ fn exposition_endpoints_reflect_a_degraded_loop() {
 fn events_endpoint_streams_window_summaries_live() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
     let addr = server.local_addr();
 
     let reader = std::thread::spawn(move || {
@@ -291,7 +308,7 @@ fn events_endpoint_streams_window_summaries_live() {
     while !bus.has_subscribers() {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let run = run_continuous_loop_full(&catalog, &loop_config(3, 2), &telemetry);
+    let run = run_loop(&catalog, &loop_config(3, 2), &telemetry);
     telemetry.finish();
     bus.close();
 
@@ -324,7 +341,7 @@ fn events_endpoint_streams_window_summaries_live() {
 fn healthz_keeps_last_good_policy_version_through_degraded_windows() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
     let health = telemetry.health().expect("enabled");
 
     // Before anything was published the field is absent entirely.
@@ -336,7 +353,7 @@ fn healthz_keeps_last_good_policy_version_through_degraded_windows() {
         faults: LoopFaultPlan::none().with_empty_window(2),
         ..loop_config(3, 2)
     };
-    let run = run_continuous_loop_full(&catalog, &config, &telemetry);
+    let run = run_loop(&catalog, &config, &telemetry);
     assert!(!run.outcomes[2].status.is_trained(), "window 2 fell back");
 
     // The degraded loop reports its fallback and still names the
@@ -391,7 +408,7 @@ fn run_traced_loop(
     telemetry: &Telemetry,
 ) -> LoopRun {
     let slot: RefCell<Option<Arc<DiagnosticsRecorder>>> = RefCell::new(None);
-    run_continuous_loop_instrumented(
+    run_continuous_loop_controlled(
         catalog,
         config,
         telemetry,
@@ -406,7 +423,9 @@ fn run_traced_loop(
                 emit_convergence(telemetry, publication.window, &recorder);
             }
         },
+        &mut LoopControls::default(),
     )
+    .expect("an in-memory loop cannot fail")
 }
 
 /// The determinism contract of the trace layer itself: the skeletons of
@@ -419,7 +438,7 @@ fn trace_tree_skeletons_are_byte_identical_across_thread_counts() {
     let catalog = small_catalog();
     let skeletons_at = |threads: usize| {
         let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-        let _ = run_continuous_loop_full(&catalog, &loop_config(3, threads), &telemetry);
+        let _ = run_loop(&catalog, &loop_config(3, threads), &telemetry);
         telemetry
             .trace_trees()
             .iter()
@@ -465,7 +484,7 @@ fn trace_tree_skeletons_are_byte_identical_across_thread_counts() {
 #[test]
 fn traced_streamed_loop_trains_byte_identical_policies() {
     let catalog = small_catalog();
-    let baseline = run_continuous_loop_full(&catalog, &loop_config(3, 2), &Telemetry::disabled());
+    let baseline = run_loop(&catalog, &loop_config(3, 2), &Telemetry::disabled());
     let baseline_policy = baseline
         .policy
         .as_ref()
@@ -477,7 +496,7 @@ fn traced_streamed_loop_trains_byte_identical_policies() {
         let bus = EventBus::default();
         let sub = bus.subscribe_with_capacity(4096);
         let telemetry = Telemetry::with_parts(None, Some(bus.clone()));
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         // A live NDJSON subscriber on /convergence for the whole run.
         let streamer = std::thread::spawn(move || {
@@ -545,8 +564,8 @@ fn traced_streamed_loop_trains_byte_identical_policies() {
 fn trace_endpoints_expose_nested_span_trees_from_a_live_loop() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
-    let _ = run_continuous_loop_full(&catalog, &loop_config(2, 2), &telemetry);
+    let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let _ = run_loop(&catalog, &loop_config(2, 2), &telemetry);
 
     let (head, listing) = http_get(server.local_addr(), "/traces");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -596,7 +615,7 @@ fn trace_endpoints_expose_nested_span_trees_from_a_live_loop() {
 #[test]
 fn convergence_sse_frames_lines_as_data_events() {
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
     let addr = server.local_addr();
     let bus = telemetry.bus().unwrap().clone();
     let streamer = std::thread::spawn(move || {

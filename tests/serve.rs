@@ -23,14 +23,16 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use recovery_core::fault::LoopFaultPlan;
-use recovery_core::pipeline::{run_continuous_loop_published, ContinuousLoopConfig};
+use recovery_core::pipeline::{
+    run_continuous_loop_controlled, ContinuousLoopConfig, LoopControls, LoopRun, WindowPublication,
+};
 use recovery_core::trainer::TrainerConfig;
 use recovery_core::{ActionMultiset, ErrorType, RecoveryState, TrainedPolicy};
 use recovery_serve::{publish_snapshot, PolicySnapshot, PolicyStore, ServeConfig, ServeDaemon};
 use recovery_simlog::{
     CatalogConfig, ClusterConfig, FaultCatalog, RepairAction, SimDuration, SymptomCatalog,
 };
-use recovery_telemetry::{EventBus, Telemetry, DURATION_MS_BOUNDS};
+use recovery_telemetry::{EventBus, ObserverHandle, Telemetry, DURATION_MS_BOUNDS};
 
 fn small_cluster() -> ClusterConfig {
     ClusterConfig {
@@ -54,6 +56,24 @@ fn loop_config(windows: usize, threads: usize) -> ContinuousLoopConfig {
         seed: 0x0B5E,
         ..ContinuousLoopConfig::new(small_cluster())
     }
+}
+
+/// The loop with telemetry and a per-window publication callback.
+fn run_published(
+    catalog: &FaultCatalog,
+    config: &ContinuousLoopConfig,
+    telemetry: &Telemetry,
+    publish: &mut dyn FnMut(WindowPublication<'_>),
+) -> LoopRun {
+    run_continuous_loop_controlled(
+        catalog,
+        config,
+        telemetry,
+        &mut |_| ObserverHandle::none(),
+        publish,
+        &mut LoopControls::default(),
+    )
+    .expect("an in-memory loop cannot fail")
 }
 
 /// Plain blocking HTTP exchange, returning (head, body).
@@ -164,7 +184,7 @@ fn chaos_clients_survive_hot_reload_and_faulted_windows() {
         faults: LoopFaultPlan::none().with_retrain_panic(1),
         ..loop_config(4, 2)
     };
-    let run = run_continuous_loop_published(&catalog, &config, &telemetry, &mut |publication| {
+    let run = run_published(&catalog, &config, &telemetry, &mut |publication| {
         if let Some(policy) = publication.policy {
             let snapshot = PolicySnapshot::build(policy, catalog.symptoms(), "chaos", None);
             let arc = publish_snapshot(&store, &telemetry, snapshot);
@@ -262,7 +282,7 @@ fn published_snapshots_are_byte_identical_across_thread_counts() {
         let telemetry = Telemetry::disabled();
         type Captured = (usize, u64, String, String, Vec<Option<String>>);
         let mut captured: Vec<Captured> = Vec::new();
-        let _ = run_continuous_loop_published(
+        let _ = run_published(
             &catalog,
             &loop_config(3, threads),
             &telemetry,
@@ -319,7 +339,7 @@ fn degraded_windows_keep_last_good_policy_serving() {
         ..loop_config(4, 2)
     };
     let mut probed_during_fallback = false;
-    let run = run_continuous_loop_published(&catalog, &config, &telemetry, &mut |publication| {
+    let run = run_published(&catalog, &config, &telemetry, &mut |publication| {
         if let Some(policy) = publication.policy {
             let snapshot = PolicySnapshot::build(policy, catalog.symptoms(), "test", None);
             publish_snapshot(&store, &telemetry, snapshot);
