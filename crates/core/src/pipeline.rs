@@ -304,8 +304,8 @@ pub struct LoopControls<'a> {
 /// to the plain run.
 ///
 /// - `telemetry`: each window's simulation and retraining phases are
-///   recorded as spans, retraining reports sweep-level hooks through the
-///   handle's observer, the [`HealthState`](recovery_telemetry::HealthState)
+///   recorded as spans, retraining hands each type's training record to
+///   the handle's observer, the [`HealthState`](recovery_telemetry::HealthState)
 ///   tracks the loop phase and last window, every window lands in the
 ///   `loop.window.ms` wall-time histogram, and a `window` event carries
 ///   the enriched summary (status, fallback reason, Q-delta tail of the

@@ -50,6 +50,9 @@ pub struct AttemptOutcome {
     pub cured: bool,
     /// Charged time cost, in seconds.
     pub cost: f64,
+    /// Whether the cost is the logged occurrence's (a cost-cache hit)
+    /// rather than the per-type average.
+    pub from_log: bool,
 }
 
 /// Aggregate success/failure cost statistics for one `(type, action)`.
@@ -385,7 +388,7 @@ impl SimulationPlatform {
     ) -> AttemptOutcome {
         let i = action.index();
         let cured = cache.cured[i];
-        let (cost, actual) = match self.estimation {
+        let (cost, from_log) = match self.estimation {
             CostEstimation::PreferActual => {
                 let slot = cache.offsets[i] as usize + occurrence;
                 if slot < cache.offsets[i + 1] as usize {
@@ -396,8 +399,12 @@ impl SimulationPlatform {
             }
             CostEstimation::AverageOnly => (cache.average[i], false),
         };
-        self.observer.platform_replay(cured, cost, actual);
-        AttemptOutcome { cured, cost }
+        self.observer.platform_replay(cured, cost, from_log);
+        AttemptOutcome {
+            cured,
+            cost,
+            from_log,
+        }
     }
 
     /// The detection lead of a cached replay, by estimation mode — the
@@ -425,10 +432,10 @@ impl SimulationPlatform {
     ) -> AttemptOutcome {
         let cured = action.at_least_as_strong_as(truth.required_action());
         let et = ErrorType::of(truth);
-        // `actual` doubles as the replay-cost "cache hit" signal: the
+        // `from_log` doubles as the replay-cost "cache hit" signal: the
         // charged cost came straight from the logged occurrence rather
         // than the per-(type, action, outcome) average model.
-        let (cost, actual) = match self.estimation {
+        let (cost, from_log) = match self.estimation {
             CostEstimation::PreferActual => {
                 match truth.nth_action_cost(action, cured, occurrence) {
                     Some(c) => (c.as_secs_f64(), true),
@@ -437,8 +444,12 @@ impl SimulationPlatform {
             }
             CostEstimation::AverageOnly => (self.average_cost(et, action, cured), false),
         };
-        self.observer.platform_replay(cured, cost, actual);
-        AttemptOutcome { cured, cost }
+        self.observer.platform_replay(cured, cost, from_log);
+        AttemptOutcome {
+            cured,
+            cost,
+            from_log,
+        }
     }
 
     /// The detection lead charged for a replay of `truth`: the actual

@@ -23,7 +23,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recovery_mdp::{DenseQTable, QLearning, QLearningConfig, QTable, TemperatureSchedule};
 use recovery_simlog::RepairAction;
-use recovery_telemetry::TrainingObserver;
 
 use crate::error_type::ErrorType;
 use crate::exact::EmpiricalTypeModel;
@@ -137,12 +136,8 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         if processes.is_empty() {
             return None;
         }
-        // Sweep-level hooks are reported through the owning trainer's
-        // observer; the coarse chunks below feed it too.
-        let observer = self.trainer.observer();
-        if observer.is_attached() {
-            observer.training_started(&OfflineTrainer::type_label(et), processes.len());
-        }
+        // Every coarse chunk below continues the one record of the type.
+        let mut record = self.trainer.record(et);
 
         // The paper's N, shared with the replay env the coarse phase
         // trains on, so the DP horizon below can never disagree with it.
@@ -175,7 +170,7 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         let mut converged = false;
         let mut final_q_delta = 0.0;
         while sweeps < self.config.max_sweeps {
-            let result = driver.train_observed(&mut env, &mut rng, q, observer);
+            let result = driver.train_observed(&mut env, &mut rng, q, record.as_mut());
             q = result.q;
             sweeps += result.episodes;
             final_q_delta = result.final_q_delta;
@@ -226,9 +221,7 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
             state = state.after(action);
         }
 
-        if observer.is_attached() {
-            observer.training_finished(&OfflineTrainer::type_label(et), sweeps, converged);
-        }
+        self.trainer.flush(record, &env, sweeps, converged);
         Some(SelectionTreeOutcome {
             q: out,
             stats: TypeTrainingStats {

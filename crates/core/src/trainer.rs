@@ -18,7 +18,9 @@ use recovery_mdp::{
     TemperatureSchedule, TrainResult,
 };
 use recovery_simlog::{RecoveryProcess, RepairAction};
-use recovery_telemetry::{Event, ObserverHandle, Telemetry, TrainingObserver};
+use recovery_telemetry::{
+    Event, ObserverHandle, ReplayTally, Telemetry, TrainingObserver, TrainingRecord,
+};
 
 use crate::error_type::{ErrorType, ErrorTypeRanking};
 use crate::parallel::WorkerPool;
@@ -233,6 +235,8 @@ pub struct ReplayEnv<'a> {
     prune_dominated: bool,
     rng: StdRng,
     current: usize,
+    /// Every attempt replayed so far, for the type's training record.
+    replays: ReplayTally,
     /// Lazily memoized action menu per packed state, as a bitmask over
     /// action indices (`0` = not yet computed; an empty menu is
     /// unreachable, so the sentinel never aliases a real menu). A state's
@@ -331,9 +335,12 @@ impl Environment for ReplayEnv<'_> {
     fn step(&mut self, state: usize, action: usize) -> Step {
         let action = RepairAction::ALL[action];
         let occurrence = self.codec.count_of(state, action);
+        // The trainer's platform has no observer: training attempts are
+        // tallied here, for the type's record.
         let outcome = self
             .platform
             .attempt_cached(&self.caches[self.current], action, occurrence);
+        self.replays.attempt(outcome.cured, outcome.from_log);
         Step {
             cost: outcome.cost,
             next: (!outcome.cured).then(|| self.codec.after(state, action)),
@@ -421,19 +428,12 @@ impl<'a> OfflineTrainer<'a> {
         &self.telemetry
     }
 
-    /// Attaches a training observer. The observer receives sweep-level
-    /// hooks from every subsequent `train_*` call, and the trainer's
-    /// platform reports replay attempts to it too. Purely observational:
+    /// Attaches a training observer. Every subsequent `train_*` call
+    /// hands it one [`TrainingRecord`] per type. Purely observational:
     /// attaching an observer never changes the trained tables.
     pub fn with_observer(mut self, observer: ObserverHandle) -> Self {
-        self.platform = self.platform.with_observer(observer.clone());
         self.observer = observer;
         self
-    }
-
-    /// The attached observer handle (detached by default).
-    pub fn observer(&self) -> &ObserverHandle {
-        &self.observer
     }
 
     /// The trainer's configuration.
@@ -477,6 +477,7 @@ impl<'a> OfflineTrainer<'a> {
             prune_dominated: self.config.prune_dominated,
             rng: StdRng::seed_from_u64(self.type_seed(et, 0x000_5EEDE)),
             current: 0,
+            replays: ReplayTally::default(),
             menus: vec![std::cell::Cell::new(0u8); codec.num_states()],
         })
     }
@@ -512,18 +513,15 @@ impl<'a> OfflineTrainer<'a> {
         initial: QTable<RecoveryState, RepairAction>,
     ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
         let processes = self.by_type.get(&et)?;
-        if self.observer.is_attached() {
-            self.observer
-                .training_started(&Self::type_label(et), processes.len());
-        }
+        let mut record = self.record(et);
         let driver = QLearning::new(self.learning());
         let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x000_AC710));
         let mut env = self.replay_env(et).expect("type has processes");
         let codec = *env.codec();
         let mut table = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
         table.absorb_qtable(&initial, |s| codec.encode(&s.tried()), |a| a.index());
-        let result = driver.train_observed(&mut env, &mut rng, table, &self.observer);
-        Some(self.finish_type(&env, processes.len(), result))
+        let result = driver.train_observed(&mut env, &mut rng, table, record.as_mut());
+        Some(self.finish_type(&env, processes.len(), result, record))
     }
 
     /// Trains one error type with **double Q-learning** (two estimators,
@@ -536,15 +534,12 @@ impl<'a> OfflineTrainer<'a> {
         et: ErrorType,
     ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
         let processes = self.by_type.get(&et)?;
-        if self.observer.is_attached() {
-            self.observer
-                .training_started(&Self::type_label(et), processes.len());
-        }
+        let record = self.record(et);
         let driver = DoubleQLearning::new(self.learning());
         let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x00D_0B1E));
         let mut env = self.replay_env(et).expect("type has processes");
         let result = driver.train(&mut env, &mut rng);
-        Some(self.finish_type(&env, processes.len(), result))
+        Some(self.finish_type(&env, processes.len(), result, record))
     }
 
     /// The learner configuration, with the episode step cap set to the
@@ -556,22 +551,43 @@ impl<'a> OfflineTrainer<'a> {
         }
     }
 
+    /// The observer's fresh record for training `et` (`None` when no
+    /// observer is attached).
+    pub(crate) fn record(&self, et: ErrorType) -> Option<TrainingRecord> {
+        self.observer
+            .record(Self::type_label(et), self.processes_of(et).len())
+    }
+
+    /// Hands a type's finished `record` to the observer, with the
+    /// attempts `env` replayed and the trainer's totals. (The double
+    /// learner records no sweeps as it runs; the others counted the same
+    /// `sweeps`.)
+    pub(crate) fn flush(
+        &self,
+        record: Option<TrainingRecord>,
+        env: &ReplayEnv<'_>,
+        sweeps: u64,
+        converged: bool,
+    ) {
+        if let Some(mut record) = record {
+            record.sweeps = sweeps;
+            record.replays = env.replays;
+            record.converged = converged;
+            self.observer.training_finished(&record);
+        }
+    }
+
     /// Converts a finished per-type run to its artifact-form Q-table and
-    /// stats, reporting the finish to the observer.
+    /// stats, handing the type's record to the observer.
     fn finish_type(
         &self,
         env: &ReplayEnv<'_>,
         sample_count: usize,
         result: TrainResult,
+        record: Option<TrainingRecord>,
     ) -> (QTable<RecoveryState, RepairAction>, TypeTrainingStats) {
         let et = env.error_type();
-        if self.observer.is_attached() {
-            self.observer.training_finished(
-                &Self::type_label(et),
-                result.episodes,
-                result.converged,
-            );
-        }
+        self.flush(record, env, result.episodes, result.converged);
         let q = result
             .q
             .to_qtable(|i| env.state(i), |a| RepairAction::ALL[a]);
@@ -648,8 +664,8 @@ impl<'a> OfflineTrainer<'a> {
     }
 
     /// The observer-facing label of an error type, e.g. `type3`. This is
-    /// the key under which `training_started`/`training_finished` hooks
-    /// and the diagnostics traces identify a type.
+    /// the label of the type's [`TrainingRecord`], under which telemetry
+    /// events and the diagnostics traces identify a type.
     pub fn type_label(et: ErrorType) -> String {
         format!("type{}", et.symptom().index())
     }

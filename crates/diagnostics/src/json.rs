@@ -6,9 +6,11 @@
 //! nested objects and arrays with insertion-ordered fields. Rendering
 //! rules match the telemetry crate so the two outputs stay consistent:
 //! finite floats use Rust's shortest round-trip `{:?}` form, non-finite
-//! floats become `null`, and strings escape control characters.
+//! floats become `null`, and strings go through telemetry's own escaper.
 
 use std::fmt::Write as _;
+
+use recovery_telemetry::write_json_str;
 
 /// One JSON value: scalars, arrays, and insertion-ordered objects.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,24 +144,6 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     fn from(items: Vec<T>) -> Json {
         Json::Arr(items.into_iter().map(Into::into).collect())
     }
-}
-
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! answers *"what did this run learn, and can I trust it"* — after the
 //! fact, deterministically, from artifacts:
 //!
-//! - [`DiagnosticsRecorder`] is a [`TrainingObserver`] that turns the
-//!   per-sweep hook stream into one [`ConvergenceTrace`] per error type:
+//! - [`DiagnosticsRecorder`] is a [`TrainingObserver`] that turns each
+//!   error type's finished training record into one [`ConvergenceTrace`]:
 //!   a downsampled Q-delta curve, the temperature schedule, episode-cost
 //!   quantiles, and a converged-vs-capped verdict. Recording is pure —
 //!   attaching it never touches training RNG, so policies are

@@ -414,7 +414,7 @@ mod tests {
     use recovery_core::{RecoveryState, TypeEvaluation};
     use recovery_simlog::RepairAction;
 
-    use recovery_telemetry::TrainingObserver;
+    use recovery_telemetry::{SweepSample, TrainingObserver};
 
     fn fixture() -> (
         TrainerConfig,
@@ -445,13 +445,18 @@ mod tests {
 
         let recorder = DiagnosticsRecorder::new();
         let obs = recorder.handle();
-        obs.training_started("type0", 12);
+        let mut record = obs.record("type0".into(), 12).expect("attached");
         for sweep in 1..=40u64 {
-            obs.temperature_update(sweep, 300_000.0);
-            obs.episode_end(sweep, 2, 150.0);
-            obs.q_delta(sweep, 1.0 / sweep as f64);
+            record.episode(2, 150.0);
+            let sample = SweepSample {
+                sweep,
+                temperature: 300_000.0,
+                max_q_delta: 1.0 / sweep as f64,
+            };
+            record.sweep(sample, 0, false);
         }
-        obs.training_finished("type0", 40, true);
+        record.converged = true;
+        obs.training_finished(&record);
 
         let report = EvaluationReport {
             policy_name: "trained".to_string(),

@@ -1,81 +1,32 @@
-//! Per-error-type convergence traces recorded through the
-//! [`TrainingObserver`] seam.
+//! Per-error-type convergence traces, built from the
+//! [`TrainingRecord`] each trained type hands its observers.
 //!
-//! The recorder exploits two structural facts of the training pipeline:
-//! every error type trains entirely on one worker thread, and the
-//! `training_started`/`training_finished` hooks bracket all sweep-level
-//! hooks of that type *on that thread*. Keying in-progress traces by
-//! [`std::thread::ThreadId`] therefore attributes every interleaved hook
-//! to the right type without the hooks carrying any type identity — and
-//! because a type's hook stream is a pure function of the master seed,
-//! the finished traces are byte-identical for any `--threads` count.
-//! Finished traces are stored keyed by type label (a `BTreeMap`, so
-//! iteration order is deterministic too); consumers that need the
-//! paper's frequency-rank order pull labels in rank order, mirroring how
-//! Q-table fragments are merged.
+//! The worker training a type fills that type's record and hands it over
+//! once, at `training_finished`, so a trace never depends on which
+//! thread trained which type: because a type's record is a pure function
+//! of the master seed, the finished traces are byte-identical for any
+//! `--threads` count. Finished traces are stored keyed by type label (a
+//! `BTreeMap`, so iteration order is deterministic too); consumers that
+//! need the paper's frequency-rank order pull labels in rank order,
+//! mirroring how Q-table fragments are merged.
 //!
-//! Replay hooks that fire *outside* a training bracket (test-set
-//! evaluation through `evaluate[_parallel]`) are folded into global
-//! integer counters — exact sums, so they too are thread-count
+//! Replay hooks — test-set evaluation through `evaluate[_parallel]`;
+//! training attempts are tallied in the records — are folded into global
+//! integer counters: exact sums, so they too are thread-count
 //! independent. No wall-clock quantity is ever recorded: unlike
 //! telemetry events (which carry `at_ms`), everything here must be
 //! reproducible bit for bit.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
 
-use recovery_telemetry::{ObserverHandle, TrainingObserver};
+use recovery_telemetry::{ObserverHandle, TrainingObserver, TrainingRecord};
 
 use crate::json::Json;
 
 /// Default maximum number of kept points per downsampled curve.
 pub const DEFAULT_CURVE_POINTS: usize = 64;
-
-/// Deterministic stride-doubling downsampler: keeps every `stride`-th
-/// sample and doubles the stride whenever the kept set reaches twice the
-/// target, thinning to the even-indexed half. The kept set depends only
-/// on the input sequence — no randomness, no timestamps.
-#[derive(Debug, Clone)]
-struct Downsampler {
-    target: usize,
-    stride: u64,
-    seen: u64,
-    kept: Vec<(u64, f64)>,
-}
-
-impl Downsampler {
-    fn new(target: usize) -> Self {
-        Downsampler {
-            target: target.max(2),
-            stride: 1,
-            seen: 0,
-            kept: Vec::new(),
-        }
-    }
-
-    /// Records the next sample; `index` is its 1-based position label.
-    fn push(&mut self, index: u64, value: f64) {
-        if self.seen.is_multiple_of(self.stride) {
-            self.kept.push((index, value));
-            if self.kept.len() >= 2 * self.target {
-                let mut i = 0usize;
-                self.kept.retain(|_| {
-                    let keep = i.is_multiple_of(2);
-                    i += 1;
-                    keep
-                });
-                self.stride *= 2;
-            }
-        }
-        self.seen += 1;
-    }
-
-    fn into_curve(self) -> Vec<(u64, f64)> {
-        self.kept
-    }
-}
 
 /// Exact quantiles of the per-episode downtime costs of one type's
 /// training run.
@@ -214,69 +165,30 @@ impl ConvergenceTrace {
     }
 }
 
-/// An in-progress trace: accumulates between `training_started` and
-/// `training_finished` on one thread.
-#[derive(Debug)]
-struct TraceBuilder {
-    label: String,
-    processes: usize,
-    // Own monotone sweep counter: the selection-tree accelerator trains
-    // in restarted chunks whose hook-level sweep numbers reset, so the
-    // hooks' own sweep argument is not monotone across one type's run.
-    sweeps: u64,
-    final_q_delta: f64,
-    last_calm_sweeps: u64,
-    q_deltas: Downsampler,
-    temperatures: Downsampler,
-    episode_costs: Vec<f64>,
-    episode_steps: u64,
-    max_episode_steps: u64,
-    replay_attempts: u64,
-    replay_cured: u64,
-    replay_from_log: u64,
-}
-
-impl TraceBuilder {
-    fn new(label: String, processes: usize, curve_points: usize) -> Self {
-        TraceBuilder {
-            label,
-            processes,
-            sweeps: 0,
-            final_q_delta: 0.0,
-            last_calm_sweeps: 0,
-            q_deltas: Downsampler::new(curve_points),
-            temperatures: Downsampler::new(curve_points),
-            episode_costs: Vec::new(),
-            episode_steps: 0,
-            max_episode_steps: 0,
-            replay_attempts: 0,
-            replay_cured: 0,
-            replay_from_log: 0,
-        }
-    }
-
-    fn finish(self, converged: bool) -> ConvergenceTrace {
+impl ConvergenceTrace {
+    /// The trace of one finished training record.
+    pub fn from_record(record: &TrainingRecord) -> ConvergenceTrace {
+        let curves = record.curves.as_ref();
         ConvergenceTrace {
-            label: self.label,
-            processes: self.processes,
-            sweeps: self.sweeps,
-            converged,
-            final_q_delta: self.final_q_delta,
-            last_calm_sweeps: self.last_calm_sweeps,
-            q_delta_curve: self.q_deltas.into_curve(),
-            temperature_curve: self.temperatures.into_curve(),
-            episode_costs: CostQuantiles::from_costs(&self.episode_costs),
-            episode_steps: self.episode_steps,
-            max_episode_steps: self.max_episode_steps,
-            replay_attempts: self.replay_attempts,
-            replay_cured: self.replay_cured,
-            replay_from_log: self.replay_from_log,
+            label: record.label.clone(),
+            processes: record.processes,
+            sweeps: record.sweeps,
+            converged: record.converged,
+            final_q_delta: record.final_q_delta,
+            last_calm_sweeps: record.last_calm_sweeps,
+            q_delta_curve: curves.map_or(Vec::new(), |c| c.q_delta.points().to_vec()),
+            temperature_curve: curves.map_or(Vec::new(), |c| c.temperature.points().to_vec()),
+            episode_costs: CostQuantiles::from_costs(curves.map_or(&[], |c| &c.episode_costs)),
+            episode_steps: record.episode_steps,
+            max_episode_steps: record.max_episode_steps,
+            replay_attempts: record.replays.attempts,
+            replay_cured: record.replays.cured,
+            replay_from_log: record.replays.from_log,
         }
     }
 }
 
-/// Deterministic totals of replay activity seen outside training
-/// brackets (test-set evaluation).
+/// Deterministic totals of evaluation replay activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplaySummary {
     /// Simulated repair attempts.
@@ -303,8 +215,8 @@ impl ReplaySummary {
     }
 }
 
-/// A [`TrainingObserver`] that turns the hook stream into per-type
-/// [`ConvergenceTrace`]s plus global evaluation counters.
+/// A [`TrainingObserver`] that turns each finished [`TrainingRecord`]
+/// into a [`ConvergenceTrace`] and counts evaluation replays.
 ///
 /// Purely observational: it never touches the RNG and the pipeline's
 /// results are byte-identical with or without it attached (locked by
@@ -313,7 +225,6 @@ impl ReplaySummary {
 #[derive(Debug, Default)]
 pub struct DiagnosticsRecorder {
     curve_points: usize,
-    active: Mutex<HashMap<ThreadId, TraceBuilder>>,
     finished: Mutex<BTreeMap<String, Vec<ConvergenceTrace>>>,
     eval_attempts: AtomicU64,
     eval_cured: AtomicU64,
@@ -359,8 +270,7 @@ impl DiagnosticsRecorder {
         self.finished.lock().expect("trace store poisoned").clone()
     }
 
-    /// Totals of replay hooks observed outside any training bracket —
-    /// i.e. test-set evaluation activity.
+    /// Totals of the replay hooks, i.e. test-set evaluation activity.
     pub fn replay_summary(&self) -> ReplaySummary {
         ReplaySummary {
             attempts: self.eval_attempts.load(Ordering::Relaxed),
@@ -370,96 +280,31 @@ impl DiagnosticsRecorder {
             handled: self.replays_handled.load(Ordering::Relaxed),
         }
     }
-
-    fn with_active<R>(&self, f: impl FnOnce(&mut TraceBuilder) -> R) -> Option<R> {
-        let mut active = self.active.lock().expect("active traces poisoned");
-        active.get_mut(&std::thread::current().id()).map(f)
-    }
 }
 
 impl TrainingObserver for DiagnosticsRecorder {
-    fn training_started(&self, error_type: &str, processes: usize) {
-        let builder = TraceBuilder::new(error_type.to_string(), processes, self.curve_points);
-        self.active
+    fn training_started(&self, record: &mut TrainingRecord) {
+        record.keep_curves(self.curve_points);
+    }
+
+    fn training_finished(&self, record: &TrainingRecord) {
+        let trace = ConvergenceTrace::from_record(record);
+        self.finished
             .lock()
-            .expect("active traces poisoned")
-            .insert(std::thread::current().id(), builder);
-    }
-
-    fn temperature_update(&self, sweep: u64, temperature: f64) {
-        let _ = sweep;
-        self.with_active(|b| {
-            // temperature_update is the first hook of a sweep; advance
-            // the trace-local sweep counter here.
-            b.sweeps += 1;
-            let sweeps = b.sweeps;
-            b.temperatures.push(sweeps, temperature);
-        });
-    }
-
-    fn episode_end(&self, sweep: u64, steps: usize, cost: f64) {
-        let _ = sweep;
-        self.with_active(|b| {
-            b.episode_costs.push(cost);
-            b.episode_steps += steps as u64;
-            b.max_episode_steps = b.max_episode_steps.max(steps as u64);
-        });
-    }
-
-    fn q_delta(&self, sweep: u64, max_delta: f64) {
-        let _ = sweep;
-        self.with_active(|b| {
-            b.final_q_delta = max_delta;
-            let sweeps = b.sweeps;
-            b.q_deltas.push(sweeps, max_delta);
-        });
-    }
-
-    fn convergence_check(&self, sweep: u64, calm_sweeps: u64, converged: bool) {
-        let _ = (sweep, converged);
-        self.with_active(|b| b.last_calm_sweeps = calm_sweeps);
-    }
-
-    fn training_finished(&self, error_type: &str, sweeps: u64, converged: bool) {
-        let _ = sweeps;
-        let builder = self
-            .active
-            .lock()
-            .expect("active traces poisoned")
-            .remove(&std::thread::current().id());
-        if let Some(builder) = builder {
-            let trace = builder.finish(converged);
-            debug_assert_eq!(trace.label, error_type, "bracket mismatch");
-            self.finished
-                .lock()
-                .expect("trace store poisoned")
-                .entry(error_type.to_string())
-                .or_default()
-                .push(trace);
-        }
+            .expect("trace store poisoned")
+            .entry(trace.label.clone())
+            .or_default()
+            .push(trace);
     }
 
     fn platform_replay(&self, cured: bool, actual_cost: f64, from_log: bool) {
         let _ = actual_cost;
-        let attributed = self
-            .with_active(|b| {
-                b.replay_attempts += 1;
-                if cured {
-                    b.replay_cured += 1;
-                }
-                if from_log {
-                    b.replay_from_log += 1;
-                }
-            })
-            .is_some();
-        if !attributed {
-            self.eval_attempts.fetch_add(1, Ordering::Relaxed);
-            if cured {
-                self.eval_cured.fetch_add(1, Ordering::Relaxed);
-            }
-            if from_log {
-                self.eval_from_log.fetch_add(1, Ordering::Relaxed);
-            }
+        self.eval_attempts.fetch_add(1, Ordering::Relaxed);
+        if cured {
+            self.eval_cured.fetch_add(1, Ordering::Relaxed);
+        }
+        if from_log {
+            self.eval_from_log.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -475,6 +320,16 @@ impl TrainingObserver for DiagnosticsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recovery_telemetry::{Downsampler, SweepSample};
+
+    /// Starts a record for `label` the way a trainer does: announced
+    /// through the recorder's handle, which asks for curves.
+    fn start(recorder: &Arc<DiagnosticsRecorder>, label: &str, processes: usize) -> TrainingRecord {
+        recorder
+            .handle()
+            .record(label.to_string(), processes)
+            .expect("attached")
+    }
 
     #[test]
     fn downsampler_is_deterministic_and_bounded() {
@@ -482,7 +337,7 @@ mod tests {
         for i in 1..=1_000u64 {
             d.push(i, i as f64);
         }
-        let curve = d.into_curve();
+        let curve = d.points().to_vec();
         assert!(curve.len() < 16, "kept {} points", curve.len());
         // First sample always survives; indices stay strictly increasing.
         assert_eq!(curve[0], (1, 1.0));
@@ -492,7 +347,7 @@ mod tests {
         for i in 1..=1_000u64 {
             d2.push(i, i as f64);
         }
-        assert_eq!(d2.into_curve(), curve);
+        assert_eq!(d2.points(), curve.as_slice());
     }
 
     #[test]
@@ -512,17 +367,19 @@ mod tests {
     #[test]
     fn bracketed_hooks_build_a_trace() {
         let recorder = DiagnosticsRecorder::new();
-        let obs = recorder.handle();
-        obs.training_started("type3", 25);
+        let mut record = start(&recorder, "type3", 25);
         for sweep in 1..=5u64 {
-            obs.temperature_update(sweep, 300_000.0 / sweep as f64);
-            obs.episode_end(sweep, 3, 120.0 * sweep as f64);
-            obs.q_delta(sweep, 10.0 / sweep as f64);
-            obs.sweep_complete(sweep);
-            obs.convergence_check(sweep, sweep, false);
+            record.episode(3, 120.0 * sweep as f64);
+            let sample = SweepSample {
+                sweep,
+                temperature: 300_000.0 / sweep as f64,
+                max_q_delta: 10.0 / sweep as f64,
+            };
+            record.sweep(sample, sweep, false);
         }
-        obs.platform_replay(true, 60.0, true);
-        obs.training_finished("type3", 5, true);
+        record.replays.attempt(true, true);
+        record.converged = true;
+        recorder.handle().training_finished(&record);
 
         let trace = recorder.trace("type3").expect("trace recorded");
         assert_eq!(trace.processes, 25);
@@ -537,6 +394,8 @@ mod tests {
         assert_eq!(trace.replay_from_log, 1);
         assert_eq!(trace.q_delta_curve.len(), 5);
         assert_eq!(trace.temperature_curve[0], (1, 300_000.0));
+        // Training attempts live in the trace, not the evaluation totals.
+        assert_eq!(recorder.replay_summary(), ReplaySummary::default());
     }
 
     #[test]
@@ -557,19 +416,22 @@ mod tests {
 
     #[test]
     fn chunked_restarts_keep_one_monotone_sweep_axis() {
-        // The selection-tree accelerator calls the driver in chunks whose
-        // hook-level sweep numbers restart at 1; the trace counts on.
+        // The selection-tree accelerator calls the driver in chunks, each
+        // counting its own sweeps from 1; the one record of the type
+        // counts on across them.
         let recorder = DiagnosticsRecorder::new();
-        let obs = recorder.handle();
-        obs.training_started("type0", 4);
-        for chunk in 0..3 {
-            let _ = chunk;
+        let mut record = start(&recorder, "type0", 4);
+        for _chunk in 0..3 {
             for sweep in 1..=2u64 {
-                obs.temperature_update(sweep, 1e9);
-                obs.q_delta(sweep, 0.5);
+                let sample = SweepSample {
+                    sweep,
+                    temperature: 1e9,
+                    max_q_delta: 0.5,
+                };
+                record.sweep(sample, 0, false);
             }
         }
-        obs.training_finished("type0", 6, false);
+        recorder.handle().training_finished(&record);
         let trace = recorder.trace("type0").expect("trace recorded");
         assert_eq!(trace.sweeps, 6);
         assert_eq!(trace.verdict(), "capped");
@@ -579,19 +441,24 @@ mod tests {
 
     #[test]
     fn concurrent_types_attribute_to_their_own_thread() {
+        // Each worker owns its type's record, so concurrent types cannot
+        // mix their numbers whichever thread trains them.
         let recorder = DiagnosticsRecorder::new();
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let recorder = recorder.clone();
                 scope.spawn(move || {
-                    let obs = recorder.handle();
-                    let label = format!("type{t}");
-                    obs.training_started(&label, t as usize + 1);
+                    let mut record = start(&recorder, &format!("type{t}"), t as usize + 1);
                     for sweep in 1..=u64::from(t) + 1 {
-                        obs.temperature_update(sweep, 100.0);
-                        obs.q_delta(sweep, f64::from(t));
+                        let sample = SweepSample {
+                            sweep,
+                            temperature: 100.0,
+                            max_q_delta: f64::from(t),
+                        };
+                        record.sweep(sample, 0, false);
                     }
-                    obs.training_finished(&label, u64::from(t) + 1, true);
+                    record.converged = true;
+                    recorder.handle().training_finished(&record);
                 });
             }
         });
@@ -607,14 +474,17 @@ mod tests {
     #[test]
     fn double_training_of_one_label_keeps_both_traces_in_order() {
         let recorder = DiagnosticsRecorder::new();
-        let obs = recorder.handle();
-        for (run, sweeps) in [(0u64, 3u64), (1, 1)] {
-            let _ = run;
-            obs.training_started("type7", 9);
+        for sweeps in [3u64, 1] {
+            let mut record = start(&recorder, "type7", 9);
             for sweep in 1..=sweeps {
-                obs.temperature_update(sweep, 1.0);
+                let sample = SweepSample {
+                    sweep,
+                    temperature: 1.0,
+                    max_q_delta: 0.0,
+                };
+                record.sweep(sample, 0, false);
             }
-            obs.training_finished("type7", sweeps, false);
+            recorder.handle().training_finished(&record);
         }
         let traces = recorder.traces();
         assert_eq!(traces["type7"].len(), 2);

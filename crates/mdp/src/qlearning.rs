@@ -18,7 +18,7 @@
 //! convergence is the metric of the paper's Figure 13.
 
 use rand::Rng;
-use recovery_telemetry::{NoopObserver, TrainingObserver};
+use recovery_telemetry::{SweepSample, TrainingRecord};
 
 use crate::boltzmann::{BoltzmannSelector, TemperatureCourse, TemperatureSchedule};
 use crate::dense::DenseQTable;
@@ -147,31 +147,29 @@ impl QLearning {
         E: Environment,
         R: Rng + ?Sized,
     {
-        // The no-op observer is statically dispatched and its empty
-        // hooks inline away, so the unobserved path costs nothing.
-        self.train_observed(env, rng, q, &NoopObserver)
+        self.train_observed(env, rng, q, None)
     }
 
-    /// [`QLearning::train`] with telemetry: fires [`TrainingObserver`]
-    /// hooks for every sweep (temperature, episode walk, max Q-delta,
-    /// convergence window).
+    /// [`QLearning::train`] that also writes every episode and sweep
+    /// (temperature, episode walk, max Q-delta, convergence window) into
+    /// `observed`, when given. Repeated calls on one record continue its
+    /// sweep axis.
     ///
-    /// Observation is passive — hooks receive scalar copies and the
-    /// observer never touches the RNG — so for equal seeds this produces
-    /// a Q-table byte-identical to the unobserved run's. The trajectory,
-    /// action, cost, and softmax-weight buffers are allocated once per
-    /// call and reused across every episode.
-    pub fn train_observed<E, R, O>(
+    /// Recording is passive — plain writes of scalar copies that never
+    /// touch the RNG — so for equal seeds this produces a Q-table
+    /// byte-identical to the unrecorded run's. The trajectory, action,
+    /// cost, and softmax-weight buffers are allocated once per call and
+    /// reused across every episode.
+    pub fn train_observed<E, R>(
         &self,
         env: &mut E,
         rng: &mut R,
         mut q: DenseQTable,
-        observer: &O,
+        mut observed: Option<&mut TrainingRecord>,
     ) -> TrainResult
     where
         E: Environment,
         R: Rng + ?Sized,
-        O: TrainingObserver + ?Sized,
     {
         let mut calm_streak = 0u64;
         let mut episodes = 0u64;
@@ -201,7 +199,6 @@ impl QLearning {
             }
             let temperature = course.at(episodes);
             episodes += 1;
-            observer.temperature_update(episodes, temperature);
 
             // --- Walk one episode, recording the trajectory. ---
             let mut state = env.reset();
@@ -230,11 +227,12 @@ impl QLearning {
                 }
             }
 
-            observer.episode_end(
-                episodes,
-                record.len(),
-                record.iter().map(|(_, _, cost, _)| cost).sum(),
-            );
+            if let Some(observed) = observed.as_deref_mut() {
+                observed.episode(
+                    record.len(),
+                    record.iter().map(|(_, _, cost, _)| cost).sum(),
+                );
+            }
 
             // --- Apply Eq. 6 updates along the record (paper Fig. 2);
             // backward by default so the terminal cost reaches the whole
@@ -273,8 +271,6 @@ impl QLearning {
                 max_delta = max_delta.max(q.update(s, a, target));
             }
 
-            observer.q_delta(episodes, max_delta);
-            observer.sweep_complete(episodes);
             final_q_delta = max_delta;
 
             // --- Convergence window. ---
@@ -286,7 +282,14 @@ impl QLearning {
             } else {
                 calm_streak = 0;
             }
-            observer.convergence_check(episodes, calm_streak, converged);
+            if let Some(observed) = observed.as_deref_mut() {
+                let sample = SweepSample {
+                    sweep: episodes,
+                    temperature,
+                    max_q_delta: max_delta,
+                };
+                observed.sweep(sample, calm_streak, converged);
+            }
             if converged {
                 break;
             }

@@ -117,7 +117,9 @@ impl Event {
     }
 }
 
-pub(crate) fn write_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

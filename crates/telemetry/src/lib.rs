@@ -11,9 +11,10 @@
 //! - [`Telemetry`] + [`Span`]: RAII wall-clock timers for pipeline
 //!   stages (log parsing, m-pattern mining, platform construction,
 //!   per-type training, selection-tree scan, evaluation);
-//! - [`TrainingObserver`]: per-sweep hooks (`episode_end`,
-//!   `sweep_complete`, `temperature_update`, `q_delta`,
-//!   `convergence_check`, `platform_replay`, ...) with no-op defaults;
+//! - [`TrainingObserver`] + [`TrainingRecord`]: the worker training an
+//!   error type fills that type's record with plain writes and hands it
+//!   to the observers once, at `training_finished`; evaluation replays
+//!   report per attempt (`platform_replay`, `replay_end`);
 //! - [`Event`] / [`JsonlSink`]: structured JSONL export of events and
 //!   final metric snapshots;
 //! - [`EventBus`] + [`HttpServer`]: the live observability plane —
@@ -29,17 +30,21 @@
 //! # Example
 //!
 //! ```
-//! use recovery_telemetry::{Telemetry, TrainingObserver};
+//! use recovery_telemetry::{SweepSample, Telemetry, TrainingObserver};
 //!
 //! let telemetry = Telemetry::new();
 //! {
 //!     let _stage = telemetry.span("train");
-//!     let observer = telemetry.observer();
-//!     observer.temperature_update(1, 300_000.0);
-//!     observer.sweep_complete(1);
+//!     let observer = telemetry.observer_handle();
+//!     let mut record = observer.record("type0".into(), 12).unwrap();
+//!     record.episode(3, 120.0);
+//!     let sample = SweepSample { sweep: 1, temperature: 300_000.0, max_q_delta: 4.5 };
+//!     record.sweep(sample, 0, false);
+//!     observer.training_finished(&record);
 //! }
 //! let snapshot = telemetry.snapshot().unwrap();
 //! assert_eq!(snapshot.counters["train.sweeps"], 1);
+//! assert_eq!(snapshot.counters["train.sweeps.type0"], 1);
 //! assert_eq!(snapshot.histograms["span.train.ms"].count, 1);
 //! ```
 
@@ -54,27 +59,27 @@ mod health;
 mod metrics;
 mod observer;
 mod prometheus;
+mod record;
 pub mod serve;
 mod trace;
 
 pub use bus::{EventBus, PublishOutcome, Subscription, DEFAULT_SUBSCRIBER_CAPACITY};
-pub use event::{snapshot_to_json, Event, JsonlSink, Value};
+pub use event::{snapshot_to_json, write_json_str, Event, JsonlSink, Value};
 pub use health::{HealthSnapshot, HealthState};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     DURATION_MS_BOUNDS,
 };
-pub use observer::{NoopObserver, ObserverHandle, TrainingObserver};
+pub use observer::{ObserverHandle, TrainingObserver};
 pub use prometheus::{render_prometheus, render_prometheus_namespaced, NAMESPACE};
+pub use record::{
+    Downsampler, ReplayTally, SweepSample, TrainingCurves, TrainingRecord, SWEEP_SAMPLE_EVERY,
+};
 pub use serve::{HttpRequest, HttpServer, Mount};
 pub use trace::{TraceContext, TraceNode, TraceTree, TRACE_RING_CAPACITY};
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// How often the attached [`MetricsObserver`] emits a per-sweep JSONL
-/// event (counters update on every sweep regardless).
-const SWEEP_EVENT_SAMPLE: u64 = 1_000;
 
 struct Inner {
     registry: MetricsRegistry,
@@ -368,8 +373,11 @@ impl Drop for Span<'_> {
     }
 }
 
-/// A [`TrainingObserver`] that records every hook into a [`Telemetry`]
-/// handle's registry and emits sampled sweep events to its sink.
+/// A [`TrainingObserver`] that adds each finished [`TrainingRecord`]
+/// into a [`Telemetry`] handle's registry and emits its events.
+///
+/// Training counters and the two training gauges advance once per type,
+/// when its record arrives; only evaluation replays count as they run.
 #[derive(Debug)]
 pub struct MetricsObserver {
     telemetry: Telemetry,
@@ -386,8 +394,6 @@ pub struct MetricsObserver {
     cost_cache_misses: Counter,
     replays: Counter,
     replays_handled: Counter,
-    /// Name of the error type currently being trained (cold-path only).
-    scope: Mutex<String>,
 }
 
 impl MetricsObserver {
@@ -411,110 +417,90 @@ impl MetricsObserver {
             cost_cache_misses: counter("platform.cost_cache.miss"),
             replays: counter("platform.replays"),
             replays_handled: counter("platform.replays_handled"),
-            scope: Mutex::new(String::new()),
             telemetry,
         }
     }
 
-    fn registry(&self) -> Option<&MetricsRegistry> {
-        self.telemetry.registry()
+    /// Counts `attempts` replay attempts by outcome and cost source,
+    /// touching only the counters that move.
+    fn count_attempts(&self, attempts: u64, cured: u64, from_log: u64) {
+        for (counter, n) in [
+            (&self.replay_attempts, attempts),
+            (&self.replay_cured, cured),
+            (&self.replay_failed, attempts - cured),
+            (&self.cost_cache_hits, from_log),
+            (&self.cost_cache_misses, attempts - from_log),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 }
 
 impl TrainingObserver for MetricsObserver {
-    fn training_started(&self, error_type: &str, processes: usize) {
-        if let Ok(mut scope) = self.scope.lock() {
-            scope.clear();
-            scope.push_str(error_type);
-        }
-        if let Some(registry) = self.registry() {
+    fn training_started(&self, record: &mut TrainingRecord) {
+        if let Some(registry) = self.telemetry.registry() {
             registry.counter("train.types_started").inc();
         }
         self.telemetry.emit(
             &Event::new("training_started")
-                .with("error_type", error_type)
-                .with("processes", processes)
+                .with("error_type", record.label.as_str())
+                .with("processes", record.processes)
                 .with("at_ms", self.telemetry.elapsed_ms()),
         );
     }
 
-    fn temperature_update(&self, sweep: u64, temperature: f64) {
-        let _ = sweep;
-        self.temperature.set(temperature);
-    }
-
-    fn episode_end(&self, sweep: u64, steps: usize, cost: f64) {
-        let _ = (sweep, cost);
-        self.episodes.inc();
-        self.episode_steps.add(steps as u64);
-    }
-
-    fn q_delta(&self, sweep: u64, max_delta: f64) {
-        let _ = sweep;
-        self.max_q_delta.set(max_delta);
-    }
-
-    fn sweep_complete(&self, sweep: u64) {
-        self.sweeps.inc();
-        if sweep.is_multiple_of(SWEEP_EVENT_SAMPLE) {
-            let scope = self.scope.lock().map(|s| s.clone()).unwrap_or_default();
+    fn training_finished(&self, record: &TrainingRecord) {
+        let label = record.label.as_str();
+        self.sweeps.add(record.sweeps);
+        self.episodes.add(record.episodes);
+        self.episode_steps.add(record.episode_steps);
+        self.convergence_checks.add(record.convergence_checks);
+        let replays = record.replays;
+        self.count_attempts(replays.attempts, replays.cured, replays.from_log);
+        if record.episodes > 0 {
+            self.temperature.set(record.final_temperature);
+            self.max_q_delta.set(record.final_q_delta);
+        }
+        for sample in &record.sweep_samples {
             self.telemetry.emit(
                 &Event::new("sweep")
-                    .with("error_type", scope)
-                    .with("sweep", sweep)
-                    .with("temperature", self.temperature.get())
-                    .with("max_q_delta", self.max_q_delta.get())
+                    .with("error_type", label)
+                    .with("sweep", sample.sweep)
+                    .with("temperature", sample.temperature)
+                    .with("max_q_delta", sample.max_q_delta)
                     .with("at_ms", self.telemetry.elapsed_ms()),
             );
         }
-    }
-
-    fn convergence_check(&self, sweep: u64, calm_sweeps: u64, converged: bool) {
-        let _ = sweep;
-        self.convergence_checks.inc();
-        if converged {
-            if let Some(registry) = self.registry() {
+        if let Some(registry) = self.telemetry.registry() {
+            if record.window_converged {
                 registry
                     .gauge("train.last_calm_sweeps")
-                    .set(calm_sweeps as f64);
+                    .set(record.last_calm_sweeps as f64);
             }
-        }
-    }
-
-    fn training_finished(&self, error_type: &str, sweeps: u64, converged: bool) {
-        if let Some(registry) = self.registry() {
             registry
-                .counter(&format!("train.sweeps.{error_type}"))
-                .add(sweeps);
-            if converged {
+                .counter(&format!("train.sweeps.{label}"))
+                .add(record.sweeps);
+            if record.converged {
                 registry.counter("train.types_converged").inc();
                 registry
-                    .counter(&format!("train.convergence_sweeps.{error_type}"))
-                    .add(sweeps);
+                    .counter(&format!("train.convergence_sweeps.{label}"))
+                    .add(record.sweeps);
             }
         }
         self.telemetry.emit(
             &Event::new("training_finished")
-                .with("error_type", error_type)
-                .with("sweeps", sweeps)
-                .with("converged", converged)
+                .with("error_type", label)
+                .with("sweeps", record.sweeps)
+                .with("converged", record.converged)
                 .with("at_ms", self.telemetry.elapsed_ms()),
         );
     }
 
     fn platform_replay(&self, cured: bool, actual_cost: f64, from_log: bool) {
         let _ = actual_cost;
-        self.replay_attempts.inc();
-        if cured {
-            self.replay_cured.inc();
-        } else {
-            self.replay_failed.inc();
-        }
-        if from_log {
-            self.cost_cache_hits.inc();
-        } else {
-            self.cost_cache_misses.inc();
-        }
+        self.count_attempts(1, u64::from(cured), u64::from(from_log));
     }
 
     fn replay_end(&self, handled: bool, attempts: usize, total_cost: f64) {
@@ -540,9 +526,18 @@ mod tests {
             assert!(span.path().is_none());
         }
         let obs = t.observer();
-        obs.sweep_complete(1);
+        let mut record = TrainingRecord::new("type0".into(), 1);
+        obs.training_started(&mut record);
+        let sample = SweepSample {
+            sweep: 1,
+            temperature: 1.0,
+            max_q_delta: 0.5,
+        };
+        record.sweep(sample, 0, false);
+        obs.training_finished(&record);
         obs.platform_replay(true, 10.0, false);
         assert!(t.snapshot().is_none());
+        assert!(t.observer_handle().record("type0".into(), 1).is_none());
     }
 
     #[test]
@@ -570,16 +565,23 @@ mod tests {
     #[test]
     fn observer_hooks_land_in_the_registry() {
         let t = Telemetry::new();
-        let obs = t.observer();
-        obs.training_started("type3", 25);
+        let obs = t.observer_handle();
+        let mut record = obs.record("type3".into(), 25).expect("enabled");
         for sweep in 1..=5u64 {
-            obs.temperature_update(sweep, 300_000.0 / sweep as f64);
-            obs.episode_end(sweep, 3, 120.0);
-            obs.q_delta(sweep, 10.0 / sweep as f64);
-            obs.sweep_complete(sweep);
-            obs.convergence_check(sweep, sweep, false);
+            record.episode(3, 120.0);
+            let sample = SweepSample {
+                sweep,
+                temperature: 300_000.0 / sweep as f64,
+                max_q_delta: 10.0 / sweep as f64,
+            };
+            record.sweep(sample, sweep, false);
+            // One training attempt per sweep, tallied in the record.
+            record.replays.attempt(sweep % 2 == 0, sweep == 1);
         }
-        obs.training_finished("type3", 5, true);
+        record.converged = true;
+        // Nothing reaches the registry before the flush.
+        assert_eq!(t.snapshot().unwrap().counters["train.sweeps"], 0);
+        obs.training_finished(&record);
         obs.platform_replay(true, 120.0, true);
         obs.platform_replay(false, 30.0, false);
         obs.replay_end(true, 2, 99.0);
@@ -589,16 +591,27 @@ mod tests {
         assert_eq!(snap.counters["train.episode_steps"], 15);
         assert_eq!(snap.counters["train.sweeps.type3"], 5);
         assert_eq!(snap.counters["train.types_converged"], 1);
-        assert_eq!(snap.counters["platform.cost_cache.hit"], 1);
-        assert_eq!(snap.counters["platform.cost_cache.miss"], 1);
-        assert_eq!(snap.counters["platform.cured"], 1);
-        assert_eq!(snap.counters["platform.failed"], 1);
+        assert_eq!(snap.counters["train.convergence_checks"], 5);
+        assert_eq!(snap.counters["train.types_started"], 1);
+        // Five training attempts from the record plus two evaluation
+        // replays through the hook.
+        assert_eq!(snap.counters["platform.attempts"], 7);
+        assert_eq!(snap.counters["platform.cost_cache.hit"], 2);
+        assert_eq!(snap.counters["platform.cost_cache.miss"], 5);
+        assert_eq!(snap.counters["platform.cured"], 3);
+        assert_eq!(snap.counters["platform.failed"], 4);
+        assert_eq!(snap.counters["platform.replays"], 1);
         assert_eq!(snap.gauges["train.temperature"], 60_000.0);
+        assert_eq!(snap.gauges["train.max_q_delta"], 2.0);
+        assert!(
+            !snap.gauges.contains_key("train.last_calm_sweeps"),
+            "the window never fired"
+        );
     }
 
     #[test]
     fn events_stream_to_the_sink_as_jsonl() {
-        use std::sync::OnceLock;
+        use std::sync::{Mutex, OnceLock};
         static BUF: OnceLock<Arc<Mutex<Vec<u8>>>> = OnceLock::new();
         let buf = BUF.get_or_init(|| Arc::new(Mutex::new(Vec::new()))).clone();
 

@@ -1,63 +1,43 @@
 //! The [`TrainingObserver`] trait: hook points the training and replay
 //! pipeline calls into.
 //!
-//! Every hook has a no-op default body, takes `&self` (implementations
-//! use interior atomics), and passes only scalars — so an unattached
-//! observer (the [`NoopObserver`], statically dispatched) compiles away
-//! entirely and an attached one never allocates on the per-sweep path.
+//! Training reports per type, not per sweep: the worker training a type
+//! fills its own [`TrainingRecord`] and hands it over once, at
+//! `training_finished`, so nothing an observer shares is touched on the
+//! per-sweep path. Only evaluation replays still fire a hook per
+//! attempt. Every hook has a no-op default body and takes `&self`
+//! (implementations use interior atomics).
 
-/// Hook points fired by Q-learning sweeps, convergence checks, and
-/// platform replay.
+use crate::record::TrainingRecord;
+
+/// Hook points fired once per trained error type and per evaluation
+/// replay.
 ///
-/// Implementations must be cheap and must not panic: hooks run inside
-/// the training hot loop. All hooks are observational only — they
-/// receive copies of scalar state and cannot influence training (in
-/// particular they never touch the RNG, so attaching an observer cannot
-/// change a seeded run's output).
+/// Implementations must be cheap and must not panic. All hooks are
+/// observational only — they receive copies of scalar state or a
+/// finished record and cannot influence training (in particular they
+/// never touch the RNG, so attaching an observer cannot change a seeded
+/// run's output).
 pub trait TrainingObserver: Send + Sync {
-    /// Training for one error type is starting over `processes` training
-    /// processes.
-    fn training_started(&self, error_type: &str, processes: usize) {
-        let _ = (error_type, processes);
+    /// Training for one error type is starting; `record` is the worker's
+    /// fresh record for it. An observer that wants the per-sweep curves
+    /// asks for them here ([`TrainingRecord::keep_curves`]).
+    fn training_started(&self, record: &mut TrainingRecord) {
+        let _ = record;
     }
 
-    /// The Boltzmann temperature used for sweep `sweep`.
-    fn temperature_update(&self, sweep: u64, temperature: f64) {
-        let _ = (sweep, temperature);
+    /// Training for one error type finished; `record` holds everything
+    /// the worker saw.
+    fn training_finished(&self, record: &TrainingRecord) {
+        let _ = record;
     }
 
-    /// One episode (trajectory walk) finished: `steps` actions taken,
-    /// `cost` total downtime accumulated.
-    fn episode_end(&self, sweep: u64, steps: usize, cost: f64) {
-        let _ = (sweep, steps, cost);
-    }
-
-    /// The largest absolute Q-value change applied during sweep `sweep`.
-    fn q_delta(&self, sweep: u64, max_delta: f64) {
-        let _ = (sweep, max_delta);
-    }
-
-    /// All updates for sweep `sweep` have been applied.
-    fn sweep_complete(&self, sweep: u64) {
-        let _ = sweep;
-    }
-
-    /// A convergence-window check ran: the Q table has been calm for
-    /// `calm_sweeps` consecutive sweeps; `converged` is the verdict.
-    fn convergence_check(&self, sweep: u64, calm_sweeps: u64, converged: bool) {
-        let _ = (sweep, calm_sweeps, converged);
-    }
-
-    /// Training for one error type finished after `sweeps` sweeps.
-    fn training_finished(&self, error_type: &str, sweeps: u64, converged: bool) {
-        let _ = (error_type, sweeps, converged);
-    }
-
-    /// One simulated repair attempt was replayed. `cured` is the H1/H2
-    /// verdict, `actual_cost` the downtime cost the platform charged for
-    /// the attempt, and `from_log` tells whether that cost came from the
+    /// One evaluation replay attempt ran. `cured` is the H1/H2 verdict,
+    /// `actual_cost` the downtime cost the platform charged for the
+    /// attempt, and `from_log` tells whether that cost came from the
     /// logged occurrence (cache hit) or fell back to the per-type
-    /// average (cache miss).
+    /// average (cache miss). Training attempts are tallied in the
+    /// type's record instead.
     fn platform_replay(&self, cured: bool, actual_cost: f64, from_log: bool) {
         let _ = (cured, actual_cost, from_log);
     }
@@ -68,13 +48,6 @@ pub trait TrainingObserver: Send + Sync {
         let _ = (handled, attempts, total_cost);
     }
 }
-
-/// The do-nothing observer; used (statically dispatched) whenever no
-/// observer is attached.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl TrainingObserver for NoopObserver {}
 
 /// A cheap, cloneable, optionally-attached observer handle.
 ///
@@ -109,12 +82,21 @@ impl ObserverHandle {
         self.0.is_some()
     }
 
+    /// A fresh record for training `label` over `processes` processes,
+    /// announced through `training_started`; `None` when detached, so an
+    /// unobserved worker records nothing.
+    pub fn record(&self, label: String, processes: usize) -> Option<TrainingRecord> {
+        let observer = self.0.as_ref()?;
+        let mut record = TrainingRecord::new(label, processes);
+        observer.training_started(&mut record);
+        Some(record)
+    }
+
     /// A handle forwarding every hook to both `self` and `other`.
     ///
     /// Detached sides are elided, so fanning out with a detached handle
-    /// returns the other side unchanged (no extra indirection on the
-    /// per-sweep path). This is how the diagnostics recorder rides along
-    /// with the metrics observer on one trainer.
+    /// returns the other side unchanged. This is how the diagnostics
+    /// recorder rides along with the metrics observer on one trainer.
     pub fn fanout(&self, other: &ObserverHandle) -> ObserverHandle {
         match (self.is_attached(), other.is_attached()) {
             (false, _) => other.clone(),
@@ -134,39 +116,14 @@ struct FanoutObserver {
 }
 
 impl TrainingObserver for FanoutObserver {
-    fn training_started(&self, error_type: &str, processes: usize) {
-        self.first.training_started(error_type, processes);
-        self.second.training_started(error_type, processes);
+    fn training_started(&self, record: &mut TrainingRecord) {
+        self.first.training_started(record);
+        self.second.training_started(record);
     }
 
-    fn temperature_update(&self, sweep: u64, temperature: f64) {
-        self.first.temperature_update(sweep, temperature);
-        self.second.temperature_update(sweep, temperature);
-    }
-
-    fn episode_end(&self, sweep: u64, steps: usize, cost: f64) {
-        self.first.episode_end(sweep, steps, cost);
-        self.second.episode_end(sweep, steps, cost);
-    }
-
-    fn q_delta(&self, sweep: u64, max_delta: f64) {
-        self.first.q_delta(sweep, max_delta);
-        self.second.q_delta(sweep, max_delta);
-    }
-
-    fn sweep_complete(&self, sweep: u64) {
-        self.first.sweep_complete(sweep);
-        self.second.sweep_complete(sweep);
-    }
-
-    fn convergence_check(&self, sweep: u64, calm_sweeps: u64, converged: bool) {
-        self.first.convergence_check(sweep, calm_sweeps, converged);
-        self.second.convergence_check(sweep, calm_sweeps, converged);
-    }
-
-    fn training_finished(&self, error_type: &str, sweeps: u64, converged: bool) {
-        self.first.training_finished(error_type, sweeps, converged);
-        self.second.training_finished(error_type, sweeps, converged);
+    fn training_finished(&self, record: &TrainingRecord) {
+        self.first.training_finished(record);
+        self.second.training_finished(record);
     }
 
     fn platform_replay(&self, cured: bool, actual_cost: f64, from_log: bool) {
@@ -181,45 +138,15 @@ impl TrainingObserver for FanoutObserver {
 }
 
 impl TrainingObserver for ObserverHandle {
-    fn training_started(&self, error_type: &str, processes: usize) {
+    fn training_started(&self, record: &mut TrainingRecord) {
         if let Some(observer) = &self.0 {
-            observer.training_started(error_type, processes);
+            observer.training_started(record);
         }
     }
 
-    fn temperature_update(&self, sweep: u64, temperature: f64) {
+    fn training_finished(&self, record: &TrainingRecord) {
         if let Some(observer) = &self.0 {
-            observer.temperature_update(sweep, temperature);
-        }
-    }
-
-    fn episode_end(&self, sweep: u64, steps: usize, cost: f64) {
-        if let Some(observer) = &self.0 {
-            observer.episode_end(sweep, steps, cost);
-        }
-    }
-
-    fn q_delta(&self, sweep: u64, max_delta: f64) {
-        if let Some(observer) = &self.0 {
-            observer.q_delta(sweep, max_delta);
-        }
-    }
-
-    fn sweep_complete(&self, sweep: u64) {
-        if let Some(observer) = &self.0 {
-            observer.sweep_complete(sweep);
-        }
-    }
-
-    fn convergence_check(&self, sweep: u64, calm_sweeps: u64, converged: bool) {
-        if let Some(observer) = &self.0 {
-            observer.convergence_check(sweep, calm_sweeps, converged);
-        }
-    }
-
-    fn training_finished(&self, error_type: &str, sweeps: u64, converged: bool) {
-        if let Some(observer) = &self.0 {
-            observer.training_finished(error_type, sweeps, converged);
+            observer.training_finished(record);
         }
     }
 
@@ -239,32 +166,28 @@ impl TrainingObserver for ObserverHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::SweepSample;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    #[test]
-    fn default_hooks_are_callable_noops() {
-        let obs = NoopObserver;
-        obs.training_started("type0", 10);
-        obs.temperature_update(1, 300_000.0);
-        obs.episode_end(1, 3, 42.0);
-        obs.q_delta(1, 0.5);
-        obs.sweep_complete(1);
-        obs.convergence_check(1, 5, false);
-        obs.training_finished("type0", 1, false);
-        obs.platform_replay(true, 42.0, true);
-        obs.replay_end(true, 2, 99.0);
-    }
-
+    /// Counts hooks; asks every record for curves.
     #[derive(Default)]
     struct CountingObserver {
         hooks: AtomicU64,
         last_cost_millis: AtomicU64,
+        finished_sweeps: AtomicU64,
     }
 
     impl TrainingObserver for CountingObserver {
-        fn sweep_complete(&self, _sweep: u64) {
+        fn training_started(&self, record: &mut TrainingRecord) {
             self.hooks.fetch_add(1, Ordering::Relaxed);
+            record.keep_curves(8);
+        }
+
+        fn training_finished(&self, record: &TrainingRecord) {
+            self.hooks.fetch_add(1, Ordering::Relaxed);
+            self.finished_sweeps
+                .fetch_add(record.sweeps, Ordering::Relaxed);
         }
 
         fn platform_replay(&self, _cured: bool, actual_cost: f64, _from_log: bool) {
@@ -275,16 +198,46 @@ mod tests {
     }
 
     #[test]
+    fn default_hooks_are_callable_noops() {
+        struct Silent;
+        impl TrainingObserver for Silent {}
+        let obs = ObserverHandle::attached(Arc::new(Silent));
+        let mut record = obs.record("type0".into(), 10).expect("attached");
+        assert!(record.curves.is_none(), "nobody asked for curves");
+        let sample = SweepSample {
+            sweep: 1,
+            temperature: 300_000.0,
+            max_q_delta: 0.5,
+        };
+        record.sweep(sample, 1, false);
+        obs.training_finished(&record);
+        obs.platform_replay(true, 42.0, true);
+        obs.replay_end(true, 2, 99.0);
+        assert!(ObserverHandle::none().record("type0".into(), 10).is_none());
+    }
+
+    #[test]
     fn fanout_forwards_to_both_sides() {
         let a = Arc::new(CountingObserver::default());
         let b = Arc::new(CountingObserver::default());
         let handle =
             ObserverHandle::attached(a.clone()).fanout(&ObserverHandle::attached(b.clone()));
-        handle.sweep_complete(1);
+        let mut record = handle.record("type1".into(), 4).expect("attached");
+        assert!(record.curves.is_some(), "either side may ask for curves");
+        let sample = SweepSample {
+            sweep: 1,
+            temperature: 1.0,
+            max_q_delta: 0.5,
+        };
+        record.sweep(sample, 0, false);
+        handle.training_finished(&record);
         handle.platform_replay(true, 1.5, false);
-        assert_eq!(a.hooks.load(Ordering::Relaxed), 2);
-        assert_eq!(b.hooks.load(Ordering::Relaxed), 2);
-        // The replayed cost reaches each side unchanged.
+        assert_eq!(a.hooks.load(Ordering::Relaxed), 3);
+        assert_eq!(b.hooks.load(Ordering::Relaxed), 3);
+        // The finished record and the replayed cost reach each side
+        // unchanged.
+        assert_eq!(a.finished_sweeps.load(Ordering::Relaxed), 1);
+        assert_eq!(b.finished_sweeps.load(Ordering::Relaxed), 1);
         assert_eq!(a.last_cost_millis.load(Ordering::Relaxed), 1500);
         assert_eq!(b.last_cost_millis.load(Ordering::Relaxed), 1500);
     }
@@ -298,7 +251,9 @@ mod tests {
         assert!(!ObserverHandle::none()
             .fanout(&ObserverHandle::none())
             .is_attached());
-        ObserverHandle::none().fanout(&attached).sweep_complete(7);
+        ObserverHandle::none()
+            .fanout(&attached)
+            .platform_replay(true, 7.0, true);
         assert_eq!(a.hooks.load(Ordering::Relaxed), 1);
     }
 }

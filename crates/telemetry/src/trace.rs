@@ -18,9 +18,10 @@
 //! Wall-clock durations live only in the `ms` fields, which the skeleton
 //! deliberately omits.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::thread::ThreadId;
 
 /// How many finished trace trees the recorder retains (oldest evicted).
 pub const TRACE_RING_CAPACITY: usize = 64;
@@ -66,19 +67,36 @@ struct ActiveTrace {
 
 #[derive(Debug, Default)]
 struct TraceState {
-    /// Per-thread stacks of `(trace, slot)` — the "current span" of each
-    /// thread. Entries are removed when a thread's stack empties, so the
-    /// map does not grow with pool-thread turnover.
-    stacks: HashMap<ThreadId, Vec<(u64, usize)>>,
     active: HashMap<u64, ActiveTrace>,
     finished: VecDeque<TraceTree>,
     next_trace: u64,
 }
 
+thread_local! {
+    /// The calling thread's open spans, innermost last, as
+    /// `(recorder, trace, slot)`: each thread's "current span" under
+    /// every recorder, kept by the thread itself.
+    static OPEN_SPANS: RefCell<Vec<(u64, u64, usize)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Source of [`TraceRecorder`] ids.
+static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
+
 /// The trace-tree recorder owned by an enabled `Telemetry` handle.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct TraceRecorder {
+    /// Tells this recorder's entries in [`OPEN_SPANS`] from others'.
+    id: u64,
     state: Mutex<TraceState>,
+}
+
+impl Default for TraceRecorder {
+    fn default() -> Self {
+        TraceRecorder {
+            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
+            state: Mutex::default(),
+        }
+    }
 }
 
 /// What [`TraceRecorder::begin_span`] hands back to the span guard.
@@ -100,15 +118,11 @@ impl TraceRecorder {
         ctx: Option<TraceContext>,
         rank: Option<u64>,
     ) -> SpanTicket {
-        let tid = std::thread::current().id();
-        let mut state = lock_clean(&self.state);
         let parent = match ctx {
             Some(ctx) => Some((ctx.trace, ctx.slot)),
-            None => state
-                .stacks
-                .get(&tid)
-                .and_then(|stack| stack.last().copied()),
+            None => self.innermost(),
         };
+        let mut state = lock_clean(&self.state);
         let ticket = match parent {
             Some((trace, parent_slot)) if state.active.contains_key(&trace) => {
                 let spans = &mut state.active.get_mut(&trace).expect("checked above").spans;
@@ -155,41 +169,41 @@ impl TraceRecorder {
                 }
             }
         };
-        state
-            .stacks
-            .entry(tid)
-            .or_default()
-            .push((ticket.trace, ticket.slot));
+        drop(state);
+        OPEN_SPANS.with(|open| open.borrow_mut().push((self.id, ticket.trace, ticket.slot)));
         ticket
+    }
+
+    /// The calling thread's innermost open span under this recorder.
+    fn innermost(&self) -> Option<(u64, usize)> {
+        OPEN_SPANS.with(|open| {
+            open.borrow()
+                .iter()
+                .rev()
+                .find(|&&(recorder, _, _)| recorder == self.id)
+                .map(|&(_, trace, slot)| (trace, slot))
+        })
     }
 
     /// Records the current `(trace, slot)` of the calling thread, if any.
     pub(crate) fn current_context(&self) -> Option<TraceContext> {
-        let tid = std::thread::current().id();
-        let state = lock_clean(&self.state);
-        state
-            .stacks
-            .get(&tid)
-            .and_then(|stack| stack.last())
-            .map(|&(trace, slot)| TraceContext { trace, slot })
+        self.innermost()
+            .map(|(trace, slot)| TraceContext { trace, slot })
     }
 
     /// Closes a span. Returns the finished tree when this was the root:
     /// the tree is also retained in the ring for `/trace/<id>` lookups.
     pub(crate) fn end_span(&self, ticket: &SpanTicket, ms: f64) -> Option<TraceTree> {
-        let tid = std::thread::current().id();
+        // `try_with`: a span dropped while the thread's locals are torn
+        // down has no stack left to leave.
+        let _ = OPEN_SPANS.try_with(|open| {
+            let mut open = open.borrow_mut();
+            let entry = (self.id, ticket.trace, ticket.slot);
+            if let Some(pos) = open.iter().rposition(|&e| e == entry) {
+                open.remove(pos);
+            }
+        });
         let mut state = lock_clean(&self.state);
-        if let Some(stack) = state.stacks.get_mut(&tid) {
-            if let Some(pos) = stack
-                .iter()
-                .rposition(|&entry| entry == (ticket.trace, ticket.slot))
-            {
-                stack.remove(pos);
-            }
-            if stack.is_empty() {
-                state.stacks.remove(&tid);
-            }
-        }
         let Some(active) = state.active.get_mut(&ticket.trace) else {
             return None; // trace already finished (e.g. a leaked child)
         };

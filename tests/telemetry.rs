@@ -1,8 +1,9 @@
 //! Integration tests of the observability layer: a full observed
 //! experiment records training and replay metrics, observation never
-//! changes trained policies, and the sweep-level hooks report what the
-//! paper's training loop actually does.
+//! changes trained policies, and the per-type training records report
+//! what the paper's training loop actually does.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
@@ -13,7 +14,10 @@ use recovery_core::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
 use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_diagnostics::DiagnosticsRecorder;
 use recovery_simlog::{GeneratorConfig, LogGenerator, RepairAction};
-use recovery_telemetry::{Event, EventBus, JsonlSink, ObserverHandle, Telemetry, TrainingObserver};
+use recovery_telemetry::flatjson::{get, parse_line, Field};
+use recovery_telemetry::{
+    Event, EventBus, JsonlSink, ObserverHandle, Telemetry, TrainingObserver, TrainingRecord,
+};
 
 fn small_context() -> ExperimentContext {
     let mut generated = LogGenerator::new(GeneratorConfig::small()).generate();
@@ -260,20 +264,20 @@ fn platform_replay_forwards_the_charged_cost() {
     }
 }
 
-/// Captures every `temperature_update` and `sweep_complete` hook.
+/// Captures every finished record, with curves fine enough to keep
+/// every sweep.
 #[derive(Default)]
 struct CapturingObserver {
-    temperatures: Mutex<Vec<f64>>,
-    sweeps: Mutex<u64>,
+    records: Mutex<Vec<TrainingRecord>>,
 }
 
 impl TrainingObserver for CapturingObserver {
-    fn temperature_update(&self, _sweep: u64, temperature: f64) {
-        self.temperatures.lock().unwrap().push(temperature);
+    fn training_started(&self, record: &mut TrainingRecord) {
+        record.keep_curves(1 << 20);
     }
 
-    fn sweep_complete(&self, _sweep: u64) {
-        *self.sweeps.lock().unwrap() += 1;
+    fn training_finished(&self, record: &TrainingRecord) {
+        self.records.lock().unwrap().push(record.clone());
     }
 }
 
@@ -287,7 +291,18 @@ fn temperature_anneals_monotonically_and_sweeps_match() {
     let et = ctx.types[0];
     let (_, stats) = trainer.train_type(et).expect("top type has data");
 
-    let temps = capture.temperatures.lock().unwrap();
+    let records = capture.records.lock().unwrap();
+    assert_eq!(records.len(), 1, "one record per trained type");
+    let record = &records[0];
+    let temps: Vec<f64> = record
+        .curves
+        .as_ref()
+        .expect("requested")
+        .temperature
+        .points()
+        .iter()
+        .map(|&(_, t)| t)
+        .collect();
     assert_eq!(
         temps.len() as u64,
         stats.sweeps,
@@ -297,7 +312,93 @@ fn temperature_anneals_monotonically_and_sweeps_match() {
         temps.windows(2).all(|w| w[1] <= w[0]),
         "the annealed temperature must be non-increasing"
     );
-    assert_eq!(*capture.sweeps.lock().unwrap(), stats.sweeps);
+    assert_eq!(record.sweeps, stats.sweeps);
+    assert_eq!(record.final_temperature, temps[temps.len() - 1]);
+}
+
+/// One `sweep` event without its wall clock: type, sweep, and the bits
+/// of its temperature and max Q-delta.
+type SweepEvent = (String, u64, u64, u64);
+
+/// Trains the small context's types with plain Q-learning at `threads`
+/// workers under a live bus, returning every `sweep` event and each
+/// type's `training_finished` sweep count.
+fn sweep_events(threads: usize) -> (Vec<SweepEvent>, BTreeMap<String, u64>) {
+    let ctx = small_context();
+    let (train, _) = recovery_core::evaluate::time_ordered_split(&ctx.clean, 0.4);
+    // No type may converge before its first sampled sweep.
+    let mut config = TrainerConfig::fast();
+    config.learning.convergence_window = 1_200;
+    let bus = EventBus::default();
+    let sub = bus.subscribe();
+    let telemetry = Telemetry::with_parts(None, Some(bus));
+    let trainer = OfflineTrainer::new(train, config)
+        .with_observer(telemetry.observer_handle())
+        .with_threads(threads);
+    let (_, stats) = trainer.train(&ctx.types);
+    assert_eq!(stats.len(), ctx.types.len());
+    let mut sweeps = Vec::new();
+    let mut finished = BTreeMap::new();
+    for line in sub.drain() {
+        let fields = parse_line(&line).expect("events parse");
+        let text = |key| {
+            get(&fields, key)
+                .and_then(Field::as_str)
+                .unwrap()
+                .to_string()
+        };
+        let num = |key| get(&fields, key).and_then(Field::as_f64).unwrap();
+        match text("type").as_str() {
+            "sweep" => sweeps.push((
+                text("error_type"),
+                num("sweep") as u64,
+                num("temperature").to_bits(),
+                num("max_q_delta").to_bits(),
+            )),
+            "training_finished" => {
+                finished.insert(text("error_type"), num("sweeps") as u64);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(sub.dropped(), 0, "the subscriber kept up");
+    (sweeps, finished)
+}
+
+#[test]
+fn parallel_sweep_events_stay_with_their_type() {
+    let (sequential, finished) = sweep_events(1);
+    let (parallel, finished_parallel) = sweep_events(4);
+    assert_eq!(finished, finished_parallel);
+    for events in [&sequential, &parallel] {
+        let mut by_type: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+        for (label, sweep, _, _) in events {
+            by_type.entry(label).or_default().push(*sweep);
+        }
+        assert_eq!(
+            by_type.keys().copied().collect::<Vec<_>>(),
+            finished.keys().map(String::as_str).collect::<Vec<_>>(),
+            "every type emits sweep events"
+        );
+        for (label, axis) in &by_type {
+            let expected: Vec<u64> = (1..=axis.len() as u64).map(|k| k * 1_000).collect();
+            assert_eq!(axis, &expected, "{label}: sweeps out of sequence");
+            assert!(
+                axis.last().unwrap() <= &finished[*label],
+                "{label}: a sweep past the type's last one"
+            );
+        }
+    }
+    let set = |events: &[SweepEvent]| {
+        let mut events = events.to_vec();
+        events.sort();
+        events
+    };
+    assert_eq!(
+        set(&sequential),
+        set(&parallel),
+        "the thread count changed the sweep events"
+    );
 }
 
 /// Satellite of the tracing layer: `flatjson` must round-trip the exact
@@ -306,8 +407,6 @@ fn temperature_anneals_monotonically_and_sweeps_match() {
 /// field and skimming (not silently stringifying) nested values.
 #[test]
 fn flatjson_round_trips_the_bus_event_shapes() {
-    use recovery_telemetry::flatjson::{get, parse_line, Field};
-
     // A finished span emits `span` then `trace`; capture the real bytes
     // off a live bus rather than hand-writing the shapes.
     let bus = EventBus::default();
