@@ -1,34 +1,29 @@
-//! Pooled ingestion vs the sequential path, the log-line codec, plus the
-//! allocation-free replay hot path.
+//! Ingestion — the log-line codec and the split into processes — plus
+//! the allocation-free replay hot path.
 //!
 //! Three measurements back the perf claims of the ingestion work:
 //!
-//! * **Ingestion throughput.** `recovery_core::ingest::ingest` (the one
-//!   sequential parse loop, then process extraction split into shards
-//!   over the pool) against `RecoveryLog::from_text` + `split_processes`,
-//!   asserting the outputs are identical before timing anything. Both
-//!   arms parse the same way, so the comparison measures the split's
-//!   fan-out. In sampling mode (`cargo bench -- --bench`) it is written
-//!   to `BENCH_ingest.json` at the workspace root.
 //! * **Codec speed.** After asserting that parsing the text and
 //!   rendering it back gives the same bytes, the sequential parse
 //!   (`RecoveryLog::from_text`) and the render (`RecoveryLog::to_text`)
 //!   are timed per line, as `parse_ns_per_line` and
 //!   `render_ns_per_line`.
+//! * **Split speed.** `recovery_core::ingest::split_processes` — one
+//!   sequential pass over the entries, then the `(start, machine)` sort —
+//!   is asserted equal to `RecoveryLog::split_processes` and timed per
+//!   extracted process, as `split_ns_per_process`.
 //! * **Replay allocations.** A counting global allocator measures heap
 //!   allocations per replayed attempt for the cached
 //!   (`SimulationPlatform::attempt_cached`) and uncached
 //!   (`SimulationPlatform::attempt`) paths; the cached path must perform
 //!   none.
 //!
-//! Setting `INGEST_DUMP=<path>` additionally writes a deterministic
-//! rendering of the extracted processes, so CI can diff runs at
-//! different `RECOVERY_THREADS` for byte identity.
-//!
-//! Like `parallel.rs`, the parallel arm never runs 1-vs-1: on a
-//! single-core host `available_parallelism` is 1 and the pool at one
-//! worker would record its own overhead as a bogus comparison, so the
-//! arm floors at 2 workers and the JSON records the host's parallelism.
+//! In sampling mode (`cargo bench -- --bench`) the numbers are written
+//! to `BENCH_ingest.json` at the workspace root. Setting
+//! `INGEST_DUMP=<path>` additionally writes a deterministic rendering of
+//! the processes `recovery_core::ingest::ingest` extracts with the
+//! requested worker count (`RECOVERY_THREADS`), so CI can diff runs at
+//! different counts: ingestion must not depend on the pool.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +33,7 @@ use criterion::{criterion_group, Criterion};
 use recovery_bench::{scale_from_args, threads_from_args};
 use recovery_core::ingest;
 use recovery_core::parallel::WorkerPool;
-use recovery_core::platform::{CostEstimation, ReplayCache, SimulationPlatform};
+use recovery_core::platform::{CostEstimation, SimulationPlatform};
 use recovery_simlog::{GeneratorConfig, LogGenerator, RecoveryLog, RecoveryProcess, RepairAction};
 use recovery_telemetry::Telemetry;
 
@@ -75,9 +70,14 @@ fn sequential_ingest(text: &str) -> (RecoveryLog, Vec<RecoveryProcess>) {
     (log, processes)
 }
 
-fn sharded_ingest(text: &str, threads: usize) -> (RecoveryLog, Vec<RecoveryProcess>) {
+fn pooled_ingest(text: &str, threads: usize) -> (RecoveryLog, Vec<RecoveryProcess>) {
     let pool = WorkerPool::new(threads);
     ingest::ingest(text, &pool, &Telemetry::disabled()).expect("bench log ingests")
+}
+
+/// The split step alone, over an already parsed log.
+fn split(log: &mut RecoveryLog) -> Vec<RecoveryProcess> {
+    ingest::split_processes(log, &WorkerPool::new(1), &Telemetry::disabled())
 }
 
 /// One line per process with every field resolved: any ingestion
@@ -104,22 +104,17 @@ fn dump_processes(log: &RecoveryLog, processes: &[RecoveryProcess]) -> String {
 
 fn bench_ingest(c: &mut Criterion) {
     // A small fixed scale keeps the sampling-mode group brisk; the
-    // recorded JSON comparison uses the full `--scale` workload.
+    // recorded JSON uses the full `--scale` workload.
     let text = sample_text(0.05);
-    let available = WorkerPool::available().threads();
+    let mut log = RecoveryLog::from_text(&text).expect("bench log parses");
     let mut group = c.benchmark_group("ingest");
     group.sample_size(10);
     group.bench_function("sequential", |b| {
         b.iter(|| std::hint::black_box(sequential_ingest(&text)))
     });
-    group.bench_function("sharded_4_workers", |b| {
-        b.iter(|| std::hint::black_box(sharded_ingest(&text, 4)))
+    group.bench_function("split", |b| {
+        b.iter(|| std::hint::black_box(split(&mut log)))
     });
-    if available > 1 && available != 4 {
-        group.bench_function(&format!("sharded_{available}_threads"), |b| {
-            b.iter(|| std::hint::black_box(sharded_ingest(&text, available)))
-        });
-    }
     group.finish();
 }
 
@@ -137,7 +132,7 @@ fn best_of_ms(reps: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// Measures allocations and wall-clock per attempt over one replay
-/// schedule (every cache × action × occurrences 0..3).
+/// schedule (every process × action × occurrences 0..3).
 struct ReplayMeasure {
     attempts: u64,
     allocs_per_attempt: f64,
@@ -171,15 +166,17 @@ fn measure_replay(
 fn replay_microbench(processes: &[RecoveryProcess]) -> (ReplayMeasure, ReplayMeasure) {
     let platform = SimulationPlatform::from_processes(processes, CostEstimation::PreferActual);
     let truth: Vec<&RecoveryProcess> = processes.iter().take(64).collect();
-    let caches: Vec<ReplayCache> = truth.iter().map(|p| platform.replay_cache(p)).collect();
+    let cache = platform.replay_cache(&truth);
     const ROUNDS: u64 = 200;
 
-    let cached = measure_replay(ROUNDS, caches.len() as u64, || {
+    let cached = measure_replay(ROUNDS, cache.len() as u64, || {
         let mut acc = 0.0;
-        for cache in &caches {
+        for process in 0..cache.len() {
             for action in RepairAction::ALL {
                 for occurrence in 0..3 {
-                    acc += platform.attempt_cached(cache, action, occurrence).cost;
+                    acc += platform
+                        .attempt_cached(&cache, process, action, occurrence)
+                        .cost;
                 }
             }
         }
@@ -209,30 +206,25 @@ fn main() {
     let scale = scale_from_args(0.25);
     let text = sample_text(scale);
     let available = WorkerPool::available().threads();
-    // The parallel arm must actually fan out: never fewer than 2 workers.
-    let pool_threads = available.max(2);
 
     // Correctness before speed: the codec reads back exactly what it
-    // wrote, and the sharded output must be identical.
+    // wrote, and the split equals the log's own.
     let mut parsed = RecoveryLog::from_text(&text).expect("bench log parses");
     assert!(
         parsed.to_text() == text,
         "parse then render changed the log text"
     );
     let (log, processes) = sequential_ingest(&text);
-    for threads in [2, pool_threads] {
-        let (sharded_log, sharded) = sharded_ingest(&text, threads);
-        assert!(
-            sharded_log == log && sharded == processes,
-            "sharded ingestion at {threads} threads diverged from sequential"
-        );
-    }
+    assert!(
+        split(&mut parsed) == processes,
+        "ingest::split_processes diverged from RecoveryLog::split_processes"
+    );
     if let Ok(path) = std::env::var("INGEST_DUMP") {
-        // Dump the *sharded* output at the requested worker count
-        // (`--threads` / RECOVERY_THREADS), so dumps from runs at
+        // Dump the pooled pipeline's output at the requested worker
+        // count (`--threads` / RECOVERY_THREADS), so dumps from runs at
         // different counts can be diffed for byte identity.
         let requested = threads_from_args();
-        let (dump_log, dumped) = sharded_ingest(&text, requested);
+        let (dump_log, dumped) = pooled_ingest(&text, requested);
         let dump = dump_processes(&dump_log, &dumped);
         match std::fs::write(&path, &dump) {
             Ok(()) => eprintln!(
@@ -243,26 +235,10 @@ fn main() {
         }
     }
 
-    let sequential_ms = best_of_ms(3, || {
-        std::hint::black_box(sequential_ingest(&text));
-    });
-    let mut counts = vec![2, 4, pool_threads];
-    counts.sort_unstable();
-    counts.dedup();
-    let series: Vec<(usize, f64)> = counts
-        .into_iter()
-        .map(|n| {
-            let ms = best_of_ms(3, || {
-                std::hint::black_box(sharded_ingest(&text, n));
-            });
-            (n, ms)
-        })
-        .collect();
-    let (_, parallel_ms) = *series
-        .iter()
-        .find(|(n, _)| *n == pool_threads)
-        .expect("pool_threads is in the series");
-
+    let split_ns_per_process = best_of_ms(5, || {
+        std::hint::black_box(split(&mut parsed));
+    }) * 1e6
+        / processes.len() as f64;
     let lines = text.lines().count() as f64;
     let parse_ns_per_line = best_of_ms(5, || {
         std::hint::black_box(RecoveryLog::from_text(&text).expect("bench log parses"));
@@ -280,22 +256,10 @@ fn main() {
         cached.allocs_per_attempt
     );
 
-    let series_json = series
-        .iter()
-        .map(|(n, ms)| {
-            format!(
-                "{{\"threads\":{n},\"ms\":{ms:.3},\"speedup\":{:.3}}}",
-                sequential_ms / ms
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
     let json = format!(
         "{{\"bench\":\"ingest\",\"scale\":{scale},\"entries\":{},\
          \"processes\":{},\"host_cores\":{available},\
-         \"threads\":{pool_threads},\"sequential_ms\":{sequential_ms:.3},\
-         \"parallel_ms\":{parallel_ms:.3},\"speedup\":{:.3},\
-         \"series\":[{series_json}],\
+         \"split_ns_per_process\":{split_ns_per_process:.1},\
          \"parse_ns_per_line\":{parse_ns_per_line:.1},\
          \"render_ns_per_line\":{render_ns_per_line:.1},\
          \"replay\":{{\"attempts\":{},\
@@ -305,7 +269,6 @@ fn main() {
          \"uncached_ns_per_attempt\":{:.1}}}}}\n",
         log.len(),
         processes.len(),
-        sequential_ms / parallel_ms,
         cached.attempts,
         cached.allocs_per_attempt,
         uncached.allocs_per_attempt,

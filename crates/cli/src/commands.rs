@@ -76,7 +76,7 @@ fn parse_error_policy(args: &Args) -> Result<ParseErrorPolicy, String> {
 
 /// Reads and parses the positional log argument, honoring
 /// `--on-parse-error`. Returns a pool of `--threads` workers next to the
-/// log so the caller can shard process extraction through it.
+/// log for the caller's parallel steps.
 fn load_log(args: &Args, session: &Session) -> Result<(RecoveryLog, WorkerPool), String> {
     let pool = WorkerPool::new(parse_threads(args)?);
     let policy = parse_error_policy(args)?;

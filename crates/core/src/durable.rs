@@ -28,8 +28,9 @@
 //! windows are never re-simulated or re-trained — their observation
 //! logs are replayed from the journal (re-parsed against the fault
 //! catalog's own symptom catalog, so `SymptomId`s match the original
-//! interning), the accumulated corpus is rebuilt with the same
-//! split/sort sequence, and the in-flight policy is restored bit-exactly
+//! interning), the accumulated corpus is rebuilt window by window with
+//! the same split and the same add-a-window step as the live loop, and
+//! the in-flight policy is restored bit-exactly
 //! from the checkpoint's v2 text. The loop then continues from the
 //! first window the checkpoint does not cover; everything downstream is
 //! the already-deterministic pipeline.
@@ -48,7 +49,7 @@ use recovery_telemetry::Telemetry;
 use crate::fault::{CrashPlan, CrashPoint};
 use crate::parallel::WorkerPool;
 use crate::persist::{policy_from_text, policy_to_text, ParsePolicyError};
-use crate::pipeline::{WindowOutcome, WindowStatus};
+use crate::pipeline::{Corpus, WindowOutcome, WindowStatus};
 use crate::policy::TrainedPolicy;
 
 /// Content of the `FORMAT` marker file in a state directory.
@@ -449,14 +450,21 @@ pub struct ResumedState {
     pub next_window: usize,
     /// Outcomes of the already-completed windows.
     pub outcomes: Vec<WindowOutcome>,
-    /// The accumulated training corpus, rebuilt from the journal in the
-    /// original deterministic `(start, machine)` order.
-    pub accumulated: Vec<RecoveryProcess>,
+    /// The accumulated training corpus, rebuilt from the journal window
+    /// by window, as the live loop built it.
+    pub(crate) corpus: Corpus,
     /// The current (last-good) policy, restored bit-exactly.
     pub policy: Option<TrainedPolicy>,
     /// Counter values at checkpoint time, to re-apply to a fresh
     /// registry.
     pub counters: BTreeMap<String, u64>,
+}
+
+impl ResumedState {
+    /// The accumulated training corpus, in `(start, machine)` order.
+    pub fn accumulated(&self) -> &[RecoveryProcess] {
+        self.corpus.processes()
+    }
 }
 
 /// A live handle on a state directory: journal appends and checkpoint
@@ -654,12 +662,12 @@ impl DurableLoop {
             f.sync_all().ok();
         }
         // Replay the covered records into the accumulated corpus with
-        // the same split/extend/sort sequence the live loop uses.
+        // the same split and add-a-window step the live loop uses.
         // Telemetry stays disabled here: the original run's counters are
         // restored from the checkpoint, not re-earned.
         let replay_telemetry = Telemetry::disabled();
         let mut catalog_symptoms = symptoms.clone();
-        let mut accumulated: Vec<RecoveryProcess> = Vec::new();
+        let mut corpus = Corpus::default();
         for record in &scan.records[..keep] {
             let mut log =
                 RecoveryLog::from_text_with(&record.payload, catalog_symptoms, |line, _, e| {
@@ -667,8 +675,7 @@ impl DurableLoop {
                 })?;
             let processes = crate::ingest::split_processes(&mut log, pool, &replay_telemetry);
             catalog_symptoms = std::mem::take(log.symptoms_mut());
-            accumulated.extend(processes);
-            accumulated.sort_by_key(|p| (p.start(), p.machine()));
+            corpus.add_window(processes);
         }
         let policy = checkpoint
             .policy(&mut catalog_symptoms)
@@ -679,7 +686,7 @@ impl DurableLoop {
             seq: checkpoint.seq,
             next_window: checkpoint.next_window,
             outcomes: checkpoint.outcomes.clone(),
-            accumulated,
+            corpus,
             policy,
             counters: checkpoint.counters.clone(),
         }))

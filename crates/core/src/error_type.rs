@@ -73,6 +73,11 @@ impl ErrorTypeRanking {
         for p in processes {
             *counts.entry(ErrorType::of(p)).or_insert(0) += 1;
         }
+        Self::from_counts(counts)
+    }
+
+    /// Builds the ranking from each type's process count.
+    pub(crate) fn from_counts(counts: impl IntoIterator<Item = (ErrorType, usize)>) -> Self {
         let mut ranked: Vec<(ErrorType, usize)> = counts.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let rank_of = ranked
@@ -81,9 +86,9 @@ impl ErrorTypeRanking {
             .map(|(i, (t, _))| (*t, i))
             .collect();
         ErrorTypeRanking {
+            total: ranked.iter().map(|(_, c)| c).sum(),
             ranked,
             rank_of,
-            total: processes.len(),
         }
     }
 
@@ -211,15 +216,22 @@ impl NoiseFilter {
         db
     }
 
+    /// Judges every distinct itemset of `db`: entry `id` is whether
+    /// itemset `id` is cohesive at this filter's `minp`. A verdict
+    /// depends only on transaction counts, never on the order the
+    /// transactions were pushed in.
+    pub(crate) fn cohesive_sets(&self, db: &TransactionDb<SymptomId>) -> Vec<bool> {
+        db.itemset_dependences()
+            .into_iter()
+            .map(|d| d >= self.minp)
+            .collect()
+    }
+
     /// Splits processes into clean and noisy. Each distinct symptom set is
     /// judged once; every process follows its set's verdict.
     pub fn partition(&self, processes: Vec<RecoveryProcess>) -> FilterOutcome {
         let db = Self::transaction_db(&processes);
-        let cohesive: Vec<bool> = db
-            .itemset_dependences()
-            .into_iter()
-            .map(|d| d >= self.minp)
-            .collect();
+        let cohesive = self.cohesive_sets(&db);
         let mut clean = Vec::new();
         let mut noisy = Vec::new();
         for (p, &set) in processes.into_iter().zip(db.itemset_ids()) {

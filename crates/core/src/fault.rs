@@ -3,7 +3,8 @@
 //! The robustness machinery of this workspace — quarantining ingestion
 //! ([`crate::ingest::parse_log_with_policy`]), the retrying worker pool
 //! ([`crate::parallel::WorkerPool::try_map_indexed`]), and the
-//! degraded-mode continuous loop ([`crate::pipeline::run_continuous_loop`])
+//! degraded-mode continuous loop
+//! ([`crate::pipeline::run_continuous_loop_controlled`])
 //! — must be *exercised* by tests, not trusted. This module injects the
 //! faults those paths are built to survive:
 //!
@@ -263,7 +264,7 @@ impl PanicInjector {
 }
 
 /// A script of per-window faults for the continuous loop, consumed by
-/// [`crate::pipeline::run_continuous_loop`] via
+/// [`crate::pipeline::run_continuous_loop_controlled`] via
 /// [`crate::pipeline::ContinuousLoopConfig::faults`]. The default plan
 /// injects nothing and costs nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -1,5 +1,6 @@
-//! Log ingestion: one sequential parse, then process extraction sharded
-//! over a [`WorkerPool`] with byte-identical output for any thread count.
+//! Log ingestion: one sequential parse, then one sequential pass that
+//! splits the log into processes. Neither step depends on the thread
+//! count, so neither do their output or their trace.
 //!
 //! * **Parse** (sequential, span `parse`). Every reader of log text runs
 //!   the one loop of [`RecoveryLog::from_text_with`]: each line is
@@ -7,14 +8,14 @@
 //!   order. On a 2-core host two parse shards took as long as one thread
 //!   over the whole text, so parsing does not fan out, and neither its
 //!   output nor its trace depends on the thread count.
-//! * **Split shards** (parallel, span `split_shards`). Machines never
-//!   interact during process extraction, so each of [`SPLIT_SHARDS`]
-//!   workers runs the per-machine state machine over the machines of its
-//!   shard (`machine.index() % SPLIT_SHARDS`). The merge (span
-//!   `merge_processes`) stable-sorts on `(start, machine)`: same-machine
-//!   ties keep their per-machine chronological order (a machine lives
-//!   entirely in one shard), so the result is byte-identical to
-//!   [`RecoveryLog::split_processes`].
+//! * **Split** (sequential, span `split_shards`). One pass over the
+//!   entries runs the per-machine state machine of
+//!   [`extract_processes`], each machine's open process in its own table
+//!   slot. The sort (span `merge_processes`) stable-sorts on
+//!   `(start, machine)`, so the result is byte-identical to
+//!   [`RecoveryLog::split_processes`]. The split used to fan out over
+//!   eight machine shards, each scanning every entry; on a 2-core host
+//!   the one pass is faster than the fan-out at any thread count.
 //!
 //! # Lenient ingestion
 //!
@@ -257,38 +258,23 @@ pub fn parse_log_with_policy(
     Ok((log, report))
 }
 
-/// How many machine-partition shards [`split_processes`] fans out,
-/// regardless of pool width. A fixed count (rather than
-/// `pool.threads()`) keeps the fan-out — and therefore the trace tree
-/// it records — structurally identical for every thread count: 8 shard
-/// spans whether one thread runs them all or eight threads run one
-/// each. Partitioning by `machine % SPLIT_SHARDS` is order-preserving
-/// per machine and the merge re-sorts globally, so the extracted
-/// processes were already partition-invariant; pinning the count makes
-/// the *observation* of the work invariant too.
-pub const SPLIT_SHARDS: usize = 8;
-
-/// Splits the log into complete recovery processes, sharding the
-/// per-machine extraction into [`SPLIT_SHARDS`] partitions over `pool`.
-/// Equivalent to [`RecoveryLog::split_processes`] for every thread
-/// count — and it always shards (even on a sequential pool) so the
-/// recorded trace tree is thread-count-invariant.
+/// Splits the log into complete recovery processes: one pass over the
+/// entries (span `split_shards`), then the `(start, machine)` sort (span
+/// `merge_processes`). Equivalent to [`RecoveryLog::split_processes`].
+///
+/// `_pool` is unused, since the split is sequential; it stays in the
+/// signature for existing callers.
 pub fn split_processes(
     log: &mut RecoveryLog,
-    pool: &WorkerPool,
+    _pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Vec<RecoveryProcess> {
-    // Sorting (lazy, usually a no-op) must happen on the driver before
-    // the entry slice is shared read-only with the workers.
     let entries = log.entries();
-    let extracted = {
+    let mut processes = {
         let _span = telemetry.span("split_shards");
-        pool.map_indexed_traced(SPLIT_SHARDS, telemetry, "shard", |s| {
-            extract_processes(entries, |m| m.index() as usize % SPLIT_SHARDS == s)
-        })
+        extract_processes(entries)
     };
     let _span = telemetry.span("merge_processes");
-    let mut processes: Vec<RecoveryProcess> = extracted.into_iter().flatten().collect();
     processes.sort_by_key(|p| (p.start(), p.machine()));
     processes
 }

@@ -203,37 +203,6 @@ impl WorkerPool {
         }
     }
 
-    /// [`WorkerPool::map_indexed`] with per-item tracing: each index
-    /// runs inside a [`Telemetry::worker_span`] named `name`, parented
-    /// to the span open on the calling thread when the fan-out started
-    /// and ranked by its index. Trace trees built this way are
-    /// independent of worker scheduling (siblings collect in rank
-    /// order), and the sequential path runs the identical closures
-    /// inline, so one thread or eight produce the same tree.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics exactly like [`WorkerPool::map_indexed`]; the
-    /// panicking item's span is still closed by its RAII guard during
-    /// the unwind.
-    pub fn map_indexed_traced<T, F>(
-        &self,
-        n: usize,
-        telemetry: &Telemetry,
-        name: &str,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let ctx = telemetry.trace_context();
-        self.map_indexed(n, move |i| {
-            let _span = telemetry.worker_span(ctx.as_ref(), name, i as u64);
-            f(i)
-        })
-    }
-
     /// Fault-tolerant [`WorkerPool::map_indexed`]: a panicked index is
     /// requeued and retried (on another worker, when one is free) up to
     /// [`DEFAULT_RETRY_BUDGET`] times before the run fails.

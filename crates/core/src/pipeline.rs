@@ -3,8 +3,8 @@
 //! The paper's framework is cyclic: event monitoring feeds a recovery
 //! log, offline policy generation learns from the log, the generated
 //! policy drives error recovery, and its outcomes land back in the log.
-//! [`run_continuous_loop`] runs that cycle over consecutive observation
-//! windows of a (simulated) cluster:
+//! [`run_continuous_loop_controlled`] runs that cycle over consecutive
+//! observation windows of a (simulated) cluster:
 //!
 //! * **window 0** runs under the production cheapest-first policy and
 //!   seeds the log;
@@ -14,6 +14,12 @@
 //!   ladder;
 //! * each window reports its realized MTTR, so the improvement — and the
 //!   adaptation to any drift between windows — is directly observable.
+//!
+//! The accumulated corpus is kept across windows: each window's sorted
+//! processes are merged into it and their symptom sets pushed into one
+//! symptom database, so adding a window never re-sorts, copies or
+//! re-indexes the windows before it, and retraining borrows the clean
+//! processes instead of copying them.
 //!
 //! # Degraded mode
 //!
@@ -33,9 +39,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use recovery_mpattern::TransactionDb;
 use recovery_simlog::{
-    stats, ClusterConfig, ClusterSim, FaultCatalog, RecoveryLog, RecoveryProcess, SimDuration,
-    UserDefinedPolicy,
+    stats, ClusterConfig, ClusterSim, FaultCatalog, MachineId, RecoveryLog, RecoveryProcess,
+    SimDuration, SimTime, SymptomId, UserDefinedPolicy,
 };
 use recovery_telemetry::{Event, ObserverHandle, Telemetry, DURATION_MS_BOUNDS};
 
@@ -224,40 +231,6 @@ pub struct LoopRun {
     pub interrupted: bool,
 }
 
-/// Runs the closed loop against `catalog` and returns one row per window.
-///
-/// ```no_run
-/// use recovery_core::pipeline::{run_continuous_loop, ContinuousLoopConfig};
-/// use recovery_simlog::{CatalogConfig, ClusterConfig};
-///
-/// let catalog = CatalogConfig::default().with_fault_types(10).generate(7);
-/// let config = ContinuousLoopConfig::new(ClusterConfig::default());
-/// let outcomes = run_continuous_loop(&catalog, &config);
-/// // Window 0 runs the production ladder; later windows run the
-/// // retrained policy and should realize a lower MTTR.
-/// assert!(!outcomes[0].learned_policy);
-/// assert!(outcomes[1].learned_policy);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-) -> Vec<WindowOutcome> {
-    run_continuous_loop_controlled(
-        catalog,
-        config,
-        &Telemetry::disabled(),
-        &mut |_| ObserverHandle::none(),
-        &mut |_| {},
-        &mut LoopControls::default(),
-    )
-    .expect("a loop without durability controls cannot fail")
-    .outcomes
-}
-
 /// Everything the loop knows about a window the moment it completes,
 /// handed to the publication callback of
 /// [`run_continuous_loop_controlled`]. Borrows stay inside the callback:
@@ -298,10 +271,32 @@ pub struct LoopControls<'a> {
     pub durable: Option<&'a mut crate::durable::DurableLoop>,
 }
 
-/// [`run_continuous_loop`] with every seam attached: the entry point
-/// behind `autorecover loop` and `autorecover serve`. Each seam is
-/// purely additive — outcomes, events, and policies are byte-identical
-/// to the plain run.
+/// Runs the closed loop against `catalog`, one row per window, with
+/// every seam attached: the entry point behind `autorecover loop` and
+/// `autorecover serve`. Each seam is purely additive — outcomes, events,
+/// and policies are byte-identical to a run with none attached.
+///
+/// ```no_run
+/// use recovery_core::pipeline::{run_continuous_loop_controlled, ContinuousLoopConfig, LoopControls};
+/// use recovery_simlog::{CatalogConfig, ClusterConfig};
+/// use recovery_telemetry::{ObserverHandle, Telemetry};
+///
+/// let catalog = CatalogConfig::default().with_fault_types(10).generate(7);
+/// let config = ContinuousLoopConfig::new(ClusterConfig::default());
+/// let run = run_continuous_loop_controlled(
+///     &catalog,
+///     &config,
+///     &Telemetry::disabled(),
+///     &mut |_| ObserverHandle::none(),
+///     &mut |_| {},
+///     &mut LoopControls::default(),
+/// )
+/// .expect("a loop without durability controls cannot fail");
+/// // Window 0 runs the production ladder; later windows run the
+/// // retrained policy and should realize a lower MTTR.
+/// assert!(!run.outcomes[0].learned_policy);
+/// assert!(run.outcomes[1].learned_policy);
+/// ```
 ///
 /// - `telemetry`: each window's simulation and retraining phases are
 ///   recorded as spans, retraining hands each type's training record to
@@ -325,8 +320,9 @@ pub struct LoopControls<'a> {
 /// - `controls` carries the stop flag and the durable state handle.
 ///
 /// With a durable handle, the loop first resumes: journal records are
-/// replayed into the accumulated corpus (same split/sort sequence, same
-/// symptom interning — see [`crate::durable`]), the last-good policy and
+/// replayed into the accumulated corpus (the same split and the same
+/// add-a-window step, the same symptom interning — see
+/// [`crate::durable`]), the last-good policy and
 /// counter values are restored from the checkpoint, and execution
 /// continues from the first uncovered window. Completed windows then
 /// journal their observation log and write the next checkpoint
@@ -357,7 +353,7 @@ pub fn run_continuous_loop_controlled(
     }
     let pool = crate::parallel::WorkerPool::new(config.threads);
     let mut outcomes = Vec::with_capacity(config.windows);
-    let mut accumulated: Vec<RecoveryProcess> = Vec::new();
+    let mut corpus = Corpus::default();
     let mut current: Option<TrainedPolicy> = None;
     let mut start_window = 0usize;
     let mut interrupted = false;
@@ -368,7 +364,7 @@ pub fn run_continuous_loop_controlled(
         {
             start_window = resumed.next_window;
             outcomes = resumed.outcomes;
-            accumulated = resumed.accumulated;
+            corpus = resumed.corpus;
             current = resumed.policy;
             if let Some(registry) = telemetry.registry() {
                 // The checkpoint's counters are restored wholesale so
@@ -475,13 +471,15 @@ pub fn run_continuous_loop_controlled(
         // Feed the window's log back and retrain for the next window —
         // unless the window already fell back (nothing new to learn
         // from): the last good policy simply stays deployed.
-        accumulated.extend(processes);
-        accumulated.sort_by_key(|p| (p.start(), p.machine()));
+        {
+            let _span = telemetry.span("accumulate");
+            corpus.add_window(processes);
+        }
         let mut retrained_this_window = false;
         if window + 1 < config.windows && status.is_trained() {
             let _span = telemetry.span("retrain");
             let extra_observer = window_observer(window);
-            match retrain(config, &accumulated, window, telemetry, &extra_observer) {
+            match retrain(config, &corpus, window, telemetry, &extra_observer) {
                 Ok((policy, tail)) => {
                     current = Some(policy);
                     q_delta_tail = tail;
@@ -557,7 +555,7 @@ pub fn run_continuous_loop_controlled(
             } else {
                 None
             },
-            accumulated: &accumulated,
+            accumulated: corpus.processes(),
         });
         outcomes.push(outcome);
         if let Some(durable) = controls.durable.as_deref_mut() {
@@ -589,6 +587,92 @@ pub fn run_continuous_loop_controlled(
     })
 }
 
+/// The key the corpus is ordered by.
+type CorpusKey = (SimTime, MachineId);
+
+/// Everything the loop has accumulated: the processes of every window so
+/// far in `(start, machine)` order, each with its sort key and the id of
+/// its symptom set in one symptom database kept across windows.
+///
+/// [`Corpus::add_window`] pushes only the window's processes into the
+/// database and merges the (already sorted) window into the corpus by the
+/// stored keys, so no window clones, re-sorts or re-indexes what came
+/// before. Verdicts are judged afresh from the database at every
+/// retraining: supports grow as windows arrive, so a set that is
+/// cohesive now may not be later, and a verdict depends only on the
+/// counts, never on the order the sets were pushed in.
+#[derive(Debug, Default)]
+pub(crate) struct Corpus {
+    processes: Vec<RecoveryProcess>,
+    /// Per process, in corpus order: its key and its symptom set's id
+    /// in `db`.
+    index: Vec<(CorpusKey, usize)>,
+    db: TransactionDb<SymptomId>,
+}
+
+impl Corpus {
+    /// Adds one window's processes, sorted by `(start, machine)` as
+    /// [`crate::ingest::split_processes`] returns them. On equal keys the
+    /// earlier window's process comes first, as a stable sort of the
+    /// concatenated windows orders it.
+    pub(crate) fn add_window(&mut self, window: Vec<RecoveryProcess>) {
+        let incoming: Vec<(CorpusKey, usize)> = window
+            .iter()
+            .map(|p| {
+                self.db.push(p.symptoms().iter().map(|&(_, s)| s));
+                let set = *self.db.itemset_ids().last().expect("a set was just pushed");
+                ((p.start(), p.machine()), set)
+            })
+            .collect();
+        debug_assert!(incoming.windows(2).all(|w| w[0].0 <= w[1].0));
+        let Some(&(first, _)) = incoming.first() else {
+            return;
+        };
+        // Every process keyed at or before the window's first stays put;
+        // the rest is merged with the window behind it.
+        let split = self.index.partition_point(|&(key, _)| key <= first);
+        let mut old = self
+            .processes
+            .split_off(split)
+            .into_iter()
+            .zip(self.index.split_off(split))
+            .peekable();
+        let mut new = window.into_iter().zip(incoming).peekable();
+        while let Some(((_, (old_key, _)), (_, (new_key, _)))) = old.peek().zip(new.peek()) {
+            let (process, entry) = if old_key <= new_key {
+                old.next()
+            } else {
+                new.next()
+            }
+            .expect("peeked");
+            self.processes.push(process);
+            self.index.push(entry);
+        }
+        for (process, entry) in old.chain(new) {
+            self.processes.push(process);
+            self.index.push(entry);
+        }
+    }
+
+    /// Every accumulated process, in `(start, machine)` order.
+    pub(crate) fn processes(&self) -> &[RecoveryProcess] {
+        &self.processes
+    }
+
+    /// The processes whose symptom sets `filter` judges cohesive, in
+    /// corpus order: [`NoiseFilter::partition`]'s clean list of the whole
+    /// corpus, without copying a process.
+    pub(crate) fn clean(&self, filter: &NoiseFilter) -> Vec<&RecoveryProcess> {
+        let cohesive = filter.cohesive_sets(&self.db);
+        self.processes
+            .iter()
+            .zip(&self.index)
+            .filter(|(_, &(_, set))| cohesive[set])
+            .map(|(p, _)| p)
+            .collect()
+    }
+}
+
 /// One retraining step over everything accumulated so far, returning the
 /// trained policy plus its **Q-delta tail**: the largest final
 /// max-Q-delta any trained error type ended on — how unsettled the
@@ -599,7 +683,7 @@ pub fn run_continuous_loop_controlled(
 /// so the caller keeps the last good policy.
 fn retrain(
     config: &ContinuousLoopConfig,
-    accumulated: &[RecoveryProcess],
+    corpus: &Corpus,
     window: usize,
     telemetry: &Telemetry,
     extra_observer: &ObserverHandle,
@@ -608,28 +692,23 @@ fn retrain(
         if config.faults.trips_retrain(window) {
             panic!("faultline: injected retrain panic after window {window}");
         }
-        // Keep only the clean side: the noisy processes and the symptom
-        // database are freed before training starts.
         let clean = {
             let _span = telemetry.span("noise_filter");
-            NoiseFilter::new(config.minp)
-                .partition(accumulated.to_vec())
-                .clean
+            corpus.clean(&NoiseFilter::new(config.minp))
         };
         let clean = if config.faults.blacks_out_filter(window) {
             Vec::new()
         } else {
             clean
         };
-        let ranking = crate::error_type::ErrorTypeRanking::from_processes(&clean);
-        let types = ranking.top_k(config.top_k);
-        if types.is_empty() {
-            return Err(FallbackReason::NoTrainableTypes);
-        }
-        let trainer = OfflineTrainer::new(&clean, config.trainer.clone())
+        let trainer = OfflineTrainer::from_refs(clean.iter().copied(), config.trainer.clone())
             .with_threads(config.threads)
             .with_observer(telemetry.observer_handle().fanout(extra_observer))
             .with_telemetry(telemetry.clone());
+        let types = trainer.ranking().top_k(config.top_k);
+        if types.is_empty() {
+            return Err(FallbackReason::NoTrainableTypes);
+        }
         let tree = SelectionTreeTrainer::new(&trainer, config.tree.clone());
         let (policy, stats) = tree.train(&types);
         let tail = stats.iter().map(|s| s.final_q_delta).fold(0.0, f64::max);
@@ -644,7 +723,23 @@ fn retrain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use recovery_simlog::CatalogConfig;
+
+    /// A plain in-memory run: no telemetry, observers, publication or
+    /// durability.
+    fn run_loop(catalog: &FaultCatalog, config: &ContinuousLoopConfig) -> Vec<WindowOutcome> {
+        run_continuous_loop_controlled(
+            catalog,
+            config,
+            &Telemetry::disabled(),
+            &mut |_| ObserverHandle::none(),
+            &mut |_| {},
+            &mut LoopControls::default(),
+        )
+        .expect("a loop without durability controls cannot fail")
+        .outcomes
+    }
 
     fn small_cluster() -> ClusterConfig {
         ClusterConfig {
@@ -664,7 +759,7 @@ mod tests {
             trainer: TrainerConfig::fast(),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         assert_eq!(outcomes.len(), 3);
         assert!(!outcomes[0].learned_policy);
         assert!(outcomes[1].learned_policy && outcomes[2].learned_policy);
@@ -692,8 +787,8 @@ mod tests {
             trainer: TrainerConfig::fast(),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let a = run_continuous_loop(&catalog, &config);
-        let b = run_continuous_loop(&catalog, &config);
+        let a = run_loop(&catalog, &config);
+        let b = run_loop(&catalog, &config);
         assert_eq!(a, b);
     }
 
@@ -706,7 +801,7 @@ mod tests {
             trainer: TrainerConfig::fast(),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         for w in &outcomes {
             assert_eq!(w.status, WindowStatus::Trained, "window {}", w.window);
             assert!(w.status.is_trained());
@@ -728,7 +823,7 @@ mod tests {
                 .with_empty_window(1),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         assert_eq!(outcomes.len(), 2);
         for w in &outcomes {
             assert_eq!(
@@ -755,7 +850,7 @@ mod tests {
             faults: crate::fault::LoopFaultPlan::none().with_filter_blackout(0),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         assert_eq!(
             outcomes[0].status.fallback_reason(),
             Some(FallbackReason::NoTrainableTypes)
@@ -789,6 +884,72 @@ mod tests {
             windows: 1,
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let _ = run_continuous_loop(&catalog, &config);
+        let _ = run_loop(&catalog, &config);
+    }
+
+    /// A process on `machine` starting at `start`, showing `symptoms`
+    /// one a second.
+    fn process(machine: u32, start: u64, symptoms: &[u32]) -> RecoveryProcess {
+        RecoveryProcess::new(
+            MachineId::new(machine),
+            symptoms
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (SimTime::from_secs(start + i as u64), SymptomId::new(s)))
+                .collect(),
+            Vec::new(),
+            SimTime::from_secs(start + 100),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The kept corpus is the rebuilt one: after every window its
+        /// processes are all windows so far, extended and stable-sorted
+        /// by `(start, machine)`, and its clean list is the noise
+        /// filter's partition of exactly that, in the same order. Few
+        /// machines and start times make keys tie across windows; few
+        /// symptoms in small sets make verdicts flip as supports grow.
+        #[test]
+        fn kept_corpus_matches_the_rebuilt_one(
+            windows in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u32..3, 0u64..4, proptest::collection::vec(0u32..5, 1..4)),
+                    0..12,
+                ),
+                1..6,
+            ),
+            minp in prop_oneof![Just(0.3), Just(0.5), Just(0.8)],
+        ) {
+            let filter = NoiseFilter::new(minp);
+            let mut corpus = Corpus::default();
+            let mut rebuilt: Vec<RecoveryProcess> = Vec::new();
+            for (w, drawn) in windows.iter().enumerate() {
+                let mut window: Vec<RecoveryProcess> = drawn
+                    .iter()
+                    .map(|(machine, start, symptoms)| process(*machine, *start, symptoms))
+                    .collect();
+                window.sort_by_key(|p| (p.start(), p.machine()));
+                rebuilt.extend(window.iter().cloned());
+                rebuilt.sort_by_key(|p| (p.start(), p.machine()));
+                corpus.add_window(window);
+                prop_assert_eq!(
+                    corpus.processes(),
+                    rebuilt.as_slice(),
+                    "corpus order after window {}",
+                    w
+                );
+                let clean: Vec<RecoveryProcess> =
+                    corpus.clean(&filter).into_iter().cloned().collect();
+                prop_assert_eq!(
+                    clean,
+                    filter.partition(rebuilt.clone()).clean,
+                    "clean list after window {} at minp {}",
+                    w,
+                    minp
+                );
+            }
+        }
     }
 }

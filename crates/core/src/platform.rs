@@ -144,37 +144,98 @@ impl CostModel {
     }
 }
 
-/// Precomputed per-process replay state: the H1/H2 verdict, the average
-/// fallback cost, and the occurrence-indexed actual costs of every
-/// action, plus both detection leads.
+/// The replay data of a set of processes, flat: per process its H1/H2
+/// verdict mask, the average fallback cost of each action, both
+/// detection leads and the offsets of its logged costs in one `actual`
+/// buffer that the whole set shares.
 ///
-/// Built once per `(platform, process)` by
-/// [`SimulationPlatform::replay_cache`]; after that,
+/// Built once per set by [`SimulationPlatform::replay_cache`] in two
+/// allocations, however many processes the set holds; after that,
 /// [`SimulationPlatform::attempt_cached`] answers each replayed attempt
-/// with array lookups only — no re-deriving `ErrorType::of` or
-/// `required_action`, no hashing, no allocation. The cached answers are
-/// bit-identical to [`SimulationPlatform::attempt`].
+/// against a process of the set, named by its index, with array lookups
+/// only — no re-deriving `ErrorType::of` or `required_action`, no
+/// hashing, no allocation. The cached answers are bit-identical to
+/// [`SimulationPlatform::attempt`].
 #[derive(Debug, Clone)]
 pub struct ReplayCache {
-    /// H1/H2 verdict per action index (fixed for a fixed process).
-    cured: [bool; RepairAction::COUNT],
+    processes: Vec<CachedProcess>,
+    /// `actual[offsets[a]..offsets[a + 1]]` of a process are the logged
+    /// costs of action `a`'s replay-matching attempts, in occurrence
+    /// order.
+    actual: Vec<f64>,
+}
+
+/// One process of a [`ReplayCache`].
+#[derive(Debug, Clone, Copy)]
+struct CachedProcess {
+    /// Bit `a` is the H1/H2 verdict of action index `a` (fixed for a
+    /// fixed process).
+    cured: u8,
+    offsets: [u32; RepairAction::COUNT + 1],
     /// `average_cost(et, action, cured[action])` per action index.
     average: [f64; RepairAction::COUNT],
-    /// `actual[offsets[a]..offsets[a + 1]]` are the logged costs of
-    /// action `a`'s replay-matching attempts, in occurrence order.
-    offsets: [u32; RepairAction::COUNT + 1],
-    actual: Vec<f64>,
     detection_actual: f64,
     detection_average: f64,
 }
 
-/// The per-type half of a [`ReplayCache`]: the type's average cost of
-/// each action by outcome and its average detection lead, the same for
-/// every process of the type. Look it up once with
-/// [`SimulationPlatform::type_costs`] and build each process's cache from
-/// it with [`SimulationPlatform::replay_cache_of`].
+impl CachedProcess {
+    /// The replay data of `truth`, a process of the type `type_costs`
+    /// describes, with its logged costs appended to `actual`.
+    fn new(truth: &RecoveryProcess, type_costs: &TypeCosts, actual: &mut Vec<f64>) -> Self {
+        let required = truth.required_action();
+        let mut cached = CachedProcess {
+            cured: 0,
+            offsets: [0; RepairAction::COUNT + 1],
+            average: [0.0; RepairAction::COUNT],
+            detection_actual: truth.detection_lead().as_secs_f64(),
+            detection_average: type_costs.detection_average,
+        };
+        for a in RepairAction::ALL {
+            let i = a.index();
+            let cured = a.at_least_as_strong_as(required);
+            cached.cured |= u8::from(cured) << i;
+            cached.average[i] = type_costs.average[i][usize::from(cured)];
+            cached.offsets[i] = offset(actual.len());
+            // A logged attempt matches replay only when its outcome equals
+            // the replay verdict for the action (the `last == cured`
+            // condition of `RecoveryProcess::nth_action_cost`); the
+            // chronological order of `action_costs` is occurrence order.
+            actual.extend(
+                truth
+                    .action_costs()
+                    .filter(|c| c.action == a && c.cured == cured)
+                    .map(|c| c.cost.as_secs_f64()),
+            );
+        }
+        cached.offsets[RepairAction::COUNT] = offset(actual.len());
+        cached
+    }
+
+    fn detection_lead(&self, estimation: CostEstimation) -> f64 {
+        match estimation {
+            CostEstimation::PreferActual => self.detection_actual,
+            CostEstimation::AverageOnly => self.detection_average,
+        }
+    }
+}
+
+impl ReplayCache {
+    /// Number of processes in the set.
+    pub fn len(&self) -> usize {
+        self.processes.len()
+    }
+
+    /// Whether the set holds no process.
+    pub fn is_empty(&self) -> bool {
+        self.processes.is_empty()
+    }
+}
+
+/// The per-type half of a process's replay data: the type's average cost
+/// of each action by outcome and its average detection lead, the same
+/// for every process of the type.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TypeCosts {
+struct TypeCosts {
     error_type: ErrorType,
     /// `average_cost(et, action, cured)` at `[action][cured as usize]`.
     average: [[f64; 2]; RepairAction::COUNT],
@@ -207,6 +268,15 @@ pub struct SimulationPlatform {
 impl SimulationPlatform {
     /// Builds the platform's cost model from training processes.
     pub fn from_processes(processes: &[RecoveryProcess], estimation: CostEstimation) -> Self {
+        Self::from_refs(processes, estimation)
+    }
+
+    /// [`SimulationPlatform::from_processes`] over borrowed processes,
+    /// taken in iteration order.
+    pub(crate) fn from_refs<'p>(
+        processes: impl IntoIterator<Item = &'p RecoveryProcess>,
+        estimation: CostEstimation,
+    ) -> Self {
         let mut model = CostModel::default();
         for p in processes {
             let et = ErrorType::of(p);
@@ -309,9 +379,9 @@ impl SimulationPlatform {
         }
     }
 
-    /// The average costs every [`ReplayCache`] of type `et` reads: each
+    /// The average costs every process of type `et` replays with: each
     /// action's average by outcome, and the average detection lead.
-    pub(crate) fn type_costs(&self, et: ErrorType) -> TypeCosts {
+    fn type_costs(&self, et: ErrorType) -> TypeCosts {
         TypeCosts {
             error_type: et,
             average: RepairAction::ALL.map(|a| {
@@ -325,79 +395,64 @@ impl SimulationPlatform {
     }
 
     /// Precomputes everything [`SimulationPlatform::attempt`] would
-    /// re-derive per attempt against `truth`: the H1/H2 verdict and
-    /// average fallback per action, the occurrence-indexed actual costs,
-    /// and both detection leads. Build it once per process, then replay
-    /// attempts allocation-free with
-    /// [`SimulationPlatform::attempt_cached`].
-    pub fn replay_cache(&self, truth: &RecoveryProcess) -> ReplayCache {
-        self.replay_cache_of(&self.type_costs(ErrorType::of(truth)), truth)
+    /// re-derive per attempt against each of `truths`: the H1/H2 verdict
+    /// and average fallback per action, the occurrence-indexed actual
+    /// costs, and both detection leads. Build it once per set of
+    /// processes, then replay attempts allocation-free with
+    /// [`SimulationPlatform::attempt_cached`], naming a process by its
+    /// index in `truths`. A type's averages are looked up once per run
+    /// of processes of that type.
+    pub fn replay_cache(&self, truths: &[&RecoveryProcess]) -> ReplayCache {
+        let mut processes = Vec::with_capacity(truths.len());
+        let mut actual = Vec::with_capacity(truths.iter().map(|p| p.actions().len()).sum());
+        let mut costs: Option<TypeCosts> = None;
+        for truth in truths {
+            let et = ErrorType::of(truth);
+            let type_costs = match costs {
+                Some(c) if c.error_type == et => c,
+                _ => *costs.insert(self.type_costs(et)),
+            };
+            processes.push(CachedProcess::new(truth, &type_costs, &mut actual));
+        }
+        ReplayCache { processes, actual }
     }
 
-    /// [`SimulationPlatform::replay_cache`] with the averages of
-    /// `truth`'s type already looked up, for callers that cache many
-    /// processes of one type.
-    pub(crate) fn replay_cache_of(
-        &self,
-        type_costs: &TypeCosts,
-        truth: &RecoveryProcess,
-    ) -> ReplayCache {
-        debug_assert_eq!(type_costs.error_type, ErrorType::of(truth));
-        let required = truth.required_action();
-        let mut cured = [false; RepairAction::COUNT];
-        let mut average = [0.0; RepairAction::COUNT];
-        for a in RepairAction::ALL {
-            cured[a.index()] = a.at_least_as_strong_as(required);
-            average[a.index()] = type_costs.average[a.index()][usize::from(cured[a.index()])];
-        }
-        let mut offsets = [0u32; RepairAction::COUNT + 1];
-        let mut actual = Vec::with_capacity(truth.actions().len());
-        for i in 0..RepairAction::COUNT {
-            offsets[i] = actual.len() as u32;
-            // A logged attempt matches replay only when its outcome equals
-            // the replay verdict for the action (the `last == cured`
-            // condition of `RecoveryProcess::nth_action_cost`); the
-            // chronological order of `action_costs` is occurrence order.
-            actual.extend(
-                truth
-                    .action_costs()
-                    .filter(|c| c.action.index() == i && c.cured == cured[i])
-                    .map(|c| c.cost.as_secs_f64()),
-            );
-        }
-        offsets[RepairAction::COUNT] = actual.len() as u32;
-        ReplayCache {
-            cured,
-            average,
-            offsets,
-            actual,
-            detection_actual: truth.detection_lead().as_secs_f64(),
-            detection_average: type_costs.detection_average,
-        }
-    }
-
-    /// The cached form of [`SimulationPlatform::attempt`]: answers from
-    /// the [`ReplayCache`] with array lookups only — no hashing, no
+    /// The cached form of [`SimulationPlatform::attempt`] against process
+    /// `process` of `cache`: array lookups only — no hashing, no
     /// scanning, no allocation. Bit-identical outcomes, identical
     /// observer reporting.
+    #[inline]
     pub fn attempt_cached(
         &self,
         cache: &ReplayCache,
+        process: usize,
+        action: RepairAction,
+        occurrence: usize,
+    ) -> AttemptOutcome {
+        self.attempt_of(&cache.processes[process], &cache.actual, action, occurrence)
+    }
+
+    /// [`SimulationPlatform::attempt_cached`] against one process's
+    /// replay data, whose logged costs are in `actual`.
+    fn attempt_of(
+        &self,
+        truth: &CachedProcess,
+        actual: &[f64],
         action: RepairAction,
         occurrence: usize,
     ) -> AttemptOutcome {
         let i = action.index();
-        let cured = cache.cured[i];
+        let cured = truth.cured & (1 << i) != 0;
         let (cost, from_log) = match self.estimation {
             CostEstimation::PreferActual => {
-                let slot = cache.offsets[i] as usize + occurrence;
-                if slot < cache.offsets[i + 1] as usize {
-                    (cache.actual[slot], true)
+                let slot = truth.offsets[i] as usize + occurrence;
+                if slot < truth.offsets[i + 1] as usize {
+                    (actual[slot], true)
                 } else {
-                    (cache.average[i], false)
+                    (truth.average[i], false)
                 }
             }
-            CostEstimation::AverageOnly => (cache.average[i], false),
+            CostEstimation::AverageOnly => (truth.average[i], false),
         };
         self.observer.platform_replay(cured, cost, from_log);
         AttemptOutcome {
@@ -407,13 +462,11 @@ impl SimulationPlatform {
         }
     }
 
-    /// The detection lead of a cached replay, by estimation mode — the
-    /// cached form of [`SimulationPlatform::replay_detection_lead`].
-    pub fn detection_lead_cached(&self, cache: &ReplayCache) -> f64 {
-        match self.estimation {
-            CostEstimation::PreferActual => cache.detection_actual,
-            CostEstimation::AverageOnly => cache.detection_average,
-        }
+    /// The detection lead of process `process` of `cache`, by estimation
+    /// mode — the cached form of
+    /// [`SimulationPlatform::replay_detection_lead`].
+    pub fn detection_lead_cached(&self, cache: &ReplayCache, process: usize) -> f64 {
+        cache.processes[process].detection_lead(self.estimation)
     }
 
     /// Replays one repair attempt against a ground-truth process.
@@ -479,7 +532,10 @@ impl SimulationPlatform {
         max_attempts: usize,
     ) -> Replay {
         assert!(max_attempts > 0, "need at least one attempt");
-        let cache = self.replay_cache(truth);
+        // One process needs no set: its replay data stays on the stack,
+        // and only its logged costs allocate.
+        let mut actual = Vec::with_capacity(truth.actions().len());
+        let cached = CachedProcess::new(truth, &self.type_costs(ErrorType::of(truth)), &mut actual);
         let mut state = RecoveryState::initial(ErrorType::of(truth));
         let mut attempts: Vec<(RepairAction, AttemptOutcome)> =
             Vec::with_capacity(max_attempts.min(32));
@@ -487,7 +543,7 @@ impl SimulationPlatform {
         // attempt (quadratic in the N = 20 cap); a per-action counter is
         // equivalent because occurrence only keys on the action.
         let mut tried = [0u32; RepairAction::COUNT];
-        let detection_lead = self.detection_lead_cached(&cache);
+        let detection_lead = cached.detection_lead(self.estimation);
         loop {
             let action = if attempts.len() + 1 >= max_attempts {
                 RepairAction::Rma
@@ -507,7 +563,7 @@ impl SimulationPlatform {
             };
             let occurrence = tried[action.index()] as usize;
             tried[action.index()] += 1;
-            let outcome = self.attempt_cached(&cache, action, occurrence);
+            let outcome = self.attempt_of(&cached, &actual, action, occurrence);
             attempts.push((action, outcome));
             if outcome.cured {
                 return self.finish_replay(Replay {
@@ -528,6 +584,11 @@ impl SimulationPlatform {
         }
         replay
     }
+}
+
+/// An offset into a [`ReplayCache`]'s `actual` buffer.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a replay set holds fewer than 2^32 logged attempts")
 }
 
 #[cfg(test)]
@@ -569,6 +630,26 @@ mod tests {
                 action: RepairAction::Reboot,
             }],
             t(11_200),
+        )
+    }
+
+    /// A process of a type the platform was not built from, cured by
+    /// REIMAGE after a failed TRYNOP.
+    fn other_type_process() -> RecoveryProcess {
+        RecoveryProcess::new(
+            MachineId::new(3),
+            vec![(t(20_000), SymptomId::new(8))],
+            vec![
+                ActionRecord {
+                    time: t(20_100),
+                    action: RepairAction::TryNop,
+                },
+                ActionRecord {
+                    time: t(20_700),
+                    action: RepairAction::Reimage,
+                },
+            ],
+            t(30_000),
         )
     }
 
@@ -746,22 +827,26 @@ mod tests {
 
     #[test]
     fn cached_attempts_match_uncached_for_all_actions_and_occurrences() {
+        let truths = [reboot_process(), reboot_process_2(), other_type_process()];
+        let refs: Vec<&RecoveryProcess> = truths.iter().collect();
         for estimation in [CostEstimation::PreferActual, CostEstimation::AverageOnly] {
             let p = platform(estimation);
-            for truth in [reboot_process(), reboot_process_2()] {
-                let cache = p.replay_cache(&truth);
+            // One set over every process, mixed types included.
+            let cache = p.replay_cache(&refs);
+            assert_eq!(cache.len(), truths.len());
+            for (i, truth) in truths.iter().enumerate() {
                 for action in RepairAction::ALL {
                     for occurrence in 0..4 {
                         assert_eq!(
-                            p.attempt_cached(&cache, action, occurrence),
-                            p.attempt(&truth, action, occurrence),
-                            "{estimation:?} {action:?} occurrence {occurrence}"
+                            p.attempt_cached(&cache, i, action, occurrence),
+                            p.attempt(truth, action, occurrence),
+                            "{estimation:?} process {i} {action:?} occurrence {occurrence}"
                         );
                     }
                 }
                 assert_eq!(
-                    p.detection_lead_cached(&cache),
-                    p.replay_detection_lead(&truth)
+                    p.detection_lead_cached(&cache, i),
+                    p.replay_detection_lead(truth)
                 );
             }
         }

@@ -224,11 +224,11 @@ pub struct TypeTrainingStats {
 /// same episodes.
 pub struct ReplayEnv<'a> {
     platform: &'a SimulationPlatform,
-    /// One [`ReplayCache`] per process of the type: episodes replay
+    /// The replay data of the type's processes: episodes replay
     /// thousands of attempts per process, so the hot path answers from
     /// precomputed tables instead of re-deriving the error type, required
     /// action, and occurrence costs per attempt.
-    caches: Vec<ReplayCache>,
+    cache: ReplayCache,
     error_type: ErrorType,
     codec: StateCodec,
     max_attempts: usize,
@@ -296,7 +296,7 @@ impl std::fmt::Debug for ReplayEnv<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplayEnv")
             .field("error_type", &self.error_type)
-            .field("processes", &self.caches.len())
+            .field("processes", &self.cache.len())
             .finish()
     }
 }
@@ -312,7 +312,7 @@ impl Environment for ReplayEnv<'_> {
 
     fn reset(&mut self) -> usize {
         // The paper's SelectProcess step: draw one recovery process.
-        self.current = self.rng.gen_range(0..self.caches.len());
+        self.current = self.rng.gen_range(0..self.cache.len());
         StateCodec::INITIAL
     }
 
@@ -339,7 +339,7 @@ impl Environment for ReplayEnv<'_> {
         // tallied here, for the type's record.
         let outcome = self
             .platform
-            .attempt_cached(&self.caches[self.current], action, occurrence);
+            .attempt_cached(&self.cache, self.current, action, occurrence);
         self.replays.attempt(outcome.cured, outcome.from_log);
         Step {
             cost: outcome.cost,
@@ -379,12 +379,22 @@ impl<'a> OfflineTrainer<'a> {
     /// platform is constructed in [`CostEstimation::PreferActual`] mode —
     /// training charges actual logged costs where available (§3.3).
     pub fn new(train: &'a [RecoveryProcess], config: TrainerConfig) -> Self {
-        let platform = SimulationPlatform::from_processes(train, CostEstimation::PreferActual);
+        Self::from_refs(train.iter(), config)
+    }
+
+    /// [`OfflineTrainer::new`] over borrowed processes, taken in
+    /// iteration order: the continuous loop trains on the clean part of
+    /// its corpus without copying a process.
+    pub(crate) fn from_refs<I>(train: I, config: TrainerConfig) -> Self
+    where
+        I: Iterator<Item = &'a RecoveryProcess> + Clone,
+    {
+        let platform = SimulationPlatform::from_refs(train.clone(), CostEstimation::PreferActual);
         let mut by_type: HashMap<ErrorType, Vec<&'a RecoveryProcess>> = HashMap::new();
         for p in train {
             by_type.entry(ErrorType::of(p)).or_default().push(p);
         }
-        let ranking = ErrorTypeRanking::from_processes(train);
+        let ranking = ErrorTypeRanking::from_counts(by_type.iter().map(|(&t, ps)| (t, ps.len())));
         OfflineTrainer {
             platform,
             by_type,
@@ -462,15 +472,10 @@ impl<'a> OfflineTrainer<'a> {
     /// the type alone.
     pub fn replay_env(&self, et: ErrorType) -> Option<ReplayEnv<'_>> {
         let processes = self.by_type.get(&et)?;
-        let type_costs = self.platform.type_costs(et);
-        let caches = processes
-            .iter()
-            .map(|p| self.platform.replay_cache_of(&type_costs, p))
-            .collect();
         let codec = StateCodec::new(self.config.max_attempts);
         Some(ReplayEnv {
             platform: &self.platform,
-            caches,
+            cache: self.platform.replay_cache(processes),
             error_type: et,
             codec,
             max_attempts: self.config.max_attempts,

@@ -30,15 +30,17 @@ pub fn fingerprint(bytes: &[u8]) -> String {
 }
 
 /// The replay plane of a snapshot: a cost model built from the training
-/// corpus plus one canonical [`ReplayCache`] per symptom, so `/simulate`
-/// answers with the zero-alloc cached-attempt path.
+/// corpus plus the [`ReplayCache`] of one canonical process per symptom,
+/// so `/simulate` answers with the zero-alloc cached-attempt path.
 #[derive(Debug, Clone)]
 pub struct ReplayPlane {
     platform: SimulationPlatform,
-    /// Canonical ground-truth cache per symptom name: built from the
-    /// first process (in the corpus's deterministic order) showing that
-    /// symptom, so the same corpus always yields the same answers.
-    caches: HashMap<String, ReplayCache>,
+    /// The replay data of the canonical processes: each symptom's is the
+    /// first process (in the corpus's deterministic order) showing it,
+    /// so the same corpus always yields the same answers.
+    cache: ReplayCache,
+    /// Each symptom name's canonical process, by index in `cache`.
+    canonical: HashMap<String, usize>,
 }
 
 /// One simulated step of a `/simulate` replay.
@@ -68,31 +70,45 @@ pub struct SimulatedRun {
 impl ReplayPlane {
     fn build(processes: &[RecoveryProcess], symptoms: &SymptomCatalog) -> Self {
         let platform = SimulationPlatform::from_processes(processes, CostEstimation::PreferActual);
-        let mut caches = HashMap::new();
+        // Seen symptoms are marked by id, so each name is looked up once;
+        // an id outside the catalog has no name and no canonical process.
+        let mut seen = vec![false; symptoms.len()];
+        let mut truths = Vec::new();
+        let mut canonical = HashMap::new();
         for p in processes {
-            let Some(name) = symptoms.name(ErrorType::of(p).symptom()) else {
-                continue;
-            };
-            if !caches.contains_key(name) {
-                caches.insert(name.to_string(), platform.replay_cache(p));
+            let symptom = ErrorType::of(p).symptom();
+            match seen.get_mut(symptom.index() as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => continue,
+            }
+            if let Some(name) = symptoms.name(symptom) {
+                canonical.insert(name.to_string(), truths.len());
+                truths.push(p);
             }
         }
-        ReplayPlane { platform, caches }
+        ReplayPlane {
+            cache: platform.replay_cache(&truths),
+            platform,
+            canonical,
+        }
     }
 
     /// Replays `actions` against the canonical process for `symptom`,
     /// stopping after the first curing attempt. `None` when the corpus
     /// never showed the symptom.
     pub fn simulate(&self, symptom: &str, actions: &[RepairAction]) -> Option<SimulatedRun> {
-        let cache = self.caches.get(symptom)?;
+        let process = *self.canonical.get(symptom)?;
         let mut occurrences = [0usize; RepairAction::COUNT];
         let mut steps = Vec::with_capacity(actions.len());
         let mut total = 0.0;
         let mut cured = false;
         for &action in actions {
-            let outcome = self
-                .platform
-                .attempt_cached(cache, action, occurrences[action.index()]);
+            let outcome = self.platform.attempt_cached(
+                &self.cache,
+                process,
+                action,
+                occurrences[action.index()],
+            );
             occurrences[action.index()] += 1;
             total += outcome.cost;
             steps.push(SimulatedStep {
@@ -106,7 +122,7 @@ impl ReplayPlane {
             }
         }
         Some(SimulatedRun {
-            detection_lead_s: self.platform.detection_lead_cached(cache),
+            detection_lead_s: self.platform.detection_lead_cached(&self.cache, process),
             steps,
             cured,
             total_cost_s: total,

@@ -2,7 +2,7 @@
 //! catalog, with the textual serialization format of the paper's Table 1
 //! and the process-splitting step of §4.1.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::codec::{self, LineReader};
 use crate::error::ParseLogError;
@@ -212,7 +212,7 @@ impl RecoveryLog {
     /// processes that "end with successful recovery".
     pub fn split_processes(&mut self) -> Vec<RecoveryProcess> {
         self.ensure_sorted();
-        let mut processes = extract_processes(&self.entries, |_| true);
+        let mut processes = extract_processes(&self.entries);
         processes.sort_by_key(|p| (p.start(), p.machine()));
         processes
     }
@@ -236,58 +236,80 @@ fn line_count(text: &str) -> usize {
 }
 
 /// Runs the per-machine process state machine over chronologically sorted
-/// entries, visiting only machines for which `take` returns `true`.
+/// entries, in one pass.
 ///
-/// Machines never interact during process extraction, so disjoint machine
-/// subsets can be extracted independently (the shard step of parallel
-/// ingestion) and merged back by sorting on `(start, machine)` — the
-/// single-threaded [`RecoveryLog::split_processes`] order. Processes are
-/// returned in completion (`Success`) order, which within one machine is
-/// also chronological — the property the stable merge sort relies on.
-pub fn extract_processes(
-    entries: &[LogEntry],
-    take: impl Fn(MachineId) -> bool,
-) -> Vec<RecoveryProcess> {
-    #[derive(Default)]
-    struct Open {
-        symptoms: Vec<(SimTime, crate::symptom::SymptomId)>,
-        actions: Vec<ActionRecord>,
-    }
-    let mut open: BTreeMap<MachineId, Open> = BTreeMap::new();
-    let mut processes = Vec::new();
+/// Per machine, a process opens at the first symptom seen while the
+/// machine is healthy and closes at the next `Success`; machines never
+/// interact, so each keeps its open process in its own slot of a table.
+/// Processes are returned in completion (`Success`) order, which within
+/// one machine is also chronological — the property the stable
+/// `(start, machine)` sort of [`RecoveryLog::split_processes`] relies on.
+pub fn extract_processes(entries: &[LogEntry]) -> Vec<RecoveryProcess> {
+    let successes = entries
+        .iter()
+        .filter(|e| matches!(e.event, LogEvent::Success))
+        .count();
+    let mut processes = Vec::with_capacity(successes);
+    let mut open = OpenProcesses::new(entries.len());
     for e in entries {
-        if !take(e.machine) {
-            continue;
-        }
+        let slot = open.slot(e.machine);
         match e.event {
-            LogEvent::Symptom(s) => {
-                open.entry(e.machine)
-                    .or_default()
-                    .symptoms
-                    .push((e.time, s));
+            LogEvent::Symptom(s) => slot.symptoms.push((e.time, s)),
+            // An action without a preceding symptom is a stray (e.g.
+            // operator-initiated maintenance): ignore it.
+            LogEvent::Action(a) if !slot.symptoms.is_empty() => slot.actions.push(ActionRecord {
+                time: e.time,
+                action: a,
+            }),
+            LogEvent::Action(_) => {}
+            LogEvent::Success if !slot.symptoms.is_empty() => {
+                let Open { symptoms, actions } = std::mem::take(slot);
+                processes.push(RecoveryProcess::new(e.machine, symptoms, actions, e.time));
             }
-            LogEvent::Action(a) => {
-                // An action without a preceding symptom is a stray
-                // (e.g. operator-initiated maintenance): ignore it.
-                if let Some(o) = open.get_mut(&e.machine) {
-                    o.actions.push(ActionRecord {
-                        time: e.time,
-                        action: a,
-                    });
-                }
-            }
-            LogEvent::Success => {
-                if let Some(o) = open.remove(&e.machine) {
-                    if !o.symptoms.is_empty() {
-                        processes.push(RecoveryProcess::new(
-                            e.machine, o.symptoms, o.actions, e.time,
-                        ));
-                    }
-                }
-            }
+            LogEvent::Success => {}
         }
     }
     processes
+}
+
+/// A machine's open process: its symptoms and actions so far. A machine
+/// has an open process exactly when `symptoms` is non-empty.
+#[derive(Default)]
+struct Open {
+    symptoms: Vec<(SimTime, crate::symptom::SymptomId)>,
+    actions: Vec<ActionRecord>,
+}
+
+/// The open process of every machine. Machine ids below `dense_bound`
+/// index a `Vec` directly; larger ones go through a map, since ids span
+/// all of `u32` and a table sized by the largest id could need 2^32
+/// slots. With the bound at the entry count, the table never holds more
+/// slots than the log has entries.
+struct OpenProcesses {
+    dense: Vec<Open>,
+    dense_bound: usize,
+    sparse: HashMap<MachineId, Open>,
+}
+
+impl OpenProcesses {
+    fn new(dense_bound: usize) -> Self {
+        OpenProcesses {
+            dense: Vec::new(),
+            dense_bound,
+            sparse: HashMap::new(),
+        }
+    }
+
+    fn slot(&mut self, machine: MachineId) -> &mut Open {
+        let index = machine.index() as usize;
+        if index >= self.dense_bound {
+            return self.sparse.entry(machine).or_default();
+        }
+        if index >= self.dense.len() {
+            self.dense.resize_with(index + 1, Open::default);
+        }
+        &mut self.dense[index]
+    }
 }
 
 /// The result of [`RecoveryLog::audit`].
@@ -493,14 +515,53 @@ mod tests {
 
     #[test]
     fn extract_processes_partitions_by_machine() {
+        // Machines never interact: extracting each machine's entries on
+        // their own and merging gives the whole log's split.
         let mut log = two_machine_log();
         let all = log.split_processes();
         let entries = log.entries().to_vec();
-        let mut sharded: Vec<_> = (0..2u32)
-            .flat_map(|s| extract_processes(&entries, |m| m.index() % 2 == s))
+        let mut partitioned: Vec<_> = (0..2u32)
+            .flat_map(|s| {
+                let part: Vec<LogEntry> = entries
+                    .iter()
+                    .filter(|e| e.machine.index() % 2 == s)
+                    .copied()
+                    .collect();
+                extract_processes(&part)
+            })
             .collect();
-        sharded.sort_by_key(|p| (p.start(), p.machine()));
-        assert_eq!(sharded, all);
+        partitioned.sort_by_key(|p| (p.start(), p.machine()));
+        assert_eq!(partitioned, all);
+    }
+
+    #[test]
+    fn split_handles_the_smallest_and_largest_machine_ids() {
+        // The codec reads machine ids up to u32::MAX; a table indexed
+        // by id alone would need 2^32 slots for this four-line log.
+        let text = "2006-01-01 00:00:00\tM0000\terror:A\n\
+                    2006-01-01 00:00:05\tM4294967295\terror:B\n\
+                    2006-01-01 00:01:00\tM4294967295\tREBOOT\n\
+                    2006-01-01 00:02:00\tM0000\tSuccess\n\
+                    2006-01-01 00:03:00\tM4294967295\tSuccess\n";
+        let mut log = RecoveryLog::from_text(text).unwrap();
+        let a = log.symptoms().id("error:A").unwrap();
+        let b = log.symptoms().id("error:B").unwrap();
+        let t = SimTime::from_secs;
+        assert_eq!(
+            log.split_processes(),
+            [
+                RecoveryProcess::new(MachineId::new(0), vec![(t(0), a)], vec![], t(120)),
+                RecoveryProcess::new(
+                    MachineId::new(u32::MAX),
+                    vec![(t(5), b)],
+                    vec![ActionRecord {
+                        time: t(60),
+                        action: RepairAction::Reboot,
+                    }],
+                    t(180),
+                ),
+            ]
+        );
     }
 
     #[test]

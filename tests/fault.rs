@@ -28,12 +28,12 @@ use recovery_core::fault::{
 use recovery_core::ingest::{self, ParseErrorPolicy};
 use recovery_core::parallel::{PoolError, WorkerPool, DEFAULT_RETRY_BUDGET};
 use recovery_core::pipeline::{
-    run_continuous_loop, run_continuous_loop_controlled, ContinuousLoopConfig, FallbackReason,
-    LoopControls, WindowStatus,
+    run_continuous_loop_controlled, ContinuousLoopConfig, FallbackReason, LoopControls,
+    WindowOutcome, WindowStatus,
 };
 use recovery_core::trainer::TrainerConfig;
 use recovery_simlog::{
-    CatalogConfig, ClusterConfig, GeneratorConfig, LogGenerator, ParseLogErrorKind,
+    CatalogConfig, ClusterConfig, FaultCatalog, GeneratorConfig, LogGenerator, ParseLogErrorKind,
     RecoveryProcess, SimDuration, SymptomCatalog,
 };
 use recovery_telemetry::{ObserverHandle, Telemetry};
@@ -89,6 +89,21 @@ fn small_loop_config(windows: usize, faults: LoopFaultPlan) -> ContinuousLoopCon
             ..ClusterConfig::default()
         })
     }
+}
+
+/// A plain in-memory loop run: no telemetry, observers, publication or
+/// durability.
+fn run_loop(catalog: &FaultCatalog, config: &ContinuousLoopConfig) -> Vec<WindowOutcome> {
+    run_continuous_loop_controlled(
+        catalog,
+        config,
+        &Telemetry::disabled(),
+        &mut |_| ObserverHandle::none(),
+        &mut |_| {},
+        &mut LoopControls::default(),
+    )
+    .expect("a loop without durability controls cannot fail")
+    .outcomes
 }
 
 /// Strict mode is byte-identical to the pre-fault-tolerance parser:
@@ -425,7 +440,7 @@ fn persistent_panics_exhaust_the_budget_into_a_typed_error() {
 fn retrain_panic_degrades_one_window_and_the_loop_recovers() {
     let catalog = CatalogConfig::default().with_fault_types(8).generate(5);
     let config = small_loop_config(4, LoopFaultPlan::none().with_retrain_panic(1));
-    let outcomes = run_continuous_loop(&catalog, &config);
+    let outcomes = run_loop(&catalog, &config);
     assert_eq!(outcomes.len(), 4, "the loop must not abort");
     assert_eq!(outcomes[0].status, WindowStatus::Trained);
     assert_eq!(
@@ -448,7 +463,7 @@ fn retrain_panic_degrades_one_window_and_the_loop_recovers() {
 fn simulation_panic_degrades_one_window_without_aborting() {
     let catalog = CatalogConfig::default().with_fault_types(8).generate(5);
     let config = small_loop_config(3, LoopFaultPlan::none().with_simulation_panic(1));
-    let outcomes = run_continuous_loop(&catalog, &config);
+    let outcomes = run_loop(&catalog, &config);
     assert_eq!(outcomes.len(), 3);
     assert_eq!(
         outcomes[1].status,
@@ -479,7 +494,7 @@ fn faulted_loop_outcomes_are_thread_count_invariant() {
             threads,
             ..small_loop_config(3, faults.clone())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         match &baseline {
             None => baseline = Some(outcomes),
             Some(expected) => assert_eq!(&outcomes, expected, "{threads} threads"),
@@ -650,7 +665,7 @@ fn fault_dump_is_thread_count_invariant() {
         threads,
         ..small_loop_config(3, LoopFaultPlan::none().with_retrain_panic(0))
     };
-    for w in run_continuous_loop(&catalog, &config) {
+    for w in run_loop(&catalog, &config) {
         dump.push_str(&format!(
             "window {} processes {} mttr {} learned {} status {}\n",
             w.window,

@@ -248,7 +248,7 @@ proptest! {
                 // The chosen checkpoint never claims more journal
                 // records than actually survived.
                 prop_assert!(state.seq as usize <= scan.records.len());
-                prop_assert_eq!(state.accumulated.len(), state.seq as usize);
+                prop_assert_eq!(state.accumulated().len(), state.seq as usize);
             }
             None => prop_assert_eq!(scan.records.len(), 0),
         }
