@@ -12,11 +12,29 @@
 //! overhead as a bogus "speedup" (this file once reported `"threads":1`
 //! with `speedup: 0.712` that way).
 //!
-//! The `observed` series prices observation: the same `train_all` at 1
-//! and 2 threads with no observer, with the telemetry observer, and with
-//! the telemetry observer fanned out to a diagnostics recorder (what
-//! `report --diagnostics-out` attaches), each with its ratio to the
-//! unobserved time. The ratios are recorded, not gated.
+//! Every type trains exactly `SWEEPS` sweeps (the convergence check is
+//! inert), so a sample does the same work whatever the thread count and
+//! one sequential sample takes about 200 ms on a 2-core host: long
+//! enough that timer and scheduler noise stay small against it. Samples
+//! come in `ROUNDS` rounds that each time every arm once, in a fixed
+//! order, so a slow spell of a shared host hits every arm alike. Each
+//! row records the median wall time with its interquartile range and
+//! sample count, and beside it the median CPU time of the whole process
+//! (user + system, from `/proc/self/stat`): a row whose wall time moved
+//! while its CPU time did not met host noise, and CPU ÷ wall shows how
+//! many cores a parallel row really used. A speedup is the median of
+//! the per-round ratios, with their interquartile range.
+//!
+//! The `observed` rows price observation: the same `train_all` at 1 and
+//! 2 threads with no observer, with the telemetry observer, and with the
+//! telemetry observer fanned out to a diagnostics recorder (what
+//! `report --diagnostics-out` attaches), each with the ratio of its
+//! median to the unobserved median. The replay rows time `REPLAY_PASSES`
+//! full-policy evaluations of the catalog per sample.
+//!
+//! Only invariants are asserted — every type trained, each for exactly
+//! `SWEEPS` sweeps, with the same statistics at every thread count and
+//! under every observer — never a time.
 
 use std::time::Instant;
 
@@ -26,7 +44,7 @@ use recovery_core::evaluate::evaluate_parallel;
 use recovery_core::parallel::WorkerPool;
 use recovery_core::platform::{CostEstimation, SimulationPlatform};
 use recovery_core::policy::UserStatePolicy;
-use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig, TypeTrainingStats};
 use recovery_diagnostics::DiagnosticsRecorder;
 use recovery_simlog::{ActionRecord, MachineId, RecoveryProcess, RepairAction, SimTime, SymptomId};
 use recovery_telemetry::{ObserverHandle, Telemetry};
@@ -89,28 +107,37 @@ fn synthetic_catalog() -> Vec<RecoveryProcess> {
     processes
 }
 
-fn capped_config() -> TrainerConfig {
+/// Sweeps every type trains. With the convergence check inert, this
+/// fixes each sample's work at `TYPES × SWEEPS` sweeps.
+const SWEEPS: u64 = 48_000;
+/// Timed rounds; each round times every arm once.
+const ROUNDS: usize = 11;
+/// Full-catalog evaluations per replay sample.
+const REPLAY_PASSES: usize = 400;
+
+fn fixed_config() -> TrainerConfig {
     let mut config = TrainerConfig::fast();
-    config.learning.max_episodes = 4_000;
+    config.learning.max_episodes = SWEEPS;
+    config.learning.convergence_window = u64::MAX;
     config
 }
 
-fn train_with(train: &[RecoveryProcess], threads: usize) -> usize {
+fn train_with(train: &[RecoveryProcess], threads: usize) -> Vec<TypeTrainingStats> {
     train_observed(train, threads, ObserverHandle::none())
 }
 
-fn train_observed(train: &[RecoveryProcess], threads: usize, observer: ObserverHandle) -> usize {
-    let trainer = OfflineTrainer::new(train, capped_config())
+fn train_observed(
+    train: &[RecoveryProcess],
+    threads: usize,
+    observer: ObserverHandle,
+) -> Vec<TypeTrainingStats> {
+    let trainer = OfflineTrainer::new(train, fixed_config())
         .with_threads(threads)
         .with_observer(observer);
-    let (_, stats) = trainer.train_all();
-    stats.len()
+    trainer.train_all().1
 }
 
-/// Rounds of the `observed` series; each arm keeps its best.
-const OBSERVED_ROUNDS: u32 = 9;
-
-/// The observers the `observed` series times, by name.
+/// The observers the `observed` rows time, by name; `none` first.
 fn observer_arms() -> [(&'static str, ObserverHandle); 3] {
     let telemetry = Telemetry::new().observer_handle();
     let diagnostics = telemetry.fanout(&DiagnosticsRecorder::new().handle());
@@ -148,15 +175,64 @@ fn bench_parallel_training(c: &mut Criterion) {
 
 criterion_group!(benches, bench_parallel_training);
 
-/// Times `f` a few times and returns the best wall-clock in milliseconds.
-fn best_of_ms(reps: u32, mut f: impl FnMut()) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
+/// CPU time of the whole process so far (user + system, all threads),
+/// in milliseconds. `/proc/self/stat` counts it in ticks of Linux's
+/// fixed user-space clock, 100 per second; off Linux this reads 0.
+fn process_cpu_ms() -> f64 {
+    let ticks = || -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+        // Fields 14 (utime) and 15 (stime), counted from field 3, the
+        // first after the parenthesized command name.
+        let mut fields = stat
+            .get(stat.rfind(')')? + 1..)?
+            .split_whitespace()
+            .skip(11);
+        Some(fields.next()?.parse::<u64>().ok()? + fields.next()?.parse::<u64>().ok()?)
+    };
+    ticks().map_or(0.0, |t| t as f64 * 10.0)
+}
+
+/// One timed call: wall and process CPU time, in milliseconds.
+#[derive(Clone, Copy)]
+struct Sample {
+    wall_ms: f64,
+    cpu_ms: f64,
+}
+
+fn sample(f: impl FnOnce()) -> Sample {
+    let cpu = process_cpu_ms();
+    let start = Instant::now();
+    f();
+    Sample {
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        cpu_ms: process_cpu_ms() - cpu,
+    }
+}
+
+/// First quartile, median and third quartile of `values`, interpolated
+/// linearly between order statistics.
+fn quartiles(values: impl IntoIterator<Item = f64>) -> [f64; 3] {
+    let mut sorted: Vec<f64> = values.into_iter().collect();
+    sorted.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let at = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+    })
+}
+
+/// The JSON fields of one timed row.
+fn row_fields(samples: &[Sample]) -> String {
+    let [q1, median, q3] = quartiles(samples.iter().map(|s| s.wall_ms));
+    let [_, cpu, _] = quartiles(samples.iter().map(|s| s.cpu_ms));
+    format!(
+        "\"n\":{},\"ms\":{median:.3},\"ms_iqr\":[{q1:.3},{q3:.3}],\"cpu_ms\":{cpu:.1}",
+        samples.len()
+    )
+}
+
+fn median_ms(samples: &[Sample]) -> f64 {
+    quartiles(samples.iter().map(|s| s.wall_ms))[1]
 }
 
 fn main() {
@@ -170,106 +246,126 @@ fn main() {
     let available = WorkerPool::available().threads();
     // The parallel arm must actually fan out: never fewer than 2 workers.
     let pool_threads = available.max(2);
-    assert!(
-        pool_threads >= 2,
-        "parallel arm degenerated to {pool_threads} thread(s); \
-         refusing to record a 1-vs-1 comparison"
-    );
-    let types_trained = train_with(&train, 1);
-    let sequential_ms = best_of_ms(3, || {
-        std::hint::black_box(train_with(&train, 1));
-    });
-    let mut counts = vec![2, 4, pool_threads];
+    let mut counts = vec![1, 2, 4, pool_threads];
     counts.sort_unstable();
     counts.dedup();
-    let series: Vec<(usize, f64)> = counts
-        .into_iter()
-        .map(|n| {
-            let ms = best_of_ms(3, || {
-                std::hint::black_box(train_with(&train, n));
-            });
-            (n, ms)
-        })
-        .collect();
-    let (_, parallel_ms) = *series
-        .iter()
-        .find(|(n, _)| *n == pool_threads)
-        .expect("pool_threads is in the series");
+
+    // Training arms: `(threads, observer)`. Every count runs unobserved;
+    // 1 and 2 threads also run under each observer.
+    let mut arms: Vec<(usize, usize)> = Vec::new();
+    for &threads in &counts {
+        let observers = if threads <= 2 { 0..3 } else { 0..1 };
+        arms.extend(observers.map(|observer| (threads, observer)));
+    }
+    let observers = observer_arms();
+    let run_arm = |(threads, observer): (usize, usize)| {
+        train_observed(&train, threads, observers[observer].1.clone())
+    };
+    let reference = train_with(&train, 1);
+    assert_eq!(reference.len(), TYPES as usize, "every type trains");
+    assert!(
+        reference.iter().all(|s| s.sweeps == SWEEPS),
+        "every type runs the full sweep cap"
+    );
+    for &arm in &arms {
+        assert_eq!(
+            run_arm(arm),
+            reference,
+            "arm {arm:?} changed the training stats"
+        );
+    }
+    let mut train_samples = vec![Vec::with_capacity(ROUNDS); arms.len()];
+    for _round in 0..ROUNDS {
+        for (slot, &arm) in train_samples.iter_mut().zip(&arms) {
+            slot.push(sample(|| {
+                std::hint::black_box(run_arm(arm));
+            }));
+        }
+    }
+    let samples_of = |threads: usize, observer: usize| -> &[Sample] {
+        let at = arms.iter().position(|&arm| arm == (threads, observer));
+        &train_samples[at.expect("every count has an unobserved arm")]
+    };
+
     // Replay throughput: full-policy evaluation over the catalog through
     // the cached replay hot path, in replays (processes) per second. The
     // sequential row doubles as the before/after anchor for the
     // allocation-free replay work (BENCH_ingest.json has the per-attempt
     // numbers).
-    let types = {
-        let ranking = ErrorTypeRanking::from_processes(&train);
-        ranking.top_k(TYPES as usize)
-    };
+    let types = ErrorTypeRanking::from_processes(&train).top_k(TYPES as usize);
     let platform = SimulationPlatform::from_processes(&train, CostEstimation::AverageOnly);
     let user = UserStatePolicy::default();
-    let mut replay_counts = vec![1, 2, 4, pool_threads];
-    replay_counts.sort_unstable();
-    replay_counts.dedup();
-    let replay_series: Vec<(usize, f64)> = replay_counts
-        .into_iter()
-        .map(|n| {
-            let pool = WorkerPool::new(n);
-            let ms = best_of_ms(3, || {
-                std::hint::black_box(evaluate_parallel(
-                    &user, &platform, &train, &types, 20, &pool,
-                ));
-            });
-            (n, train.len() as f64 / (ms / 1e3))
-        })
-        .collect();
+    let pools: Vec<WorkerPool> = counts.iter().map(|&n| WorkerPool::new(n)).collect();
+    let mut replay_samples = vec![Vec::with_capacity(ROUNDS); pools.len()];
+    for _round in 0..ROUNDS {
+        for (slot, pool) in replay_samples.iter_mut().zip(&pools) {
+            slot.push(sample(|| {
+                for _ in 0..REPLAY_PASSES {
+                    std::hint::black_box(evaluate_parallel(
+                        &user, &platform, &train, &types, 20, pool,
+                    ));
+                }
+            }));
+        }
+    }
 
-    let series_json = series
+    let sequential = samples_of(1, 0);
+    let series_json = counts
         .iter()
-        .map(|(n, ms)| {
+        .filter(|&&n| n > 1)
+        .map(|&n| {
+            let parallel = samples_of(n, 0);
+            let ratios = sequential
+                .iter()
+                .zip(parallel)
+                .map(|(s, p)| s.wall_ms / p.wall_ms);
+            let [q1, speedup, q3] = quartiles(ratios);
             format!(
-                "{{\"threads\":{n},\"ms\":{ms:.3},\"speedup\":{:.3}}}",
-                sequential_ms / ms
+                "{{\"threads\":{n},{},\"speedup\":{speedup:.3},\"speedup_iqr\":[{q1:.3},{q3:.3}]}}",
+                row_fields(parallel)
             )
         })
         .collect::<Vec<_>>()
         .join(",");
-    // Rounds alternate the arms, so drift on a shared host moves all
-    // three alike; each arm keeps its best round.
     let observed_json = [1, 2]
         .map(|threads| {
-            let arms = observer_arms();
-            let mut best = [f64::INFINITY; 3];
-            for _round in 0..OBSERVED_ROUNDS {
-                for (slot, (_, observer)) in best.iter_mut().zip(&arms) {
-                    let ms = best_of_ms(1, || {
-                        std::hint::black_box(train_observed(&train, threads, observer.clone()));
-                    });
-                    *slot = slot.min(ms);
+            let unobserved = median_ms(samples_of(threads, 0));
+            let mut row = format!("{{\"threads\":{threads}");
+            for (observer, (name, _)) in observers.iter().enumerate() {
+                let samples = samples_of(threads, observer);
+                row.push_str(&format!(",\"{name}\":{{{}", row_fields(samples)));
+                if observer > 0 {
+                    row.push_str(&format!(
+                        ",\"ratio\":{:.3}",
+                        median_ms(samples) / unobserved
+                    ));
                 }
-            }
-            let mut row = format!("{{\"threads\":{threads},\"none_ms\":{:.3}", best[0]);
-            for ((name, _), ms) in arms.iter().zip(best).skip(1) {
-                row.push_str(&format!(
-                    ",\"{name}_ms\":{ms:.3},\"{name}_ratio\":{:.3}",
-                    ms / best[0]
-                ));
+                row.push('}');
             }
             row.push('}');
             row
         })
         .join(",");
-    let replay_json = replay_series
+    let replay_json = counts
         .iter()
-        .map(|(n, per_s)| format!("{{\"threads\":{n},\"replays_per_s\":{per_s:.1}}}"))
+        .zip(&replay_samples)
+        .map(|(n, samples)| {
+            let replays = (REPLAY_PASSES * train.len()) as f64;
+            format!(
+                "{{\"threads\":{n},{},\"replays_per_s\":{:.1}}}",
+                row_fields(samples),
+                replays / (median_ms(samples) / 1e3)
+            )
+        })
         .collect::<Vec<_>>()
         .join(",");
     let section = format!(
-        "{{\"types\":{types_trained},\
-         \"host_cores\":{available},\"threads\":{pool_threads},\
-         \"sequential_ms\":{sequential_ms:.3},\"parallel_ms\":{parallel_ms:.3},\
-         \"speedup\":{:.3},\"series\":[{series_json}],\
-         \"replay_series\":[{replay_json}],\"observed\":[{observed_json}]}}",
-        sequential_ms / parallel_ms,
-        types_trained = types_trained
+        "{{\"types\":{TYPES},\"sweeps_per_type\":{SWEEPS},\
+         \"host_cores\":{available},\"threads\":{pool_threads},\"rounds\":{ROUNDS},\
+         \"sequential\":{{{}}},\"series\":[{series_json}],\
+         \"replay_passes\":{REPLAY_PASSES},\"replay_series\":[{replay_json}],\
+         \"observed\":[{observed_json}]}}",
+        row_fields(sequential)
     );
     // Bench binaries run with the package directory as CWD; anchor the
     // result file at the workspace root instead. The file is shared with

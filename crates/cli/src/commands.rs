@@ -736,15 +736,12 @@ fn open_loop_controls(args: &Args) -> Result<(Option<DurableLoop>, CrashPlan), S
 /// whitelist so the report is byte-identical for resumed vs
 /// uninterrupted runs and for every `--threads` value (resume-only
 /// counters like `loop.resume`/`durable.*` are deliberately excluded).
-const REPORT_COUNTERS: [&str; 8] = [
+const REPORT_COUNTERS: [&str; 5] = [
     "loop.fallbacks",
     "loop.fallback.empty_window",
     "loop.fallback.no_trainable_types",
     "loop.fallback.simulation_panicked",
     "loop.fallback.training_panicked",
-    "pool.panics",
-    "pool.retries",
-    "pool.exhausted",
 ];
 
 /// Renders the deterministic run report of a completed durable loop:
@@ -822,7 +819,7 @@ pub fn continuous_loop(args: &Args, session: &Session) -> Result<(), String> {
         "running {windows} observation windows of {} machines ...",
         config.cluster.machines
     ));
-    // The summary table surfaces pool/fallback counters even without
+    // The summary table surfaces the fallback counter even without
     // --metrics-out: fall back to a local registry-only handle.
     // Observation is purely passive, so outcomes are identical either way.
     let local_telemetry = if session.telemetry.is_enabled() {
@@ -864,13 +861,7 @@ pub fn continuous_loop(args: &Args, session: &Session) -> Result<(), String> {
             .registry()
             .map_or(0, |registry| registry.counter(name).get())
     };
-    println!(
-        "\npool: {} panics, {} retries, {} exhausted | loop: {} fallbacks",
-        counter("pool.panics"),
-        counter("pool.retries"),
-        counter("pool.exhausted"),
-        counter("loop.fallbacks"),
-    );
+    println!("\nloop: {} fallbacks", counter("loop.fallbacks"));
     if let Some(durable) = &durable {
         // The durable summary is what the crash harness asserts on:
         // `resumed` > 0 proves warm-start (skipped windows were never

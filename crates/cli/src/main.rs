@@ -74,7 +74,7 @@ COMMANDS:
        [--fault-retrain-panic W,..] [--fault-blackout W,..]
       The paper's Figure 1 as a running system: alternate observation
       windows and retraining on the accumulated log, reporting the
-      realized MTTR per window plus pool/fallback counters.
+      realized MTTR per window plus the fallback counter.
       --policy-out writes the final retrained policy as a policy file.
       --state-dir makes the loop crash-safe: every window appends its
       observation log to a checksummed journal and writes an atomic

@@ -4,6 +4,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use recovery_core::durable::Checkpoint;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_autorecover"))
 }
@@ -639,7 +641,7 @@ fn loop_table_reports_window_status() {
 }
 
 #[test]
-fn loop_summary_includes_pool_and_fallback_counters() {
+fn loop_summary_includes_fallback_counters() {
     let out = bin()
         .args(["loop", "--windows", "2", "--scale", "0.005"])
         .output()
@@ -650,11 +652,80 @@ fn loop_summary_includes_pool_and_fallback_counters() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("pool: "), "{text}");
-    assert!(text.contains("panics"), "{text}");
-    assert!(text.contains("retries"), "{text}");
-    assert!(text.contains("exhausted"), "{text}");
-    assert!(text.contains("fallbacks"), "{text}");
+    assert!(text.contains("\nloop: 0 fallbacks\n"), "{text}");
+    assert!(!text.contains("pool:"), "{text}");
+}
+
+/// State dirs written before the worker pool's counters were retired
+/// carry `counter pool.* 0` lines in every checkpoint. Resuming from
+/// such a checkpoint must still end in the policy and run report of an
+/// uninterrupted run.
+#[test]
+fn loop_resumes_from_a_checkpoint_with_legacy_pool_counters() {
+    let run = |dir: &Path, extra: &[&str]| {
+        bin()
+            .args(["loop", "--windows", "3", "--scale", "0.01", "--seed", "7"])
+            .arg("--state-dir")
+            .arg(dir)
+            .arg("--policy-out")
+            .arg(dir.join("final.policy"))
+            .args(extra)
+            .output()
+            .expect("binary runs")
+    };
+    let reference = tmp("legacy-ckpt-reference");
+    let resumed = tmp("legacy-ckpt-resumed");
+    for dir in [&reference, &resumed] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let out = run(&reference, &[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let crashed = run(&resumed, &["--crash-at", "after-checkpoint:1"]);
+    assert!(!crashed.status.success(), "the crash run exited cleanly");
+
+    let newest = std::fs::read_dir(&resumed)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.starts_with("checkpoint-") && name.ends_with(".ckpt")
+        })
+        .max()
+        .expect("the crashed run wrote a checkpoint");
+    let text = std::fs::read_to_string(&newest).unwrap();
+    let mut checkpoint = Checkpoint::from_text(&text).unwrap();
+    for legacy in ["pool.exhausted", "pool.panics", "pool.retries"] {
+        checkpoint.counters.insert(legacy.to_owned(), 0);
+    }
+    let legacy_text = checkpoint.to_text();
+    assert!(
+        legacy_text.contains("\ncounter pool.panics 0\n"),
+        "{legacy_text}"
+    );
+    std::fs::write(&newest, &legacy_text).unwrap();
+
+    let out = run(&resumed, &[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("resumed 1 (skipped 2 windows)"), "{stdout}");
+    for artifact in ["final.policy", "run-report.json"] {
+        assert_eq!(
+            std::fs::read(resumed.join(artifact)).unwrap(),
+            std::fs::read(reference.join(artifact)).unwrap(),
+            "{artifact} differs from the uninterrupted run's"
+        );
+    }
+    for dir in [&reference, &resumed] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// The CLI-level purity check of the live observability plane: a loop

@@ -1,10 +1,8 @@
 //! Faultline: a deterministic, seed-driven fault-injection harness.
 //!
 //! The robustness machinery of this workspace — quarantining ingestion
-//! ([`crate::ingest::parse_log_with_policy`]), the retrying worker pool
-//! ([`crate::parallel::WorkerPool::try_map_indexed`]), and the
-//! degraded-mode continuous loop
-//! ([`crate::pipeline::run_continuous_loop_controlled`])
+//! ([`crate::ingest::parse_log_with_policy`]) and the degraded-mode
+//! continuous loop ([`crate::pipeline::run_continuous_loop_controlled`])
 //! — must be *exercised* by tests, not trusted. This module injects the
 //! faults those paths are built to survive:
 //!
@@ -12,20 +10,16 @@
 //!   lines so they fail to parse with a known [`ParseLogErrorKind`];
 //! * [`truncate_text`] — cut the text off mid-line, simulating a
 //!   partially written or torn log file;
-//! * [`PanicInjector`] — make chosen worker-pool indices panic on their
-//!   first attempts (or persistently), to drive the retry budget;
 //! * [`LoopFaultPlan`] — script per-window failures (empty windows,
 //!   simulation/retraining panics, filter blackouts) into the continuous
 //!   loop.
 //!
 //! Everything is a pure function of its seed: the same seed picks the
-//! same lines, the same cut point, the same panicking indices. No clocks,
-//! no global RNG — faults are as reproducible as the pipeline they
-//! attack, so a test can assert byte-identical recovery across thread
-//! counts.
+//! same lines and the same cut point. No clocks, no global RNG — faults
+//! are as reproducible as the pipeline they attack, so a test can assert
+//! byte-identical recovery across thread counts.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::collections::BTreeSet;
 
 use recovery_simlog::ParseLogErrorKind;
 
@@ -191,76 +185,6 @@ fn join_with_trailing_newline(lines: &[String], original: &str) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Makes chosen worker-pool indices panic, to exercise the pool's
-/// catch-and-retry path. Each target index panics on its first
-/// `failures_per_target` calls to [`PanicInjector::check`] and succeeds
-/// afterwards; [`PanicInjector::persistent`] targets never stop
-/// panicking (driving [`crate::parallel::PoolError::RetriesExhausted`]).
-///
-/// Interior attempt counts sit behind a [`Mutex`] that is released
-/// *before* the panic is raised, so the injector itself never poisons
-/// anything — the faults it injects stay in the closure under test.
-#[derive(Debug)]
-pub struct PanicInjector {
-    targets: BTreeSet<usize>,
-    failures_per_target: usize,
-    attempts: Mutex<BTreeMap<usize, usize>>,
-}
-
-impl PanicInjector {
-    /// Picks `count` distinct target indices in `0..n` from `seed`; each
-    /// panics on its first attempt only.
-    pub fn new(seed: u64, n: usize, count: usize) -> Self {
-        Self::with_failures(seed, n, count, 1)
-    }
-
-    /// Like [`PanicInjector::new`], but targets panic on *every*
-    /// attempt, so no retry budget can save them.
-    pub fn persistent(seed: u64, n: usize, count: usize) -> Self {
-        Self::with_failures(seed, n, count, usize::MAX)
-    }
-
-    fn with_failures(seed: u64, n: usize, count: usize, failures_per_target: usize) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        let mut targets = BTreeSet::new();
-        let target = count.min(n);
-        let mut draws = 0;
-        while targets.len() < target && draws < 64 * target.max(1) {
-            targets.insert(rng.next_index(n));
-            draws += 1;
-        }
-        PanicInjector {
-            targets,
-            failures_per_target,
-            attempts: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The chosen target indices, ascending.
-    pub fn targets(&self) -> Vec<usize> {
-        self.targets.iter().copied().collect()
-    }
-
-    /// Call at the top of the pool closure: panics if `index` is a
-    /// target that has not yet used up its failure count.
-    pub fn check(&self, index: usize) {
-        if !self.targets.contains(&index) {
-            return;
-        }
-        let should_panic = {
-            let mut attempts = self.attempts.lock().unwrap_or_else(|e| e.into_inner());
-            let seen = attempts.entry(index).or_insert(0);
-            *seen += 1;
-            *seen <= self.failures_per_target
-        };
-        // The lock is dropped before unwinding: the injector stays
-        // usable for the retry that follows.
-        if should_panic {
-            panic!("faultline: injected panic at index {index}");
-        }
-    }
 }
 
 /// A script of per-window faults for the continuous loop, consumed by
@@ -495,30 +419,6 @@ mod tests {
         );
         assert_eq!(truncate_text(SAMPLE, 99), out, "deterministic");
         assert_eq!(truncate_text("# only\n\n", 1).lines, Vec::<usize>::new());
-    }
-
-    #[test]
-    fn injector_fails_then_recovers() {
-        let injector = PanicInjector::new(3, 8, 2);
-        let targets = injector.targets();
-        assert_eq!(targets.len(), 2);
-        for &t in &targets {
-            assert!(
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| injector.check(t)))
-                    .is_err(),
-                "first attempt at {t} must panic"
-            );
-            injector.check(t); // second attempt succeeds
-        }
-        injector.check(usize::MAX); // non-targets never panic
-        let persistent = PanicInjector::persistent(3, 8, 1);
-        let t = persistent.targets()[0];
-        for _ in 0..4 {
-            assert!(
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| persistent.check(t)))
-                    .is_err()
-            );
-        }
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub mod trainer;
 pub use durable::{fsck, DurableLoop, FsckReport};
 pub use error_type::{ErrorType, ErrorTypeRanking, NoiseFilter};
 pub use evaluate::{time_ordered_split, EvaluationReport, TypeEvaluation};
-pub use fault::{CorruptionMode, CrashPlan, CrashPoint, LoopFaultPlan, PanicInjector};
+pub use fault::{CorruptionMode, CrashPlan, CrashPoint, LoopFaultPlan};
 pub use ingest::{ParseErrorPolicy, QuarantineReport};
-pub use parallel::{PoolError, WorkerPool};
+pub use parallel::WorkerPool;
 pub use platform::{AttemptOutcome, CostEstimation, ReplayCache, SimulationPlatform};
 pub use policy::{DecidePolicy, HybridPolicy, TrainedPolicy, UserStatePolicy};
 pub use state::{ActionMultiset, RecoveryState};

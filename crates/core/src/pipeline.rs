@@ -304,10 +304,9 @@ pub struct LoopControls<'a> {
 ///   tracks the loop phase and last window, every window lands in the
 ///   `loop.window.ms` wall-time histogram, and a `window` event carries
 ///   the enriched summary (status, fallback reason, Q-delta tail of the
-///   retraining step, cumulative pool panic/retry and loop fallback
-///   counters). The event's fields are wall-clock-free and thread-count
-///   invariant, so event streams are byte-identical across `--threads`
-///   values.
+///   retraining step, cumulative loop fallback counter). The event's
+///   fields are wall-clock-free and thread-count invariant, so event
+///   streams are byte-identical across `--threads` values.
 /// - `window_observer` is called with the window index before each
 ///   retraining step, and the handle it returns rides along with the
 ///   telemetry observer for that retraining only. This is how the CLI
@@ -520,11 +519,9 @@ pub fn run_continuous_loop_controlled(
                 .record(window_started.elapsed().as_secs_f64() * 1e3);
         }
         if telemetry.is_enabled() {
-            let counter = |name: &str| {
-                telemetry
-                    .registry()
-                    .map_or(0, |registry| registry.counter(name).get())
-            };
+            let fallbacks = telemetry
+                .registry()
+                .map_or(0, |registry| registry.counter("loop.fallbacks").get());
             telemetry.emit(
                 &Event::new("window")
                     .with("window", outcome.window)
@@ -541,10 +538,7 @@ pub fn run_continuous_loop_controlled(
                             .map_or("", FallbackReason::label),
                     )
                     .with("q_delta_tail", q_delta_tail)
-                    .with("pool_panics", counter("pool.panics"))
-                    .with("pool_retries", counter("pool.retries"))
-                    .with("pool_exhausted", counter("pool.exhausted"))
-                    .with("fallbacks", counter("loop.fallbacks")),
+                    .with("fallbacks", fallbacks),
             );
         }
         publish(WindowPublication {

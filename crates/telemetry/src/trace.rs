@@ -29,7 +29,7 @@ pub const TRACE_RING_CAPACITY: usize = 64;
 /// Recovers from mutex poisoning instead of propagating the panic: the
 /// recorder's state is a bag of monotonic bookkeeping that is never left
 /// half-updated across an unwind boundary, so the inner value stays
-/// valid. Same policy as the worker pool's `lock_clean`.
+/// valid.
 fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()

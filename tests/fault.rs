@@ -1,17 +1,17 @@
 //! Fault-injection tests: the robustness layer exercised end to end.
 //!
-//! Every fault here is injected deterministically by seed through
-//! `recovery_core::fault` (faultline), so the assertions can demand the
-//! strongest property the workspace offers — byte-identical recovery for
-//! every thread count:
+//! Every fault here is injected deterministically, by seed through
+//! `recovery_core::fault` (faultline) or at fixed indices, so the
+//! assertions can demand the strongest property the workspace offers —
+//! byte-identical recovery for every thread count:
 //!
 //! * corrupted and truncated logs are quarantined with the correct
 //!   per-kind counters, and the surviving log is identical at 1/2/4
 //!   threads;
 //! * strict mode stays byte-identical to the pre-fault-tolerance
 //!   parser, pinned against the committed golden fixture;
-//! * injected worker panics are retried to the same bytes a clean run
-//!   produces, and exhausted budgets surface as typed `PoolError`s;
+//! * a panicking worker-pool item reaches the caller as the lowest
+//!   panicking index's own payload, at every thread count;
 //! * scripted window failures degrade the continuous loop (`FellBack`
 //!   rows) without aborting it, and later windows still train.
 //!
@@ -20,13 +20,12 @@
 //! [`fault_dump_is_thread_count_invariant`].
 
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use recovery_core::fault::{
-    corrupt_lines, truncate_text, CorruptionMode, LoopFaultPlan, PanicInjector,
-};
+use recovery_core::fault::{corrupt_lines, truncate_text, CorruptionMode, LoopFaultPlan};
 use recovery_core::ingest::{self, ParseErrorPolicy};
-use recovery_core::parallel::{PoolError, WorkerPool, DEFAULT_RETRY_BUDGET};
+use recovery_core::parallel::WorkerPool;
 use recovery_core::pipeline::{
     run_continuous_loop_controlled, ContinuousLoopConfig, FallbackReason, LoopControls,
     WindowOutcome, WindowStatus,
@@ -379,60 +378,6 @@ fn lenient_ingestion_matches_the_golden_quarantine_fixture() {
     }
 }
 
-/// An injected worker panic is retried on the pool and the run's output
-/// is byte-identical to the run with no panics at all.
-#[test]
-fn injected_worker_panics_retry_to_identical_output() {
-    let n = 24;
-    let clean: Vec<u64> = WorkerPool::new(4)
-        .try_map_indexed(n, |i| (i as u64) * 31 + 7)
-        .unwrap();
-    for threads in [1, 2, 4] {
-        let injector = PanicInjector::new(0xB00, n, 3);
-        assert_eq!(injector.targets().len(), 3);
-        let telemetry = Telemetry::new();
-        let faulted = WorkerPool::new(threads)
-            .try_map_indexed_observed(n, DEFAULT_RETRY_BUDGET, &telemetry, |i| {
-                injector.check(i);
-                (i as u64) * 31 + 7
-            })
-            .expect("transient panics stay within the retry budget");
-        assert_eq!(faulted, clean, "{threads} threads");
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counters["pool.panics"], 3, "{threads} threads");
-        assert_eq!(snap.counters["pool.retries"], 3, "{threads} threads");
-    }
-}
-
-/// A persistently panicking index exhausts the budget and surfaces as a
-/// typed error naming the lowest failing index — not a poisoned mutex.
-#[test]
-fn persistent_panics_exhaust_the_budget_into_a_typed_error() {
-    let n = 16;
-    for threads in [1, 4] {
-        let injector = PanicInjector::persistent(0xDEAD, n, 2);
-        let min_target = injector.targets()[0];
-        let err = WorkerPool::new(threads)
-            .try_map_indexed(n, |i| {
-                injector.check(i);
-                i
-            })
-            .expect_err("persistent panics must exhaust the budget");
-        match err {
-            PoolError::RetriesExhausted {
-                index,
-                attempts,
-                message,
-            } => {
-                assert_eq!(index, min_target, "{threads} threads");
-                assert_eq!(attempts, 1 + DEFAULT_RETRY_BUDGET);
-                assert!(message.contains("faultline"), "{message}");
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
-    }
-}
-
 /// A retraining panic degrades its window to `FellBack` while the loop
 /// keeps running — and the *next* retraining succeeds, so later windows
 /// train again.
@@ -549,9 +494,7 @@ fn degraded_operation_is_observable_and_deterministic() {
         let deterministic_counters: Vec<(String, u64)> = snap
             .counters
             .iter()
-            .filter(|(k, _)| {
-                k.starts_with("ingest.") || k.starts_with("loop.") || k.starts_with("pool.")
-            })
+            .filter(|(k, _)| k.starts_with("ingest.") || k.starts_with("loop."))
             .map(|(k, v)| (k.clone(), *v))
             .collect();
 
@@ -645,18 +588,22 @@ fn fault_dump_is_thread_count_invariant() {
         outcome.processes.len()
     ));
 
-    // Scenario 3: transient worker panics retried to clean results.
-    let injector = PanicInjector::new(0xC3, 20, 3);
-    let results = pool
-        .try_map_indexed(20, |i| {
-            injector.check(i);
+    // Scenario 3: worker panics at indices 3, 10 and 17; the caller
+    // catches index 3's payload at every thread count.
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        pool.map_indexed(20, |i| {
+            if i % 7 == 3 {
+                panic!("faultline: worker panic at index {i}");
+            }
             i * 13
         })
-        .unwrap();
+    }))
+    .expect_err("a panicking item reaches the caller");
     dump.push_str(&format!(
-        "pool targets {:?} sum {}\n",
-        injector.targets(),
-        results.iter().sum::<usize>()
+        "pool panic {}\n",
+        caught
+            .downcast_ref::<String>()
+            .map_or("non-string payload", String::as_str)
     ));
 
     // Scenario 4: a degraded loop.
@@ -679,6 +626,7 @@ fn fault_dump_is_thread_count_invariant() {
     // Minimal self-checks so the test asserts even without a dump file.
     assert!(dump.contains("corrupt Timestamp skipped 4 kind_count 4"));
     assert!(dump.contains("status training_panicked"));
+    assert!(dump.contains("pool panic faultline: worker panic at index 3\n"));
     if let Some(path) = std::env::var_os("FAULT_DUMP") {
         fs::write(&path, &dump).expect("write fault dump");
         eprintln!("wrote fault dump ({threads} threads) to {path:?}");

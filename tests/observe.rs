@@ -18,7 +18,7 @@ use recovery_core::pipeline::{
 use recovery_core::trainer::TrainerConfig;
 use recovery_diagnostics::DiagnosticsRecorder;
 use recovery_simlog::{CatalogConfig, ClusterConfig, FaultCatalog, SimDuration};
-use recovery_telemetry::{Event, EventBus, HttpServer, ObserverHandle, Telemetry};
+use recovery_telemetry::{flatjson, Event, EventBus, HttpServer, ObserverHandle, Telemetry};
 
 fn small_cluster() -> ClusterConfig {
     ClusterConfig {
@@ -119,16 +119,24 @@ fn live_observability_does_not_change_loop_outcomes_or_policy() {
             .collect();
         assert_eq!(window_events.len(), 3, "one event per window");
         for line in &window_events {
-            for field in [
-                "\"q_delta_tail\":",
-                "\"pool_panics\":",
-                "\"pool_retries\":",
-                "\"pool_exhausted\":",
-                "\"fallbacks\":",
-                "\"fallback_reason\":",
-            ] {
-                assert!(line.contains(field), "missing {field} in {line}");
-            }
+            let fields = flatjson::parse_line(line).expect("window events are flat JSON");
+            let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "type",
+                    "window",
+                    "processes",
+                    "mttr_s",
+                    "learned_policy",
+                    "policy_entries",
+                    "status",
+                    "fallback_reason",
+                    "q_delta_tail",
+                    "fallbacks",
+                ],
+                "{line}"
+            );
         }
         assert!(stalled.dropped() > 0, "stalled subscriber never dropped");
         let health = telemetry.health().expect("enabled").snapshot();
@@ -139,7 +147,7 @@ fn live_observability_does_not_change_loop_outcomes_or_policy() {
 }
 
 /// Window events must be byte-identical across thread counts — the
-/// enriched fields (Q-delta tail, cumulative pool/loop counters) carry
+/// enriched fields (Q-delta tail, cumulative fallback counter) carry
 /// no wall-clock and no thread-dependent state.
 #[test]
 fn enriched_window_events_are_byte_identical_across_thread_counts() {
