@@ -36,9 +36,8 @@
 //! `SWEEPS` sweeps, with the same statistics at every thread count and
 //! under every observer — never a time.
 
-use std::time::Instant;
-
 use criterion::{criterion_group, Criterion};
+use recovery_bench::ledger::{median_ms, quartiles, row_fields, sample, Sample};
 use recovery_core::error_type::ErrorTypeRanking;
 use recovery_core::evaluate::evaluate_parallel;
 use recovery_core::parallel::WorkerPool;
@@ -174,66 +173,6 @@ fn bench_parallel_training(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_parallel_training);
-
-/// CPU time of the whole process so far (user + system, all threads),
-/// in milliseconds. `/proc/self/stat` counts it in ticks of Linux's
-/// fixed user-space clock, 100 per second; off Linux this reads 0.
-fn process_cpu_ms() -> f64 {
-    let ticks = || -> Option<u64> {
-        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-        // Fields 14 (utime) and 15 (stime), counted from field 3, the
-        // first after the parenthesized command name.
-        let mut fields = stat
-            .get(stat.rfind(')')? + 1..)?
-            .split_whitespace()
-            .skip(11);
-        Some(fields.next()?.parse::<u64>().ok()? + fields.next()?.parse::<u64>().ok()?)
-    };
-    ticks().map_or(0.0, |t| t as f64 * 10.0)
-}
-
-/// One timed call: wall and process CPU time, in milliseconds.
-#[derive(Clone, Copy)]
-struct Sample {
-    wall_ms: f64,
-    cpu_ms: f64,
-}
-
-fn sample(f: impl FnOnce()) -> Sample {
-    let cpu = process_cpu_ms();
-    let start = Instant::now();
-    f();
-    Sample {
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        cpu_ms: process_cpu_ms() - cpu,
-    }
-}
-
-/// First quartile, median and third quartile of `values`, interpolated
-/// linearly between order statistics.
-fn quartiles(values: impl IntoIterator<Item = f64>) -> [f64; 3] {
-    let mut sorted: Vec<f64> = values.into_iter().collect();
-    sorted.sort_by(f64::total_cmp);
-    [0.25, 0.5, 0.75].map(|q| {
-        let at = q * (sorted.len() - 1) as f64;
-        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
-    })
-}
-
-/// The JSON fields of one timed row.
-fn row_fields(samples: &[Sample]) -> String {
-    let [q1, median, q3] = quartiles(samples.iter().map(|s| s.wall_ms));
-    let [_, cpu, _] = quartiles(samples.iter().map(|s| s.cpu_ms));
-    format!(
-        "\"n\":{},\"ms\":{median:.3},\"ms_iqr\":[{q1:.3},{q3:.3}],\"cpu_ms\":{cpu:.1}",
-        samples.len()
-    )
-}
-
-fn median_ms(samples: &[Sample]) -> f64 {
-    quartiles(samples.iter().map(|s| s.wall_ms))[1]
-}
 
 fn main() {
     benches();

@@ -450,6 +450,87 @@ pub fn print_table(title: &str, columns: &[&str], rows: &[Vec<String>]) {
     println!();
 }
 
+/// Timed rows of the BENCH ledgers, to one measurement standard: samples
+/// long enough that timer and scheduler noise stay small against them,
+/// taken in rounds that time every arm once so that a slow spell of a
+/// shared host hits every arm alike, and reported as the median wall
+/// time with its interquartile range and sample count, beside the median
+/// CPU time of the whole process. A row whose wall time moved while its
+/// CPU time did not met host noise, and CPU ÷ wall shows how many cores
+/// a parallel row really used.
+pub mod ledger {
+    use std::time::Instant;
+
+    /// CPU time of the whole process so far (user + system, all threads),
+    /// in milliseconds. `/proc/self/stat` counts it in ticks of Linux's
+    /// fixed user-space clock, 100 per second; off Linux this reads 0.
+    pub fn process_cpu_ms() -> f64 {
+        let ticks = || -> Option<u64> {
+            let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+            // Fields 14 (utime) and 15 (stime), counted from field 3, the
+            // first after the parenthesized command name.
+            let mut fields = stat
+                .get(stat.rfind(')')? + 1..)?
+                .split_whitespace()
+                .skip(11);
+            Some(fields.next()?.parse::<u64>().ok()? + fields.next()?.parse::<u64>().ok()?)
+        };
+        ticks().map_or(0.0, |t| t as f64 * 10.0)
+    }
+
+    /// One timed call: wall and process CPU time, in milliseconds.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Sample {
+        /// Wall-clock time.
+        pub wall_ms: f64,
+        /// CPU time of the whole process.
+        pub cpu_ms: f64,
+    }
+
+    /// Times one call of `f`.
+    pub fn sample(f: impl FnOnce()) -> Sample {
+        let cpu = process_cpu_ms();
+        let start = Instant::now();
+        f();
+        Sample {
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            cpu_ms: process_cpu_ms() - cpu,
+        }
+    }
+
+    /// First quartile, median and third quartile of `values`, interpolated
+    /// linearly between order statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty.
+    pub fn quartiles(values: impl IntoIterator<Item = f64>) -> [f64; 3] {
+        let mut sorted: Vec<f64> = values.into_iter().collect();
+        sorted.sort_by(f64::total_cmp);
+        [0.25, 0.5, 0.75].map(|q| {
+            let at = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+        })
+    }
+
+    /// The JSON fields of one timed row: sample count, median wall time
+    /// and its interquartile range, and median process CPU time.
+    pub fn row_fields(samples: &[Sample]) -> String {
+        let [q1, median, q3] = quartiles(samples.iter().map(|s| s.wall_ms));
+        let [_, cpu, _] = quartiles(samples.iter().map(|s| s.cpu_ms));
+        format!(
+            "\"n\":{},\"ms\":{median:.3},\"ms_iqr\":[{q1:.3},{q3:.3}],\"cpu_ms\":{cpu:.1}",
+            samples.len()
+        )
+    }
+
+    /// The median wall time of `samples`.
+    pub fn median_ms(samples: &[Sample]) -> f64 {
+        quartiles(samples.iter().map(|s| s.wall_ms))[1]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,9 @@ use recovery_core::pipeline::{
     run_continuous_loop_controlled, ContinuousLoopConfig, LoopControls, LoopRun, WindowPublication,
 };
 use recovery_core::platform::{CostEstimation, SimulationPlatform};
-use recovery_core::policy::{HybridPolicy, LivePolicy, TrainedPolicy, UserStatePolicy};
+use recovery_core::policy::{
+    DecisionTable, HybridPolicy, LivePolicy, TrainedPolicy, UserStatePolicy,
+};
 use recovery_core::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
 use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_diagnostics::{
@@ -414,7 +416,10 @@ pub fn simulate(args: &Args, session: &Session) -> Result<(), String> {
 
     let cluster = config.cluster.clone();
 
-    let live = LivePolicy::new(HybridPolicy::new(trained, UserStatePolicy::default()));
+    let live = LivePolicy::new(HybridPolicy::new(
+        DecisionTable::new(&trained),
+        UserStatePolicy::default(),
+    ));
     session.info(&format!(
         "simulating {} machines under the trained policy ...",
         cluster.machines

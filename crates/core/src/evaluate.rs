@@ -195,10 +195,11 @@ pub fn evaluate<P: DecidePolicy + ?Sized>(
     aggregate(policy.name(), types, outcomes)
 }
 
-/// [`evaluate`] with per-process replays fanned out over `pool`.
+/// [`evaluate`] with the replays fanned out over `pool`, one contiguous
+/// range of the test set per worker.
 ///
-/// The per-process results are collected in test-set order and folded by
-/// the same sequential accumulation as [`evaluate`], so the report —
+/// The per-process results are concatenated in test-set order and folded
+/// by the same sequential accumulation as [`evaluate`], so the report —
 /// floating-point sums included — is bit-identical to the sequential one
 /// for any thread count. (Summing per-worker partials instead would
 /// regroup the additions and drift in the last bits.)
@@ -216,10 +217,16 @@ pub fn evaluate_parallel<P: DecidePolicy + Sync + ?Sized>(
 ) -> EvaluationReport {
     assert!(max_attempts > 0, "need at least one attempt");
     let rank_of = rank_index(types);
-    let outcomes = pool.map_indexed(test.len(), |i| {
-        replay_outcome(policy, platform, &test[i], &rank_of, max_attempts)
+    let ranges: Vec<&[RecoveryProcess]> = test
+        .chunks(test.len().div_ceil(pool.threads()).max(1))
+        .collect();
+    let outcomes = pool.map_indexed(ranges.len(), |i| {
+        ranges[i]
+            .iter()
+            .map(|p| replay_outcome(policy, platform, p, &rank_of, max_attempts))
+            .collect::<Vec<_>>()
     });
-    aggregate(policy.name(), types, outcomes)
+    aggregate(policy.name(), types, outcomes.into_iter().flatten())
 }
 
 /// The result of replaying one test process, reduced to what aggregation
@@ -379,6 +386,32 @@ mod tests {
             row.relative_cost()
         );
         assert_eq!(report.overall_coverage(), 1.0);
+    }
+
+    #[test]
+    fn parallel_ranges_report_the_sequential_bits() {
+        // Uneven costs across types, and more workers than processes at
+        // the top, so range boundaries and empty tails both occur.
+        let actions = [
+            RepairAction::TryNop,
+            RepairAction::Reboot,
+            RepairAction::Reimage,
+        ];
+        let test: Vec<_> = (0..7u32)
+            .map(|i| proc(i, u64::from(i) * 1_000, i % 3, actions[(i % 3) as usize]))
+            .collect();
+        let platform = SimulationPlatform::from_processes(&test, CostEstimation::AverageOnly);
+        let types: Vec<_> = (0..3).map(|s| ErrorType::new(SymptomId::new(s))).collect();
+        let policy = UserStatePolicy::default();
+        let sequential = evaluate(&policy, &platform, &test, &types, 20);
+        for threads in [1, 2, 3, 4, 16] {
+            let pool = WorkerPool::new(threads);
+            let parallel = evaluate_parallel(&policy, &platform, &test, &types, 20, &pool);
+            assert_eq!(parallel, sequential, "{threads} threads");
+        }
+        let pool = WorkerPool::new(2);
+        let empty = evaluate_parallel(&policy, &platform, &[], &types, 20, &pool);
+        assert_eq!(empty, evaluate(&policy, &platform, &[], &types, 20));
     }
 
     #[test]

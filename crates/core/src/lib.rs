@@ -73,6 +73,6 @@ pub use fault::{CorruptionMode, CrashPlan, CrashPoint, LoopFaultPlan};
 pub use ingest::{ParseErrorPolicy, QuarantineReport};
 pub use parallel::WorkerPool;
 pub use platform::{AttemptOutcome, CostEstimation, ReplayCache, SimulationPlatform};
-pub use policy::{DecidePolicy, HybridPolicy, TrainedPolicy, UserStatePolicy};
+pub use policy::{DecidePolicy, DecisionTable, HybridPolicy, TrainedPolicy, UserStatePolicy};
 pub use state::{ActionMultiset, RecoveryState};
 pub use trainer::{OfflineTrainer, TrainerConfig, TypeTrainingStats};

@@ -48,7 +48,7 @@ use recovery_telemetry::{Event, ObserverHandle, Telemetry, DURATION_MS_BOUNDS};
 
 use crate::error_type::NoiseFilter;
 use crate::fault::LoopFaultPlan;
-use crate::policy::{HybridPolicy, LivePolicy, TrainedPolicy, UserStatePolicy};
+use crate::policy::{DecisionTable, HybridPolicy, LivePolicy, TrainedPolicy, UserStatePolicy};
 use crate::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
 use crate::trainer::{OfflineTrainer, TrainerConfig};
 
@@ -430,7 +430,7 @@ pub fn run_continuous_loop_controlled(
                     }
                     Some(policy) => {
                         let live = LivePolicy::new(HybridPolicy::new(
-                            policy.clone(),
+                            DecisionTable::new(policy),
                             UserStatePolicy::default(),
                         ));
                         let sim =

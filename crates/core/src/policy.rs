@@ -1,6 +1,6 @@
 //! Recovery policies over MDP states: trained, user-defined, and hybrid.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use recovery_mdp::QTable;
@@ -91,6 +91,43 @@ impl DecidePolicy for TrainedPolicy {
         self.q
             .best_action(state, &RepairAction::ALL)
             .map(|(a, _)| a)
+    }
+
+    fn name(&self) -> &str {
+        "trained"
+    }
+}
+
+/// A [`TrainedPolicy`] compiled for deployment: every state of its table
+/// mapped to the action it chooses there, computed once by the same
+/// [`QTable::best_action`] over [`RepairAction::ALL`], so ties break as
+/// in the trained policy and a decision is one lookup, not one per
+/// action.
+#[derive(Debug, Clone, Default)]
+pub struct DecisionTable {
+    actions: HashMap<RecoveryState, RepairAction>,
+}
+
+impl DecisionTable {
+    /// Compiles `policy`'s greedy choices.
+    pub fn new(policy: &TrainedPolicy) -> Self {
+        let mut actions = HashMap::new();
+        for ((state, _), _, _) in policy.q.iter() {
+            actions.entry(*state).or_insert_with(|| {
+                policy
+                    .q
+                    .best_action(state, &RepairAction::ALL)
+                    .map(|(action, _)| action)
+                    .expect("a state of the table has a value")
+            });
+        }
+        DecisionTable { actions }
+    }
+}
+
+impl DecidePolicy for DecisionTable {
+    fn decide(&self, state: &RecoveryState) -> Option<RepairAction> {
+        self.actions.get(state).copied()
     }
 
     fn name(&self) -> &str {
@@ -286,6 +323,24 @@ mod tests {
         assert!(p.covers_type(et(0)));
         assert!(!p.covers_type(et(7)));
         assert_eq!(p.known_types(), vec![et(0)]);
+    }
+
+    #[test]
+    fn decision_table_decides_as_the_trained_policy() {
+        let mut trained = trained_for_type_0();
+        // A tie: the earlier action in `RepairAction::ALL` wins.
+        let s1 = RecoveryState::initial(et(1));
+        trained.q_mut().set(s1, RepairAction::Rma, 300.0);
+        trained.q_mut().set(s1, RepairAction::Reboot, 300.0);
+        let table = DecisionTable::new(&trained);
+        assert_eq!(table.decide(&s1), Some(RepairAction::Reboot));
+        for ty in 0..3 {
+            let mut s = RecoveryState::initial(et(ty));
+            for a in RepairAction::ALL {
+                assert_eq!(table.decide(&s), trained.decide(&s), "state {s}");
+                s = s.after(a);
+            }
+        }
     }
 
     #[test]

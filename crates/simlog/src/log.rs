@@ -55,6 +55,23 @@ impl RecoveryLog {
         }
     }
 
+    /// A log of `entries` that are already in the order
+    /// [`RecoveryLog::entries`] gives: sorted by `(time, machine)`, with
+    /// entries of equal key in the order they happened.
+    pub(crate) fn from_sorted_entries(entries: Vec<LogEntry>, symptoms: SymptomCatalog) -> Self {
+        debug_assert!(
+            entries
+                .windows(2)
+                .all(|w| (w[0].time, w[0].machine) <= (w[1].time, w[1].machine)),
+            "entries out of (time, machine) order"
+        );
+        RecoveryLog {
+            entries,
+            symptoms,
+            sorted: true,
+        }
+    }
+
     /// Appends an entry. Entries may arrive out of order; the log sorts
     /// lazily when read.
     pub fn push(&mut self, entry: LogEntry) {

@@ -14,6 +14,14 @@
 //!   windows) and of the policy retrained from it, then the final
 //!   policy.
 //!
+//! * `golden.sim` locks down the cluster simulator's output: for four
+//!   cluster shapes at three seeds, under the production ladder and
+//!   under a live hybrid policy trained on the shape's first log, the
+//!   entry count, a fingerprint of the log text and one of the ground
+//!   truth of every split process. The densest shape has entries of
+//!   different machines, and of one machine, in the same second, so the
+//!   fixture pins the order of both kinds of tie.
+//!
 //! Any intentional change to one of those stages must regenerate the
 //! snapshots:
 //!
@@ -28,8 +36,12 @@ use recovery_core::error_type::NoiseFilter;
 use recovery_core::experiment::{fig3_cohesion_curve_of, ExperimentContext};
 use recovery_core::persist::policy_to_text;
 use recovery_core::pipeline::{run_continuous_loop_controlled, ContinuousLoopConfig, LoopControls};
+use recovery_core::policy::{DecisionTable, HybridPolicy, LivePolicy, UserStatePolicy};
 use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
-use recovery_simlog::{CatalogConfig, ClusterConfig, RecoveryLog, RecoveryProcess, SimDuration};
+use recovery_simlog::{
+    CatalogConfig, ClusterConfig, ClusterSim, GeneratorConfig, GroundTruth, LogGenerator,
+    RecoveryLog, RecoveryProcess, SimDuration,
+};
 use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn fixture(name: &str) -> PathBuf {
@@ -188,6 +200,138 @@ fn golden_loop_report() -> String {
     out
 }
 
+/// The simulator cases of `golden.sim`: a name and a generator preset.
+/// `dense` packs 60 machines with a fault every 10 minutes into two days,
+/// so many entries share a second.
+fn sim_cases() -> [(&'static str, GeneratorConfig); 4] {
+    let dense = GeneratorConfig {
+        catalog: CatalogConfig::default().with_fault_types(12),
+        cluster: ClusterConfig {
+            machines: 60,
+            horizon: SimDuration::from_days(2),
+            mean_fault_interarrival: SimDuration::from_mins(10),
+            ..ClusterConfig::default()
+        },
+        ..GeneratorConfig::small()
+    };
+    [
+        ("paper_scale(0.01)", GeneratorConfig::paper_scale(0.01)),
+        ("paper_scale(0.1)", GeneratorConfig::paper_scale(0.1)),
+        ("small", GeneratorConfig::small()),
+        ("dense", dense),
+    ]
+}
+
+/// Neighbouring entries of one second: `(different machines, same
+/// machine)`.
+fn same_second_ties(log: &mut RecoveryLog) -> (usize, usize) {
+    let entries = log.entries();
+    let mut ties = (0, 0);
+    for w in entries.windows(2) {
+        if w[0].time == w[1].time {
+            if w[0].machine == w[1].machine {
+                ties.1 += 1;
+            } else {
+                ties.0 += 1;
+            }
+        }
+    }
+    ties
+}
+
+/// One `golden.sim` line: the log's entry count and text fingerprint,
+/// and a fingerprint of the ground truth of every split process, in
+/// split order.
+fn sim_line(
+    case: &str,
+    seed: u64,
+    arm: &str,
+    log: &mut RecoveryLog,
+    truth: &GroundTruth,
+) -> String {
+    let text = fnv1a(log.to_text().into_bytes());
+    let processes = log.split_processes();
+    let truth_digest = fnv1a(processes.iter().flat_map(|p| {
+        let t = truth.lookup(p.machine(), p.start());
+        let mut key = [0u8; 9];
+        if let Some(t) = t {
+            key[0] = 1 + u8::from(t.overlay.is_some());
+            key[1..5].copy_from_slice(&t.fault.index().to_le_bytes());
+            let overlay = t.overlay.map_or(u32::MAX, |o| o.index());
+            key[5..].copy_from_slice(&overlay.to_le_bytes());
+        }
+        key
+    }));
+    format!(
+        "{case} seed={seed} policy={arm} entries={} processes={} truth={} text={text:016x} truth_digest={truth_digest:016x}\n",
+        log.len(),
+        processes.len(),
+        truth.len(),
+    )
+}
+
+/// Every `golden.sim` case at three seeds: the ladder log of
+/// `LogGenerator`, then the same cluster under a live hybrid of the
+/// ladder's fallback and a policy trained on the case's first ladder
+/// log. Asserts that the dense case has both kinds of same-second tie.
+fn golden_sim_report() -> String {
+    let mut out = String::new();
+    for (case, config) in sim_cases() {
+        let mut ties = (0, 0);
+        let mut live_policy = None;
+        for seed in [1, 7, 42] {
+            let mut generated = LogGenerator::new(config.clone().with_seed(seed)).generate();
+            let (across, within) = same_second_ties(&mut generated.log);
+            ties = (ties.0 + across, ties.1 + within);
+            out.push_str(&sim_line(
+                case,
+                seed,
+                "ladder",
+                &mut generated.log,
+                &generated.truth,
+            ));
+            let trained = live_policy.get_or_insert_with(|| {
+                let ctx = ExperimentContext::prepare(generated.log.split_processes(), 0.1, 8);
+                let mut trainer = TrainerConfig::fast().with_seed(0x601D_5111);
+                trainer.learning.max_episodes = 1_500;
+                OfflineTrainer::new(&ctx.clean, trainer)
+                    .with_threads(2)
+                    .train(&ctx.types)
+                    .0
+            });
+            let live = LivePolicy::new(HybridPolicy::new(
+                DecisionTable::new(trained),
+                UserStatePolicy::default(),
+            ));
+            let sim = ClusterSim::new(
+                &generated.catalog,
+                live,
+                config.cluster.clone(),
+                seed ^ 0x11,
+            );
+            let (mut log, truth) = sim.run();
+            let (across, within) = same_second_ties(&mut log);
+            ties = (ties.0 + across, ties.1 + within);
+            out.push_str(&sim_line(case, seed, "live", &mut log, &truth));
+        }
+        out.push_str(&format!(
+            "{case} ties across={} within={}\n",
+            ties.0, ties.1
+        ));
+        if case == "dense" {
+            assert!(
+                ties.0 > 0,
+                "the dense case has no same-second tie across machines"
+            );
+            assert!(
+                ties.1 > 0,
+                "the dense case has no same-second tie within a machine"
+            );
+        }
+    }
+    out
+}
+
 /// Compares `actual` with the committed snapshot `name`, or rewrites the
 /// snapshot when `REGEN_GOLDEN` is set.
 fn check_snapshot(name: &str, what: &str, actual: &str) {
@@ -243,4 +387,9 @@ fn noise_filter_matches_committed_snapshot() {
 #[test]
 fn continuous_loop_matches_committed_snapshot() {
     check_snapshot("golden.loop", "LOOP", &golden_loop_report());
+}
+
+#[test]
+fn cluster_simulation_matches_committed_snapshot() {
+    check_snapshot("golden.sim", "SIMULATION", &golden_sim_report());
 }
