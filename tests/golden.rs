@@ -14,6 +14,10 @@
 //!   windows) and of the policy retrained from it, then the final
 //!   policy.
 //!
+//! * `golden.trace` locks down what a traced, durable run of the same
+//!   loop records: every trace tree's skeleton in `trace_trees()` order
+//!   and each checkpoint's counter lines, at 1, 2 and 4 threads.
+//!
 //! * `golden.sim` locks down the cluster simulator's output: for four
 //!   cluster shapes at three seeds, under the production ladder and
 //!   under a live hybrid policy trained on the shape's first log, the
@@ -32,6 +36,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use recovery_core::durable::DurableLoop;
 use recovery_core::error_type::NoiseFilter;
 use recovery_core::experiment::{fig3_cohesion_curve_of, ExperimentContext};
 use recovery_core::persist::policy_to_text;
@@ -39,8 +44,8 @@ use recovery_core::pipeline::{run_continuous_loop_controlled, ContinuousLoopConf
 use recovery_core::policy::{DecisionTable, HybridPolicy, LivePolicy, UserStatePolicy};
 use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_simlog::{
-    CatalogConfig, ClusterConfig, ClusterSim, GeneratorConfig, GroundTruth, LogGenerator,
-    RecoveryLog, RecoveryProcess, SimDuration,
+    CatalogConfig, ClusterConfig, ClusterSim, FaultCatalog, GeneratorConfig, GroundTruth,
+    LogGenerator, RecoveryLog, RecoveryProcess, SimDuration,
 };
 use recovery_telemetry::{ObserverHandle, Telemetry};
 
@@ -121,19 +126,16 @@ fn corpus_fingerprint(processes: &[RecoveryProcess]) -> u64 {
     }))
 }
 
-/// A pinned four-window loop at two threads, one line per window — its
-/// outcome row and the fingerprints of the corpus and the policy it
-/// published — then the final policy text. The short, busy windows make
-/// processes of different windows share a `(start, machine)` key, so the
-/// fixture pins the order of such ties.
-fn golden_loop_report() -> String {
+/// The pinned loop of `golden.loop` and `golden.trace`: the catalog and
+/// a four-window configuration at `threads` worker threads.
+fn golden_loop_setup(threads: usize) -> (FaultCatalog, ContinuousLoopConfig) {
     let catalog = CatalogConfig::default().with_fault_types(12).generate(21);
     let mut trainer = TrainerConfig::fast();
     trainer.learning.max_episodes = 1_500;
     let config = ContinuousLoopConfig {
         windows: 4,
         top_k: 8,
-        threads: 2,
+        threads,
         seed: 0x601D_100B,
         trainer,
         ..ContinuousLoopConfig::new(ClusterConfig {
@@ -143,6 +145,16 @@ fn golden_loop_report() -> String {
             ..ClusterConfig::default()
         })
     };
+    (catalog, config)
+}
+
+/// A pinned four-window loop at two threads, one line per window — its
+/// outcome row and the fingerprints of the corpus and the policy it
+/// published — then the final policy text. The short, busy windows make
+/// processes of different windows share a `(start, machine)` key, so the
+/// fixture pins the order of such ties.
+fn golden_loop_report() -> String {
+    let (catalog, config) = golden_loop_setup(2);
     let symptoms = catalog.symptoms();
     let mut rows = Vec::new();
     let mut ties = 0;
@@ -197,6 +209,57 @@ fn golden_loop_report() -> String {
         &run.policy
             .map_or(String::new(), |p| policy_to_text(&p, symptoms)),
     );
+    out
+}
+
+/// The pinned loop run durably with telemetry on, as `autorecover loop
+/// --state-dir` runs it (no span encloses the loop, so each of its
+/// top-level spans roots a trace): every finished trace's skeleton in
+/// `trace_trees()` order, then each checkpoint's `counter` lines.
+fn golden_trace_report(threads: usize) -> String {
+    let (catalog, config) = golden_loop_setup(threads);
+    let dir = std::env::temp_dir().join(format!(
+        "autorecover-golden-trace-t{threads}-{}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let mut durable = DurableLoop::open(&dir).expect("open state dir");
+    let telemetry = Telemetry::new();
+    let run = run_continuous_loop_controlled(
+        &catalog,
+        &config,
+        &telemetry,
+        &mut |_| ObserverHandle::none(),
+        &mut |_| {},
+        &mut LoopControls {
+            stop: None,
+            durable: Some(&mut durable),
+        },
+    )
+    .expect("the durable loop runs");
+    assert_eq!(run.outcomes.len(), config.windows);
+    let mut out = String::new();
+    for tree in telemetry.trace_trees() {
+        out.push_str(&format!("trace\n{}", tree.skeleton()));
+    }
+    let mut checkpoints: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("read state dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "ckpt"))
+        .collect();
+    checkpoints.sort();
+    for path in checkpoints {
+        let text = fs::read_to_string(&path).expect("read checkpoint");
+        out.push_str(&format!(
+            "{}\n",
+            path.file_name().expect("file name").to_string_lossy()
+        ));
+        for line in text.lines().filter(|l| l.starts_with("counter ")) {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
     out
 }
 
@@ -387,6 +450,23 @@ fn noise_filter_matches_committed_snapshot() {
 #[test]
 fn continuous_loop_matches_committed_snapshot() {
     check_snapshot("golden.loop", "LOOP", &golden_loop_report());
+}
+
+/// The trace skeletons and checkpoint counters of a durable, traced loop
+/// are the same at every thread count; the fixture was written at two.
+#[test]
+fn loop_traces_and_checkpoint_counters_match_committed_snapshot() {
+    // Two first: regenerating writes the fixture from that run.
+    for threads in [2, 1, 4] {
+        check_snapshot(
+            "golden.trace",
+            &format!("TRACE (threads {threads})"),
+            &golden_trace_report(threads),
+        );
+        if std::env::var_os("REGEN_GOLDEN").is_some() {
+            break;
+        }
+    }
 }
 
 #[test]
