@@ -14,16 +14,25 @@
 //! * **`parse`** and **`render`** — `RecoveryLog::from_text` and
 //!   `RecoveryLog::to_text`, per line.
 //! * **`split`** — `recovery_core::ingest::split_processes`, one
-//!   sequential pass then the `(start, machine)` sort, per process.
+//!   sequential pass that places each process as it opens, per process.
 //! * **`replay`** — `SimulationPlatform::attempt_cached` and
 //!   `SimulationPlatform::attempt`, per attempt, beside the heap
 //!   allocations a counting global allocator sees per attempt.
+//! * **`durable_record`** — what persisting one continuous-loop window
+//!   costs, for a `paper_scale(0.1)` window simulated under the ladder:
+//!   `render` (the window log's text), `checksum` (FNV-1a over it),
+//!   `append_write` (opening the journal and writing the record),
+//!   `append_fsync` (the `sync_all` after it, timed alone) and
+//!   `checkpoint_write` (policy and checkpoint text, checksum, and the
+//!   atomic write with its fsyncs and rename), per call and per byte of
+//!   window text.
 //!
 //! Only invariants are asserted, never a time: the simulated log comes
 //! back in its own stable `(time, machine)` order and a second run gives
 //! the same bytes, parsing then rendering the text gives it back, the
-//! split equals `RecoveryLog::split_processes`, and the cached replay
-//! path allocates nothing. Setting `INGEST_DUMP=<path>` additionally
+//! split equals `RecoveryLog::split_processes`, the cached replay path
+//! allocates nothing, and a journal append writes exactly
+//! `journal_record_bytes`, which `scan_journal` reads back. Setting `INGEST_DUMP=<path>` additionally
 //! writes a deterministic rendering of the processes
 //! `recovery_core::ingest::ingest` extracts with the requested worker
 //! count (`RECOVERY_THREADS`), so CI can diff runs at different counts:
@@ -32,16 +41,25 @@
 use criterion::{criterion_group, Criterion};
 use recovery_bench::ledger::{median_ms, row_fields, sample, Sample};
 use recovery_bench::{scale_from_args, threads_from_args};
+use recovery_core::durable::{
+    fnv1a64, journal_record_bytes, scan_journal, write_atomic, write_journal_record, Checkpoint,
+    DurableLoop, JOURNAL_FILE,
+};
 use recovery_core::ingest;
 use recovery_core::parallel::WorkerPool;
+use recovery_core::persist::policy_to_text;
 use recovery_core::platform::{CostEstimation, SimulationPlatform};
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_simlog::{
     ClusterSim, GeneratorConfig, LogGenerator, RecoveryLog, RecoveryProcess, RepairAction,
     UserDefinedPolicy,
 };
 use recovery_telemetry::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::fs::{File, OpenOptions};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Counts heap allocations so the replay microbenchmark can certify that
 /// the cached hot path performs none per attempt.
@@ -134,40 +152,72 @@ const ROUNDS: usize = 11;
 const SIM_SEED: u64 = 7;
 
 /// One ledger row: the work it times, the calls one sample makes, and
-/// the samples taken.
+/// the samples taken. A call returns the time of the part it times, or
+/// `None` to be timed whole.
 struct Row<'a> {
-    run: Box<dyn FnMut() + 'a>,
+    run: Box<dyn FnMut() -> Option<Duration> + 'a>,
     reps: usize,
     samples: Vec<Sample>,
 }
 
 impl<'a> Row<'a> {
+    /// A row timing every call of `run` whole.
+    fn new(mut run: impl FnMut() + 'a) -> Self {
+        Self::timing(move || {
+            run();
+            None
+        })
+    }
+
+    /// A row timing the part of each call of `run` that `run` times
+    /// itself, for work that needs untimed preparation every call. Its
+    /// CPU time covers the whole calls.
+    fn part(mut run: impl FnMut() -> Duration + 'a) -> Self {
+        Self::timing(move || Some(run()))
+    }
+
     /// A row repeating `run` as often as one sample of `SAMPLE_MS` needs:
     /// after a warm-up call, the repetitions grow until a sample takes
     /// that long, then are set half again past it, so that a sample
     /// slowed by the host during calibration leaves no later one short.
-    fn new(mut run: impl FnMut() + 'a) -> Self {
-        run();
-        let mut reps = 1;
-        loop {
-            let ms = sample(|| (0..reps).for_each(|_| run())).wall_ms;
-            let aim = (reps as f64 * 1.5 * SAMPLE_MS / ms.max(1e-3)).ceil() as usize;
-            if ms >= SAMPLE_MS {
-                reps = reps.max(aim);
-                break;
-            }
-            reps = aim.max(reps * 2);
-        }
-        Row {
+    fn timing(run: impl FnMut() -> Option<Duration> + 'a) -> Self {
+        let mut row = Row {
             run: Box::new(run),
-            reps,
+            reps: 1,
             samples: Vec::with_capacity(ROUNDS),
+        };
+        (row.run)();
+        loop {
+            let ms = row.sample().wall_ms;
+            let aim = (row.reps as f64 * 1.5 * SAMPLE_MS / ms.max(1e-3)).ceil() as usize;
+            if ms >= SAMPLE_MS {
+                row.reps = row.reps.max(aim);
+                return row;
+            }
+            row.reps = aim.max(row.reps * 2);
         }
     }
 
-    fn time(&mut self) {
+    /// One sample of `reps` calls.
+    fn sample(&mut self) -> Sample {
         let (run, reps) = (&mut self.run, self.reps);
-        self.samples.push(sample(|| (0..reps).for_each(|_| run())));
+        let mut part: Option<Duration> = None;
+        let mut whole = sample(|| {
+            for _ in 0..reps {
+                if let Some(timed) = run() {
+                    *part.get_or_insert(Duration::ZERO) += timed;
+                }
+            }
+        });
+        if let Some(part) = part {
+            whole.wall_ms = part.as_secs_f64() * 1e3;
+        }
+        whole
+    }
+
+    fn time(&mut self) {
+        let sample = self.sample();
+        self.samples.push(sample);
     }
 
     /// The row's JSON object, with nanoseconds per unit for each
@@ -181,6 +231,26 @@ impl<'a> Row<'a> {
         out.push('}');
         out
     }
+}
+
+/// Scale of the `durable_record` rows' window.
+const DURABLE_SCALE: f64 = 0.1;
+
+/// Empties the journal at `path`, untimed, so each append starts alike.
+fn empty_journal(path: &Path) {
+    File::create(path).expect("truncate the journal");
+}
+
+/// Appends one window record to the journal at `path` as the loop does,
+/// without its fsync, and hands back the open file.
+fn append(path: &Path, window_text: &str) -> File {
+    let mut journal = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .expect("open the journal");
+    write_journal_record(&mut journal, 0, window_text).expect("write the record");
+    journal
 }
 
 /// Heap allocations per attempt of one pass of `schedule` over
@@ -291,6 +361,53 @@ fn main() {
         "cached replay hot path allocated {cached_allocs} times per attempt"
     );
 
+    // One loop window's durable record: its log text, the policy of
+    // its retraining, and a journal append checked byte for byte.
+    let window_cluster = GeneratorConfig::paper_scale(DURABLE_SCALE).cluster;
+    let mut window_log = ClusterSim::new(
+        &generated.catalog,
+        UserDefinedPolicy::default(),
+        window_cluster,
+        SIM_SEED,
+    )
+    .run()
+    .0;
+    let window_processes = window_log.split_processes();
+    let window = window_log.sorted();
+    let window_text = window.to_text();
+    let trainer = OfflineTrainer::new(&window_processes, TrainerConfig::fast());
+    let (policy, _) = trainer.train(&trainer.ranking().top_k(40));
+    let dir =
+        std::env::temp_dir().join(format!("autorecover-bench-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut durable = DurableLoop::open(&dir).expect("open bench state dir");
+    durable
+        .append_journal(0, &window_text)
+        .expect("append the window record");
+    let journal_path = dir.join(JOURNAL_FILE);
+    let appended = std::fs::read(&journal_path).expect("read the journal");
+    assert!(
+        appended == journal_record_bytes(0, &window_text),
+        "the appended record is not journal_record_bytes"
+    );
+    let scan = scan_journal(&appended);
+    assert!(
+        scan.tail_error.is_none()
+            && scan.records.len() == 1
+            && scan.records[0].payload == window_text,
+        "scan_journal did not read the appended record back"
+    );
+    let checkpoint = |policy_text: String| Checkpoint {
+        seq: 1,
+        next_window: 1,
+        windows: 2,
+        seed: SIM_SEED,
+        journal_records: 1,
+        counters: Default::default(),
+        outcomes: Vec::new(),
+        policy_text: Some(policy_text),
+    };
+
     let mut render_log = parsed.clone();
     let mut rows = [
         Row::new(|| drop(std::hint::black_box(simulate()))),
@@ -305,6 +422,28 @@ fn main() {
         Row::new(move || {
             uncached();
         }),
+        Row::new(|| drop(std::hint::black_box(window.to_text()))),
+        Row::new(|| {
+            std::hint::black_box(fnv1a64(window_text.as_bytes()));
+        }),
+        Row::part(|| {
+            empty_journal(&journal_path);
+            let started = Instant::now();
+            append(&journal_path, &window_text);
+            started.elapsed()
+        }),
+        Row::part(|| {
+            empty_journal(&journal_path);
+            let journal = append(&journal_path, &window_text);
+            let started = Instant::now();
+            journal.sync_all().expect("fsync the journal");
+            started.elapsed()
+        }),
+        Row::new(|| {
+            let text = checkpoint(policy_to_text(&policy, generated.catalog.symptoms())).to_text();
+            write_atomic(&dir, "checkpoint-00000001.ckpt", text.as_bytes())
+                .expect("write the checkpoint");
+        }),
     ];
     for _round in 0..ROUNDS {
         for row in &mut rows {
@@ -312,7 +451,10 @@ fn main() {
         }
     }
     let lines = text.lines().count() as f64;
-    let [simulate_row, parse, render, split_row, cached_row, uncached_row] = &rows;
+    let [simulate_row, parse, render, split_row, cached_row, uncached_row, record_render, checksum, append_write, append_fsync, checkpoint_write] =
+        &rows;
+    let record_bytes = window_text.len() as f64;
+    let per_record = [("call", 1.0), ("byte", record_bytes)];
     let attempts = attempts as f64;
     let json = format!(
         "{{\"bench\":\"ingest\",\"scale\":{scale},\"host_cores\":{available},\
@@ -321,7 +463,10 @@ fn main() {
          \"replay\":{{\"attempts\":{attempts},\
          \"cached_allocs_per_attempt\":{cached_allocs:.4},\
          \"uncached_allocs_per_attempt\":{uncached_allocs:.4},\
-         \"cached\":{},\"uncached\":{}}}}}\n",
+         \"cached\":{},\"uncached\":{}}},\
+         \"durable_record\":{{\"scale\":{DURABLE_SCALE},\"window_bytes\":{},\
+         \"render\":{},\"checksum\":{},\"append_write\":{},\"append_fsync\":{},\
+         \"checkpoint_write\":{}}}}}\n",
         log.len(),
         processes.len(),
         simulate_row.json(&[
@@ -333,7 +478,15 @@ fn main() {
         split_row.json(&[("process", processes.len() as f64)]),
         cached_row.json(&[("attempt", attempts)]),
         uncached_row.json(&[("attempt", attempts)]),
+        window_text.len(),
+        record_render.json(&per_record),
+        checksum.json(&per_record),
+        append_write.json(&per_record),
+        append_fsync.json(&per_record),
+        checkpoint_write.json(&per_record),
     );
+    drop(rows);
+    let _ = std::fs::remove_dir_all(&dir);
     // Bench binaries run with the package directory as CWD; anchor the
     // result file at the workspace root instead.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");

@@ -345,15 +345,27 @@ pub struct JournalScan {
 /// the payload only; the length prefix is what makes a torn tail
 /// detectable.
 pub fn journal_record_bytes(index: u64, payload: &str) -> Vec<u8> {
-    let mut bytes = format!(
+    let mut bytes = Vec::new();
+    write_journal_record(&mut bytes, index, payload).expect("writing to a Vec cannot fail");
+    bytes
+}
+
+/// Writes the record [`journal_record_bytes`] encodes straight to `out`,
+/// in three writes — header, payload, newline — so the payload is never
+/// copied into a buffer of its own.
+///
+/// # Errors
+///
+/// The first error of a write.
+pub fn write_journal_record(out: &mut impl Write, index: u64, payload: &str) -> io::Result<()> {
+    let header = format!(
         "r {index} {} {}\n",
         payload.len(),
         fingerprint(payload.as_bytes())
-    )
-    .into_bytes();
-    bytes.extend_from_slice(payload.as_bytes());
-    bytes.push(b'\n');
-    bytes
+    );
+    out.write_all(header.as_bytes())?;
+    out.write_all(payload.as_bytes())?;
+    out.write_all(b"\n")
 }
 
 /// Scans journal bytes into the valid record prefix. Indices must be
@@ -692,48 +704,54 @@ impl DurableLoop {
         }))
     }
 
-    /// Persists one completed window: appends its observation log to the
-    /// journal, then writes the next checkpoint atomically. Crash points
-    /// from the plan fire at the documented moments (before the journal
-    /// append, mid-append with a torn record on disk, before the
-    /// checkpoint, after the checkpoint).
+    /// Appends window `window`'s observation log to the journal and
+    /// makes it durable. The crash points before the append and
+    /// mid-append (a torn record fsynced to disk) fire here.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error; the caller treats persistence errors
     /// as fatal (a durability run that cannot persist must not pretend
     /// to).
+    pub fn append_journal(&mut self, window: usize, window_log: &str) -> io::Result<()> {
+        maybe_crash(&self.crash, CrashPoint::BeforeJournal, window);
+        let mut journal = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.dir.join(JOURNAL_FILE))?;
+        if self.crash.trips(CrashPoint::MidJournalAppend, window) {
+            // Write a torn record — header plus roughly half the payload
+            // — make it durable, then die. The scanner must stop here
+            // and resume must truncate it away.
+            let record = journal_record_bytes(self.journal_records, window_log);
+            journal.write_all(&record[..record.len() / 2])?;
+            journal.sync_all()?;
+            maybe_crash(&self.crash, CrashPoint::MidJournalAppend, window);
+        }
+        write_journal_record(&mut journal, self.journal_records, window_log)?;
+        journal.sync_all()?;
+        self.journal_records += 1;
+        Ok(())
+    }
+
+    /// Writes the checkpoint that completes window `window`, atomically,
+    /// covering every journal record appended so far. The crash points
+    /// before and after the checkpoint fire here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error, as [`DurableLoop::append_journal`].
     #[allow(clippy::too_many_arguments)]
-    pub fn record_window(
+    pub fn write_checkpoint(
         &mut self,
         window: usize,
         windows: usize,
         seed: u64,
-        window_log: &str,
         outcomes: &[WindowOutcome],
         policy: Option<&TrainedPolicy>,
         symptoms: &SymptomCatalog,
         telemetry: &Telemetry,
     ) -> io::Result<()> {
-        maybe_crash(&self.crash, CrashPoint::BeforeJournal, window);
-        let record = journal_record_bytes(self.journal_records, window_log);
-        let journal_path = self.dir.join(JOURNAL_FILE);
-        let mut journal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&journal_path)?;
-        if self.crash.trips(CrashPoint::MidJournalAppend, window) {
-            // Write a torn record — header plus roughly half the payload
-            // — make it durable, then die. The scanner must stop here
-            // and resume must truncate it away.
-            let torn = record.len() / 2;
-            journal.write_all(&record[..torn])?;
-            journal.sync_all()?;
-            maybe_crash(&self.crash, CrashPoint::MidJournalAppend, window);
-        }
-        journal.write_all(&record)?;
-        journal.sync_all()?;
-        self.journal_records += 1;
         maybe_crash(&self.crash, CrashPoint::BeforeCheckpoint, window);
         // The write counter is bumped *before* the counter snapshot is
         // captured, so a checkpoint's own write is part of its snapshot
@@ -913,6 +931,37 @@ mod tests {
         dir
     }
 
+    /// Persists window `window` of a seed-7 run of `windows` windows as
+    /// the loop does: its journal record, then its checkpoint.
+    fn record(durable: &mut DurableLoop, window: usize, windows: usize, log: &str) {
+        durable.append_journal(window, log).unwrap();
+        durable
+            .write_checkpoint(
+                window,
+                windows,
+                7,
+                &[],
+                None,
+                &SymptomCatalog::new(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
+    }
+
+    #[test]
+    fn appended_records_are_the_encoded_bytes() {
+        let dir = temp_dir("append");
+        let mut durable = DurableLoop::open(&dir).unwrap();
+        let payloads = ["2006-01-01 00:00:00\tM0001\terror:A\n", ""];
+        let mut expected = Vec::new();
+        for (window, payload) in payloads.iter().enumerate() {
+            durable.append_journal(window, payload).unwrap();
+            expected.extend(journal_record_bytes(window as u64, payload));
+        }
+        assert_eq!(fs::read(dir.join(JOURNAL_FILE)).unwrap(), expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
             seq: 3,
@@ -986,11 +1035,7 @@ mod tests {
     fn fsck_flags_corrupt_checkpoints_and_torn_journals() {
         let dir = temp_dir("fsck");
         let mut durable = DurableLoop::open(&dir).unwrap();
-        let symptoms = SymptomCatalog::new();
-        let telemetry = Telemetry::disabled();
-        durable
-            .record_window(0, 2, 7, "", &[], None, &symptoms, &telemetry)
-            .unwrap();
+        record(&mut durable, 0, 2, "");
         let report = fsck(&dir).unwrap();
         assert!(report.ok(), "{report:?}");
         assert_eq!(report.journal_records, 1);
@@ -1029,15 +1074,12 @@ mod tests {
         let dir = temp_dir("bad-entry");
         let mut durable = DurableLoop::open(&dir).unwrap();
         let symptoms = SymptomCatalog::new();
-        let telemetry = Telemetry::disabled();
         let windows = [
             "2006-01-01 00:00:00\tM0001\terror:A\n2006-01-01 00:10:00\tM0001\tSuccess\n",
             "# window 1\nnot-a-time\tM0001\terror:A\n",
         ];
         for (window, log) in windows.iter().enumerate() {
-            durable
-                .record_window(window, 3, 7, log, &[], None, &symptoms, &telemetry)
-                .unwrap();
+            record(&mut durable, window, 3, log);
         }
         let err = DurableLoop::open(&dir)
             .unwrap()
@@ -1054,11 +1096,7 @@ mod tests {
     fn preflight_rejects_seed_and_window_mismatches() {
         let dir = temp_dir("preflight");
         let mut durable = DurableLoop::open(&dir).unwrap();
-        let symptoms = SymptomCatalog::new();
-        let telemetry = Telemetry::disabled();
-        durable
-            .record_window(0, 4, 7, "", &[], None, &symptoms, &telemetry)
-            .unwrap();
+        record(&mut durable, 0, 4, "");
         assert!(durable.preflight(7, 4).is_ok());
         assert!(durable.preflight(8, 4).unwrap_err().contains("--seed"));
         assert!(durable.preflight(7, 5).unwrap_err().contains("--windows"));

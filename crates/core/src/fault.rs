@@ -262,8 +262,10 @@ impl LoopFaultPlan {
     }
 }
 
-/// A named moment inside [`crate::durable::DurableLoop::record_window`]
-/// where a [`CrashPlan`] can abort the process — the durability
+/// A named moment of persisting a window — inside
+/// [`crate::durable::DurableLoop::append_journal`] or
+/// [`crate::durable::DurableLoop::write_checkpoint`] — where a
+/// [`CrashPlan`] can abort the process — the durability
 /// harness's equivalent of a `kill -9` landing at the worst possible
 /// byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -283,7 +285,7 @@ pub enum CrashPoint {
 }
 
 impl CrashPoint {
-    /// Every crash point, in record_window order.
+    /// Every crash point, in the order a window's persistence meets them.
     pub const ALL: [CrashPoint; 4] = [
         CrashPoint::BeforeJournal,
         CrashPoint::MidJournalAppend,

@@ -9,13 +9,16 @@
 //!   over the whole text, so parsing does not fan out, and neither its
 //!   output nor its trace depends on the thread count.
 //! * **Split** (sequential, span `split_shards`). One pass over the
-//!   entries runs the per-machine state machine of
-//!   [`extract_processes`], each machine's open process in its own table
-//!   slot. The sort (span `merge_processes`) stable-sorts on
-//!   `(start, machine)`, so the result is byte-identical to
-//!   [`RecoveryLog::split_processes`]. The split used to fan out over
-//!   eight machine shards, each scanning every entry; on a 2-core host
-//!   the one pass is faster than the fan-out at any thread count.
+//!   entries runs the per-machine state machine of [`process_slots`],
+//!   each machine's open process in its own table slot. Entries are in
+//!   `(time, machine)` order, so processes open in `(start, machine)`
+//!   order: each reserves its output place when it opens and fills it
+//!   at `Success`. Dropping the places of unfinished processes (span
+//!   `merge_processes`) leaves the result byte-identical to
+//!   [`RecoveryLog::split_processes`], with no sort. The split used to
+//!   fan out over eight machine shards, each scanning every entry; on a
+//!   2-core host the one pass is faster than the fan-out at any thread
+//!   count.
 //!
 //! # Lenient ingestion
 //!
@@ -47,7 +50,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use recovery_simlog::{
-    extract_processes, ParseLogError, ParseLogErrorKind, RecoveryLog, RecoveryProcess,
+    process_slots, ParseLogError, ParseLogErrorKind, RecoveryLog, RecoveryProcess, SortedLog,
     SymptomCatalog,
 };
 use recovery_telemetry::{Event, Telemetry};
@@ -258,9 +261,11 @@ pub fn parse_log_with_policy(
     Ok((log, report))
 }
 
-/// Splits the log into complete recovery processes: one pass over the
-/// entries (span `split_shards`), then the `(start, machine)` sort (span
-/// `merge_processes`). Equivalent to [`RecoveryLog::split_processes`].
+/// Splits the log into complete recovery processes, sorted by `(start,
+/// machine)`: one pass over the entries that reserves each process's
+/// place when it opens (span `split_shards`), then dropping the places
+/// of processes the log never completes (span `merge_processes`).
+/// Equivalent to [`RecoveryLog::split_processes`].
 ///
 /// `_pool` is unused, since the split is sequential; it stays in the
 /// signature for existing callers.
@@ -269,14 +274,18 @@ pub fn split_processes(
     _pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Vec<RecoveryProcess> {
-    let entries = log.entries();
-    let mut processes = {
+    split_sorted(log.sorted(), telemetry)
+}
+
+/// [`split_processes`] of a log already lent out sorted, so the split
+/// can share it with other readers.
+pub(crate) fn split_sorted(log: SortedLog<'_>, telemetry: &Telemetry) -> Vec<RecoveryProcess> {
+    let slots = {
         let _span = telemetry.span("split_shards");
-        extract_processes(entries)
+        process_slots(log.entries())
     };
     let _span = telemetry.span("merge_processes");
-    processes.sort_by_key(|p| (p.start(), p.machine()));
-    processes
+    slots.into_iter().flatten().collect()
 }
 
 /// Parses a textual log and splits it into processes: the common

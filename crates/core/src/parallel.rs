@@ -123,6 +123,38 @@ impl WorkerPool {
             .map(|result| result.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
+
+    /// Runs `here` on the calling thread and `beside` on a second one,
+    /// and returns both results once both have finished. A one-thread
+    /// pool spawns nothing: it runs `here`, then `beside`.
+    ///
+    /// Only `beside` crosses threads, so `here` may hold what must stay
+    /// on the caller: its open spans, callbacks that are not `Send`.
+    ///
+    /// # Panics
+    ///
+    /// A panic in either closure reaches the caller once both are done;
+    /// `here`'s wins when both panic.
+    pub fn join<A, B, RA, RB>(&self, here: A, beside: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        if self.threads.get() == 1 {
+            let a = here();
+            return (a, beside());
+        }
+        thread::scope(|scope| {
+            let handle = scope.spawn(beside);
+            let a = catch_unwind(AssertUnwindSafe(here));
+            let b = handle.join();
+            match (a, b) {
+                (Ok(a), Ok(b)) => (a, b),
+                (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
+            }
+        })
+    }
 }
 
 impl Default for WorkerPool {
@@ -206,6 +238,50 @@ mod tests {
                 Some("boom at 2"),
                 "{threads} threads: the lowest panicking index wins"
             );
+        }
+    }
+
+    #[test]
+    fn join_runs_both_closures_and_one_thread_runs_them_in_order() {
+        let caller = thread::current().id();
+        for threads in [1, 2, 4] {
+            let order = Mutex::new(Vec::new());
+            let (a, (b, beside_thread)) = WorkerPool::new(threads).join(
+                || {
+                    order.lock().unwrap().push("here");
+                    assert_eq!(thread::current().id(), caller, "here stays put");
+                    1
+                },
+                || {
+                    order.lock().unwrap().push("beside");
+                    (2, thread::current().id())
+                },
+            );
+            assert_eq!((a, b), (1, 2));
+            assert_eq!(order.lock().unwrap().len(), 2);
+            if threads == 1 {
+                assert_eq!(*order.lock().unwrap(), vec!["here", "beside"]);
+                assert_eq!(beside_thread, caller, "one thread spawns nothing");
+            } else {
+                assert_ne!(beside_thread, caller);
+            }
+        }
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_side() {
+        for threads in [1, 2] {
+            let pool = WorkerPool::new(threads);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.join(|| 1, || -> i32 { panic!("beside failed") })
+            }))
+            .expect_err("the helper's panic must propagate");
+            assert_eq!(caught.downcast_ref::<&str>(), Some(&"beside failed"));
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.join(|| -> i32 { panic!("here failed") }, || 2)
+            }))
+            .expect_err("the caller's panic must propagate");
+            assert_eq!(caught.downcast_ref::<&str>(), Some(&"here failed"));
         }
     }
 

@@ -21,6 +21,19 @@
 //! re-indexes the windows before it, and retraining borrows the clean
 //! processes instead of copying them.
 //!
+//! # Pipelined windows
+//!
+//! Each window forks twice with [`WorkerPool::join`](crate::parallel::WorkerPool::join):
+//! its journal append (render, checksum, write, fsync) runs beside its
+//! split → accumulate → retrain, and once retraining has produced the
+//! next policy, the next window's simulation runs beside this window's
+//! health record, `window` event, publication and checkpoint. The disk
+//! still sees journal w → checkpoint w → journal w+1, so every crash
+//! point leaves the state it always did, and spans keep their places:
+//! `journal_text` takes its slot before the split starts, and a
+//! simulation's `simulate_window` span is recorded when its window uses
+//! the log. A one-thread pool runs both sides of each fork in turn.
+//!
 //! # Degraded mode
 //!
 //! A continuous loop that dies on one bad window is not continuous. Each
@@ -44,7 +57,9 @@ use recovery_simlog::{
     stats, ClusterConfig, ClusterSim, FaultCatalog, MachineId, RecoveryLog, RecoveryProcess,
     SimDuration, SimTime, SymptomId, UserDefinedPolicy,
 };
-use recovery_telemetry::{Event, ObserverHandle, Telemetry, DURATION_MS_BOUNDS};
+use recovery_telemetry::{
+    Event, HealthState, ObserverHandle, SpanSlot, Telemetry, DURATION_MS_BOUNDS,
+};
 
 use crate::error_type::NoiseFilter;
 use crate::fault::LoopFaultPlan;
@@ -70,8 +85,12 @@ pub struct ContinuousLoopConfig {
     pub top_k: usize,
     /// Master seed; each window derives its own stream.
     pub seed: u64,
-    /// Worker threads for log ingestion and retraining within each
-    /// window. Outcomes are byte-identical for every value.
+    /// Worker threads for retraining within each window. With two or
+    /// more, each window's journal append also runs beside its split and
+    /// retraining, and the next window's simulation beside its
+    /// publication and checkpoint; with one, the loop starts no thread
+    /// and runs every step in turn. Policies, journals, checkpoints,
+    /// events and trace skeletons are byte-identical for every value.
     pub threads: usize,
     /// Scripted faults for robustness tests ([`LoopFaultPlan::none`] in
     /// production: injects nothing, costs nothing).
@@ -300,7 +319,7 @@ pub struct LoopControls<'a> {
 ///
 /// - `telemetry`: each window's simulation and retraining phases are
 ///   recorded as spans, retraining hands each type's training record to
-///   the handle's observer, the [`HealthState`](recovery_telemetry::HealthState)
+///   the handle's observer, the [`HealthState`]
 ///   tracks the loop phase and last window, every window lands in the
 ///   `loop.window.ms` wall-time histogram, and a `window` event carries
 ///   the enriched summary (status, fallback reason, Q-delta tail of the
@@ -315,8 +334,10 @@ pub struct LoopControls<'a> {
 /// - `publish` runs after each window's status, health record, and
 ///   `window` event are final, and sees a freshly retrained policy only
 ///   for `Trained` windows: the seam a policy-serving daemon hooks to
-///   hot-swap snapshots.
-/// - `controls` carries the stop flag and the durable state handle.
+///   hot-swap snapshots. It always runs on the calling thread; with two
+///   or more threads the next window's simulation may run meanwhile.
+/// - `controls` carries the stop flag and the durable state handle. A
+///   stop raised while the next window's simulation runs discards it.
 ///
 /// With a durable handle, the loop first resumes: journal records are
 /// replayed into the accumulated corpus (the same split and the same
@@ -390,104 +411,91 @@ pub fn run_continuous_loop_controlled(
         }
     }
 
+    let stop = controls.stop;
+    let stopped = || stop.is_some_and(|s| s.load(std::sync::atomic::Ordering::Acquire));
+    // The next window's simulation, started beside this window's tail.
+    let mut early: Option<Simulated> = None;
     for window in start_window..config.windows {
-        if let Some(stop) = controls.stop {
-            if stop.load(std::sync::atomic::Ordering::Acquire) {
-                interrupted = true;
-                break;
-            }
+        if stopped() {
+            interrupted = true;
+            break;
         }
         let window_started = Instant::now();
-        let window_seed = config
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(window as u64);
         let learned_policy = current.is_some();
         let policy_entries = current.as_ref().map_or(0, |p| p.q().len());
         let mut status = WindowStatus::Trained;
         let mut q_delta_tail = 0.0_f64;
-
-        // Simulation: panics (injected or real) are contained so a bad
-        // window degrades instead of killing the loop.
-        let simulated = {
-            let _span = telemetry.span("simulate_window");
-            catch_unwind(AssertUnwindSafe(|| {
-                if config.faults.trips_simulation(window) {
-                    panic!("faultline: injected simulation panic in window {window}");
-                }
-                if config.faults.empties_window(window) {
-                    return RecoveryLog::new();
-                }
-                match &current {
-                    None => {
-                        let sim = ClusterSim::new(
-                            catalog,
-                            UserDefinedPolicy::default(),
-                            config.cluster.clone(),
-                            window_seed,
-                        );
-                        sim.run().0
-                    }
-                    Some(policy) => {
-                        let live = LivePolicy::new(HybridPolicy::new(
-                            DecisionTable::new(policy),
-                            UserStatePolicy::default(),
-                        ));
-                        let sim =
-                            ClusterSim::new(catalog, live, config.cluster.clone(), window_seed);
-                        sim.run().0
-                    }
-                }
-            }))
-        };
-        let mut log = match simulated {
-            Ok(log) => log,
-            Err(_) => {
-                status = WindowStatus::FellBack {
-                    reason: FallbackReason::SimulationPanicked,
-                };
-                RecoveryLog::new()
-            }
-        };
-        // The journal payload is the window's observation log exactly as
-        // resume will re-parse it; captured before ingestion so the text
-        // and the split see the same (sorted) entry sequence.
-        let window_log_text = if controls.durable.is_some() {
-            let _span = telemetry.span("journal_text");
-            log.to_text()
-        } else {
-            String::new()
-        };
-        let processes = crate::ingest::split_processes(&mut log, &pool, telemetry);
-        if status.is_trained() && processes.is_empty() {
-            status = WindowStatus::FellBack {
-                reason: FallbackReason::EmptyWindow,
-            };
-        }
-        let processes_len = processes.len();
-        let mttr = stats::mttr(&processes);
-
-        // Feed the window's log back and retrain for the next window —
-        // unless the window already fell back (nothing new to learn
-        // from): the last good policy simply stays deployed.
-        {
-            let _span = telemetry.span("accumulate");
-            corpus.add_window(processes);
-        }
         let mut retrained_this_window = false;
-        if window + 1 < config.windows && status.is_trained() {
-            let _span = telemetry.span("retrain");
-            let extra_observer = window_observer(window);
-            match retrain(config, &corpus, window, telemetry, &extra_observer) {
-                Ok((policy, tail)) => {
-                    current = Some(policy);
-                    q_delta_tail = tail;
-                    retrained_this_window = true;
-                }
-                Err(reason) => status = WindowStatus::FellBack { reason },
-            }
-        }
 
+        // Its span is recorded here, where the log is used, so a
+        // simulation whose result a stop discards leaves none.
+        let simulated = early
+            .take()
+            .unwrap_or_else(|| simulate_window(catalog, config, window, current.as_ref()));
+        telemetry.record_span("simulate_window", simulated.ms);
+        let mut log = simulated.log.unwrap_or_else(|| {
+            status = WindowStatus::FellBack {
+                reason: FallbackReason::SimulationPanicked,
+            };
+            RecoveryLog::new()
+        });
+
+        // The journal append (render, checksum, write, fsync) runs beside
+        // split → accumulate → retrain; both read the one sorted log, so
+        // the journal payload is exactly the entry sequence the split
+        // saw, as resume will re-parse it.
+        let sorted = log.sorted();
+        let journal_text = controls
+            .durable
+            .is_some()
+            .then(|| telemetry.reserve_span("journal_text"));
+        let journal = controls.durable.as_deref_mut();
+        let ((processes_len, mttr), journaled) = pool.join(
+            || {
+                let processes = crate::ingest::split_sorted(sorted, telemetry);
+                if status.is_trained() && processes.is_empty() {
+                    status = WindowStatus::FellBack {
+                        reason: FallbackReason::EmptyWindow,
+                    };
+                }
+                let counts = (processes.len(), stats::mttr(&processes));
+                // Feed the window's log back and retrain for the next
+                // window — unless the window already fell back (nothing
+                // new to learn from): the last good policy simply stays
+                // deployed.
+                {
+                    let _span = telemetry.span("accumulate");
+                    corpus.add_window(processes);
+                }
+                if window + 1 < config.windows && status.is_trained() {
+                    let _span = telemetry.span("retrain");
+                    let extra_observer = window_observer(window);
+                    match retrain(config, &corpus, window, telemetry, &extra_observer) {
+                        Ok((policy, tail)) => {
+                            current = Some(policy);
+                            q_delta_tail = tail;
+                            retrained_this_window = true;
+                        }
+                        Err(reason) => status = WindowStatus::FellBack { reason },
+                    }
+                }
+                counts
+            },
+            move || {
+                journal.map(|durable| {
+                    let text = {
+                        let _span = journal_text.map(SpanSlot::open);
+                        sorted.to_text()
+                    };
+                    durable.append_journal(window, &text)
+                })
+            },
+        );
+        drop(log);
+
+        // The window's tail — health record, `window` event, publication
+        // and checkpoint — runs beside the next window's simulation,
+        // which needs only the policy just retrained.
         let outcome = WindowOutcome {
             window,
             processes: processes_len,
@@ -496,76 +504,48 @@ pub fn run_continuous_loop_controlled(
             policy_entries,
             status,
         };
-        if let Some(reason) = status.fallback_reason() {
-            if let Some(registry) = telemetry.registry() {
-                registry.counter("loop.fallbacks").inc();
-                registry
-                    .counter(&format!("loop.fallback.{}", reason.label()))
-                    .inc();
-            }
-        }
-        if let Some(health) = &health {
-            health.record_window(
-                window as u64,
-                status.label(),
-                status.fallback_reason().map(FallbackReason::label),
-            );
-        }
-        if let Some(registry) = telemetry.registry() {
-            // Wall time lives only in the histogram: `window` events must
-            // stay byte-identical across runs and thread counts.
-            registry
-                .histogram("loop.window.ms", &DURATION_MS_BOUNDS)
-                .record(window_started.elapsed().as_secs_f64() * 1e3);
-        }
-        if telemetry.is_enabled() {
-            let fallbacks = telemetry
-                .registry()
-                .map_or(0, |registry| registry.counter("loop.fallbacks").get());
-            telemetry.emit(
-                &Event::new("window")
-                    .with("window", outcome.window)
-                    .with("processes", outcome.processes)
-                    .with("mttr_s", outcome.mttr.as_secs_f64())
-                    .with("learned_policy", outcome.learned_policy)
-                    .with("policy_entries", outcome.policy_entries)
-                    .with("status", outcome.status.label())
-                    .with(
-                        "fallback_reason",
-                        outcome
-                            .status
-                            .fallback_reason()
-                            .map_or("", FallbackReason::label),
-                    )
-                    .with("q_delta_tail", q_delta_tail)
-                    .with("fallbacks", fallbacks),
-            );
-        }
-        publish(WindowPublication {
-            window,
-            status,
-            policy: if retrained_this_window {
-                current.as_ref()
-            } else {
-                None
-            },
-            accumulated: corpus.processes(),
-        });
-        outcomes.push(outcome);
-        if let Some(durable) = controls.durable.as_deref_mut() {
-            durable
-                .record_window(
-                    window,
-                    config.windows,
-                    config.seed,
-                    &window_log_text,
-                    &outcomes,
-                    current.as_ref(),
-                    catalog.symptoms(),
+        let next = window + 1;
+        let policy = current.as_ref();
+        let (persisted, simulated_next) = pool.join(
+            || {
+                finish_window(
+                    &outcome,
+                    q_delta_tail,
+                    window_started,
                     telemetry,
-                )
-                .map_err(|e| format!("persisting window {window}: {e}"))?;
-        }
+                    health.as_ref(),
+                );
+                publish(WindowPublication {
+                    window,
+                    status,
+                    policy: policy.filter(|_| retrained_this_window),
+                    accumulated: corpus.processes(),
+                });
+                outcomes.push(outcome);
+                match (controls.durable.as_deref_mut(), journaled) {
+                    (Some(durable), Some(journaled)) => journaled
+                        .and_then(|()| {
+                            durable.write_checkpoint(
+                                window,
+                                config.windows,
+                                config.seed,
+                                &outcomes,
+                                policy,
+                                catalog.symptoms(),
+                                telemetry,
+                            )
+                        })
+                        .map_err(|e| format!("persisting window {window}: {e}")),
+                    _ => Ok(()),
+                }
+            },
+            || {
+                (next < config.windows && !stopped())
+                    .then(|| simulate_window(catalog, config, next, policy))
+            },
+        );
+        persisted?;
+        early = simulated_next;
     }
     if let Some(health) = &health {
         health.set_phase(if interrupted {
@@ -579,6 +559,115 @@ pub fn run_continuous_loop_controlled(
         policy: current,
         interrupted,
     })
+}
+
+/// A window's simulated log — `None` when the simulation panicked —
+/// and how long the simulation took, in ms.
+struct Simulated {
+    log: Option<RecoveryLog>,
+    ms: f64,
+}
+
+/// Simulates window `window` under `policy` (the production ladder when
+/// there is none yet). Panics, injected or real, are contained, so a bad
+/// window degrades instead of killing the loop.
+fn simulate_window(
+    catalog: &FaultCatalog,
+    config: &ContinuousLoopConfig,
+    window: usize,
+    policy: Option<&TrainedPolicy>,
+) -> Simulated {
+    let started = Instant::now();
+    let window_seed = config
+        .seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(window as u64);
+    let log = catch_unwind(AssertUnwindSafe(|| {
+        if config.faults.trips_simulation(window) {
+            panic!("faultline: injected simulation panic in window {window}");
+        }
+        if config.faults.empties_window(window) {
+            return RecoveryLog::new();
+        }
+        match policy {
+            None => {
+                let sim = ClusterSim::new(
+                    catalog,
+                    UserDefinedPolicy::default(),
+                    config.cluster.clone(),
+                    window_seed,
+                );
+                sim.run().0
+            }
+            Some(policy) => {
+                let live = LivePolicy::new(HybridPolicy::new(
+                    DecisionTable::new(policy),
+                    UserStatePolicy::default(),
+                ));
+                let sim = ClusterSim::new(catalog, live, config.cluster.clone(), window_seed);
+                sim.run().0
+            }
+        }
+    }))
+    .ok();
+    Simulated {
+        log,
+        ms: started.elapsed().as_secs_f64() * 1e3,
+    }
+}
+
+/// Records a finished window: the fallback counters, the health record,
+/// the `loop.window.ms` histogram and the `window` event.
+fn finish_window(
+    outcome: &WindowOutcome,
+    q_delta_tail: f64,
+    started: Instant,
+    telemetry: &Telemetry,
+    health: Option<&HealthState>,
+) {
+    let status = outcome.status;
+    if let Some(reason) = status.fallback_reason() {
+        if let Some(registry) = telemetry.registry() {
+            registry.counter("loop.fallbacks").inc();
+            registry
+                .counter(&format!("loop.fallback.{}", reason.label()))
+                .inc();
+        }
+    }
+    if let Some(health) = health {
+        health.record_window(
+            outcome.window as u64,
+            status.label(),
+            status.fallback_reason().map(FallbackReason::label),
+        );
+    }
+    if let Some(registry) = telemetry.registry() {
+        // Wall time lives only in the histogram: `window` events must
+        // stay byte-identical across runs and thread counts.
+        registry
+            .histogram("loop.window.ms", &DURATION_MS_BOUNDS)
+            .record(started.elapsed().as_secs_f64() * 1e3);
+    }
+    if telemetry.is_enabled() {
+        let fallbacks = telemetry
+            .registry()
+            .map_or(0, |registry| registry.counter("loop.fallbacks").get());
+        telemetry.emit(
+            &Event::new("window")
+                .with("window", outcome.window)
+                .with("processes", outcome.processes)
+                .with("mttr_s", outcome.mttr.as_secs_f64())
+                .with("learned_policy", outcome.learned_policy)
+                .with("policy_entries", outcome.policy_entries)
+                .with("status", status.label())
+                .with(
+                    "fallback_reason",
+                    status.fallback_reason().map_or("", FallbackReason::label),
+                )
+                .with("q_delta_tail", q_delta_tail)
+                .with("fallbacks", fallbacks),
+        );
+    }
 }
 
 /// The key the corpus is ordered by.
@@ -879,6 +968,98 @@ mod tests {
             ..ContinuousLoopConfig::new(small_cluster())
         };
         let _ = run_loop(&catalog, &config);
+    }
+
+    /// A durable, traced four-window run whose publication of window 1
+    /// raises the stop flag: its outcome, final policy text, the bytes
+    /// of every file in its state dir, and its `simulate_window` count.
+    fn run_stopped_after_window_one(
+        catalog: &FaultCatalog,
+        threads: usize,
+    ) -> (LoopRun, String, Vec<(String, Vec<u8>)>, u64) {
+        let dir = std::env::temp_dir().join(format!(
+            "autorecover-pipeline-stop-t{threads}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut durable = crate::durable::DurableLoop::open(&dir).unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let telemetry = Telemetry::new();
+        let config = ContinuousLoopConfig {
+            windows: 4,
+            top_k: 8,
+            threads,
+            trainer: TrainerConfig::fast(),
+            ..ContinuousLoopConfig::new(small_cluster())
+        };
+        let run = run_continuous_loop_controlled(
+            catalog,
+            &config,
+            &telemetry,
+            &mut |_| ObserverHandle::none(),
+            &mut |publication| {
+                if publication.window == 1 {
+                    // With a second thread, window 2's simulation started
+                    // before this callback; give it time to get going.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    stop.store(true, std::sync::atomic::Ordering::Release);
+                }
+            },
+            &mut LoopControls {
+                stop: Some(&stop),
+                durable: Some(&mut durable),
+            },
+        )
+        .unwrap();
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = run
+            .policy
+            .as_ref()
+            .map(|p| crate::persist::policy_to_text(p, catalog.symptoms()))
+            .unwrap_or_default();
+        let simulations = telemetry.snapshot().unwrap().counters["span.simulate_window.calls"];
+        (run, policy, files, simulations)
+    }
+
+    #[test]
+    fn a_stop_raised_by_publish_discards_the_next_simulation() {
+        let catalog = CatalogConfig::default().with_fault_types(8).generate(5);
+        let (reference, policy, files, simulations) = run_stopped_after_window_one(&catalog, 1);
+        assert!(reference.interrupted);
+        assert_eq!(reference.outcomes.len(), 2);
+        assert!(!policy.is_empty(), "window 1 retrained a policy");
+        assert_eq!(simulations, 2, "windows 0 and 1 only");
+        let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "FORMAT",
+                "checkpoint-00000001.ckpt",
+                "checkpoint-00000002.ckpt",
+                "journal.log"
+            ]
+        );
+        for threads in [2, 4] {
+            let (run, run_policy, run_files, run_simulations) =
+                run_stopped_after_window_one(&catalog, threads);
+            assert!(run.interrupted, "threads {threads}");
+            assert_eq!(run.outcomes, reference.outcomes, "threads {threads}");
+            assert_eq!(run_policy, policy, "threads {threads}");
+            assert!(run_files == files, "threads {threads}: state dir differs");
+            assert_eq!(
+                run_simulations, 2,
+                "threads {threads}: the discarded simulation left a span"
+            );
+        }
     }
 
     /// A process on `machine` starting at `start`, showing `symptoms`

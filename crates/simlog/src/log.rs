@@ -95,8 +95,18 @@ impl RecoveryLog {
 
     /// The entries in chronological order (sorting first if needed).
     pub fn entries(&mut self) -> &[LogEntry] {
+        self.sorted().entries()
+    }
+
+    /// Sorts the log if needed and lends it out shared: a [`SortedLog`]
+    /// is `Copy` and `Sync`, so several readers, on several threads, can
+    /// render and split one log at once.
+    pub fn sorted(&mut self) -> SortedLog<'_> {
         self.ensure_sorted();
-        &self.entries
+        SortedLog {
+            entries: &self.entries,
+            symptoms: &self.symptoms,
+        }
     }
 
     /// The symptom catalog.
@@ -130,8 +140,7 @@ impl RecoveryLog {
     /// line, tab-separated, as in the paper's Table 1), into a string
     /// allocated once at its exact length.
     pub fn to_text(&mut self) -> String {
-        self.ensure_sorted();
-        codec::render_lines(&self.entries, &self.symptoms)
+        self.sorted().to_text()
     }
 
     /// Parses a textual log produced by [`RecoveryLog::to_text`] (or by any
@@ -228,10 +237,32 @@ impl RecoveryLog {
     /// processes, are dropped — mirroring the paper, which only trains on
     /// processes that "end with successful recovery".
     pub fn split_processes(&mut self) -> Vec<RecoveryProcess> {
-        self.ensure_sorted();
-        let mut processes = extract_processes(&self.entries);
-        processes.sort_by_key(|p| (p.start(), p.machine()));
-        processes
+        extract_processes(self.entries())
+    }
+}
+
+/// A log whose entries are in chronological order, borrowed shared from
+/// [`RecoveryLog::sorted`].
+#[derive(Debug, Clone, Copy)]
+pub struct SortedLog<'a> {
+    entries: &'a [LogEntry],
+    symptoms: &'a SymptomCatalog,
+}
+
+impl<'a> SortedLog<'a> {
+    /// The entries, sorted by `(time, machine)`.
+    pub fn entries(&self) -> &'a [LogEntry] {
+        self.entries
+    }
+
+    /// The symptom catalog.
+    pub fn symptoms(&self) -> &'a SymptomCatalog {
+        self.symptoms
+    }
+
+    /// The log's text, as [`RecoveryLog::to_text`] renders it.
+    pub fn to_text(&self) -> String {
+        codec::render_lines(self.entries, self.symptoms)
     }
 }
 
@@ -253,25 +284,41 @@ fn line_count(text: &str) -> usize {
 }
 
 /// Runs the per-machine process state machine over chronologically sorted
-/// entries, in one pass.
+/// entries, in one pass, and returns the complete processes sorted by
+/// `(start, machine)`.
 ///
 /// Per machine, a process opens at the first symptom seen while the
 /// machine is healthy and closes at the next `Success`; machines never
 /// interact, so each keeps its open process in its own slot of a table.
-/// Processes are returned in completion (`Success`) order, which within
-/// one machine is also chronological — the property the stable
-/// `(start, machine)` sort of [`RecoveryLog::split_processes`] relies on.
 pub fn extract_processes(entries: &[LogEntry]) -> Vec<RecoveryProcess> {
-    let successes = entries
-        .iter()
-        .filter(|e| matches!(e.event, LogEvent::Success))
-        .count();
-    let mut processes = Vec::with_capacity(successes);
-    let mut open = OpenProcesses::new(entries.len());
+    process_slots(entries).into_iter().flatten().collect()
+}
+
+/// The first half of [`extract_processes`]: one slot per process the
+/// entries open, in the order they open it, holding the process if it
+/// completed and `None` if the log ends first. Flattening the slots
+/// gives the complete processes sorted by `(start, machine)`.
+///
+/// Entries arrive in `(time, machine)` order, and a process starts at
+/// the symptom that opens it, so processes open in `(start, machine)`
+/// order. Two processes share a key only when one machine closes a
+/// process and opens the next within one second; the first to open
+/// also completes first. Reserving each process's slot when it opens
+/// therefore yields what a stable sort of the processes in completion
+/// order by `(start, machine)` would, without sorting.
+pub fn process_slots(entries: &[LogEntry]) -> Vec<Option<RecoveryProcess>> {
+    let mut slots = Vec::with_capacity(opened_processes(entries));
+    let mut open: MachineTable<Open> = MachineTable::new(entries.len());
     for e in entries {
         let slot = open.slot(e.machine);
         match e.event {
-            LogEvent::Symptom(s) => slot.symptoms.push((e.time, s)),
+            LogEvent::Symptom(s) => {
+                if slot.symptoms.is_empty() {
+                    slot.output = slots.len();
+                    slots.push(None);
+                }
+                slot.symptoms.push((e.time, s));
+            }
             // An action without a preceding symptom is a stray (e.g.
             // operator-initiated maintenance): ignore it.
             LogEvent::Action(a) if !slot.symptoms.is_empty() => slot.actions.push(ActionRecord {
@@ -280,50 +327,76 @@ pub fn extract_processes(entries: &[LogEntry]) -> Vec<RecoveryProcess> {
             }),
             LogEvent::Action(_) => {}
             LogEvent::Success if !slot.symptoms.is_empty() => {
-                let Open { symptoms, actions } = std::mem::take(slot);
-                processes.push(RecoveryProcess::new(e.machine, symptoms, actions, e.time));
+                let Open {
+                    symptoms,
+                    actions,
+                    output,
+                } = std::mem::take(slot);
+                slots[output] = Some(RecoveryProcess::new(e.machine, symptoms, actions, e.time));
             }
             LogEvent::Success => {}
         }
     }
-    processes
+    slots
 }
 
-/// A machine's open process: its symptoms and actions so far. A machine
-/// has an open process exactly when `symptoms` is non-empty.
+/// How many processes `entries` open, complete or not: the exact size
+/// of [`process_slots`]' output, so it is allocated once.
+fn opened_processes(entries: &[LogEntry]) -> usize {
+    let mut open: MachineTable<bool> = MachineTable::new(entries.len());
+    entries
+        .iter()
+        .filter(|e| {
+            let open = open.slot(e.machine);
+            match e.event {
+                LogEvent::Symptom(_) => !std::mem::replace(open, true),
+                LogEvent::Success => {
+                    *open = false;
+                    false
+                }
+                LogEvent::Action(_) => false,
+            }
+        })
+        .count()
+}
+
+/// A machine's open process: its symptoms and actions so far, and the
+/// output slot reserved for it. A machine has an open process exactly
+/// when `symptoms` is non-empty.
 #[derive(Default)]
 struct Open {
     symptoms: Vec<(SimTime, crate::symptom::SymptomId)>,
     actions: Vec<ActionRecord>,
+    output: usize,
 }
 
-/// The open process of every machine. Machine ids below `dense_bound`
-/// index a `Vec` directly; larger ones go through a map, since ids span
-/// all of `u32` and a table sized by the largest id could need 2^32
-/// slots. With the bound at the entry count, the table never holds more
-/// slots than the log has entries.
-struct OpenProcesses {
-    dense: Vec<Open>,
+/// One value per machine. Machine ids below `dense_bound` index a `Vec`
+/// directly; larger ones go through a map, since ids span all of `u32`
+/// and a table sized by the largest id could need 2^32 slots. With the
+/// bound at the entry count, the table never holds more slots than the
+/// log has entries.
+struct MachineTable<T> {
+    dense: Vec<T>,
     dense_bound: usize,
-    sparse: HashMap<MachineId, Open>,
+    sparse: HashMap<MachineId, T>,
 }
 
-impl OpenProcesses {
+impl<T: Default> MachineTable<T> {
     fn new(dense_bound: usize) -> Self {
-        OpenProcesses {
+        MachineTable {
             dense: Vec::new(),
             dense_bound,
             sparse: HashMap::new(),
         }
     }
 
-    fn slot(&mut self, machine: MachineId) -> &mut Open {
+    fn slot(&mut self, machine: MachineId) -> &mut T {
         let index = machine.index() as usize;
         if index >= self.dense_bound {
             return self.sparse.entry(machine).or_default();
         }
         if index >= self.dense.len() {
-            self.dense.resize_with(index + 1, Open::default);
+            self.dense.resize_with(index + 1, T::default);
         }
         &mut self.dense[index]
     }
@@ -639,6 +712,93 @@ mod tests {
             }
         }
         assert_eq!(line_count(""), 0);
+    }
+
+    /// The split as it used to run: processes in completion order, then
+    /// a stable sort by `(start, machine)`.
+    fn split_by_sorting(entries: &[LogEntry]) -> Vec<RecoveryProcess> {
+        let mut open: BTreeMap<MachineId, (Vec<_>, Vec<ActionRecord>)> = BTreeMap::new();
+        let mut done = Vec::new();
+        for e in entries {
+            match e.event {
+                LogEvent::Symptom(s) => open.entry(e.machine).or_default().0.push((e.time, s)),
+                LogEvent::Action(action) => {
+                    if let Some((_, actions)) = open.get_mut(&e.machine) {
+                        actions.push(ActionRecord {
+                            time: e.time,
+                            action,
+                        });
+                    }
+                }
+                LogEvent::Success => {
+                    if let Some((symptoms, actions)) = open.remove(&e.machine) {
+                        done.push(RecoveryProcess::new(e.machine, symptoms, actions, e.time));
+                    }
+                }
+            }
+        }
+        done.sort_by_key(|p| (p.start(), p.machine()));
+        done
+    }
+
+    #[test]
+    fn a_process_closed_and_reopened_in_one_second_keeps_its_place() {
+        let mut log = RecoveryLog::new();
+        let a = log.symptoms_mut().intern("error:A");
+        let b = log.symptoms_mut().intern("error:B");
+        // Machine 1 opens and closes a process at t=5, then opens the
+        // next at t=5; machine 0 opens one at t=5 that closes last.
+        push(&mut log, 5, 0, LogEvent::Symptom(b));
+        push(&mut log, 5, 1, LogEvent::Symptom(a));
+        push(&mut log, 5, 1, LogEvent::Success);
+        push(&mut log, 5, 1, LogEvent::Symptom(b));
+        push(&mut log, 9, 1, LogEvent::Success);
+        push(&mut log, 20, 0, LogEvent::Success);
+        let procs = log.split_processes();
+        assert_eq!(procs, split_by_sorting(log.entries()));
+        let keys: Vec<_> = procs
+            .iter()
+            .map(|p| {
+                (
+                    p.start().as_secs(),
+                    p.machine().index(),
+                    p.initial_symptom(),
+                )
+            })
+            .collect();
+        assert_eq!(keys, [(5, 0, b), (5, 1, a), (5, 1, b)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Reserving places as processes open gives the stable sort of
+        /// the completion-order split, unfinished processes and strays
+        /// included. Few machines, seconds and a bias to `Success` make
+        /// one machine close and reopen a process within a second.
+        #[test]
+        fn open_order_split_is_the_stable_sort_of_completion_order(
+            raw in proptest::collection::vec((0u64..6, 0u32..3, 0u8..6), 0..60),
+        ) {
+            let mut log = RecoveryLog::new();
+            let symptoms = [
+                log.symptoms_mut().intern("error:A"),
+                log.symptoms_mut().intern("error:B"),
+            ];
+            for (secs, machine, kind) in raw {
+                let event = match kind {
+                    0 | 1 => LogEvent::Symptom(symptoms[usize::from(kind)]),
+                    2 => LogEvent::Action(RepairAction::Reboot),
+                    _ => LogEvent::Success,
+                };
+                push(&mut log, secs, machine, event);
+            }
+            let split = log.split_processes();
+            proptest::prop_assert_eq!(&split, &split_by_sorting(log.entries()));
+            let slots = process_slots(log.entries());
+            proptest::prop_assert_eq!(slots.len(), opened_processes(log.entries()));
+            proptest::prop_assert_eq!(slots.into_iter().flatten().collect::<Vec<_>>(), split);
+        }
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl Telemetry {
         let ticket = self
             .inner
             .as_deref()
-            .map(|inner| inner.tracer.begin_span(name, None, None));
+            .map(|inner| inner.tracer.begin_span(name, None, None, false));
         Span {
             telemetry: self,
             ticket,
@@ -225,15 +225,45 @@ impl Telemetry {
     /// of worker scheduling. With `ctx: None` this behaves like
     /// [`Telemetry::span`] but still pins the sibling rank.
     pub fn worker_span(&self, ctx: Option<&TraceContext>, name: &str, rank: u64) -> Span<'_> {
-        let ticket = self
-            .inner
-            .as_deref()
-            .map(|inner| inner.tracer.begin_span(name, ctx.copied(), Some(rank)));
+        let ticket = self.inner.as_deref().map(|inner| {
+            inner
+                .tracer
+                .begin_span(name, ctx.copied(), Some(rank), false)
+        });
         Span {
             telemetry: self,
             ticket,
             start: Instant::now(),
         }
+    }
+
+    /// Reserves the place [`Telemetry::span`] would give a span named
+    /// `name` here — the next sibling under this thread's innermost open
+    /// span, or a trace of its own, listed by [`Telemetry::trace_trees`]
+    /// where it opened — for work another thread does: hand the slot
+    /// over and [`SpanSlot::open`] it there. The span never becomes this
+    /// thread's current span, so spans opened here meanwhile are its
+    /// siblings, not its children.
+    pub fn reserve_span(&self, name: &str) -> SpanSlot<'_> {
+        let ticket = self
+            .inner
+            .as_deref()
+            .map(|inner| inner.tracer.begin_span(name, None, None, true));
+        SpanSlot {
+            span: Span {
+                telemetry: self,
+                ticket,
+                start: Instant::now(),
+            },
+        }
+    }
+
+    /// Records a span that took `ms` milliseconds, at the place a
+    /// [`Telemetry::span`] opened and closed here now would take: for
+    /// work timed on another thread whose span belongs where its result
+    /// is used. Work whose result is thrown away is never recorded.
+    pub fn record_span(&self, name: &str, ms: f64) {
+        self.span(name).close(ms);
     }
 
     /// The calling thread's innermost open span as a capturable
@@ -313,6 +343,25 @@ impl Telemetry {
     }
 }
 
+/// A span's place in the trace, reserved by [`Telemetry::reserve_span`]
+/// on one thread for work done on another. Dropped unopened, it records
+/// the time since it was reserved.
+#[derive(Debug)]
+pub struct SpanSlot<'a> {
+    span: Span<'a>,
+}
+
+impl<'a> SpanSlot<'a> {
+    /// Opens the reserved span, timed from now. Open no other span on
+    /// this thread while it runs: with no span of this thread's own open,
+    /// such a span would root a trace of its own.
+    pub fn open(self) -> Span<'a> {
+        let mut span = self.span;
+        span.start = Instant::now();
+        span
+    }
+}
+
 /// An RAII wall-clock timer created by [`Telemetry::span`] or
 /// [`Telemetry::worker_span`], also recording one node of the enclosing
 /// trace tree.
@@ -334,17 +383,15 @@ impl Span<'_> {
     pub fn trace_id(&self) -> Option<u64> {
         self.ticket.as_ref().map(|t| t.trace)
     }
-}
 
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
+    /// Records the span as having taken `ms` milliseconds.
+    fn close(&mut self, ms: f64) {
         let Some(ticket) = self.ticket.take() else {
             return;
         };
         let Some(inner) = self.telemetry.inner.as_deref() else {
             return;
         };
-        let ms = self.start.elapsed().as_secs_f64() * 1e3;
         let path = &ticket.path;
         inner
             .registry
@@ -369,6 +416,14 @@ impl Drop for Span<'_> {
                     .with("ms", tree.root.ms)
                     .with("at_ms", self.telemetry.elapsed_ms()),
             );
+        }
+    }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        if self.ticket.is_some() {
+            self.close(self.start.elapsed().as_secs_f64() * 1e3);
         }
     }
 }

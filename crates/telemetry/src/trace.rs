@@ -111,12 +111,15 @@ impl TraceRecorder {
     /// Opens a span. With an explicit `ctx` (worker spans) the parent is
     /// the captured span and `rank` must be the work-item index;
     /// otherwise the parent is the current thread's innermost open span,
-    /// and a thread with no open span roots a fresh trace.
+    /// and a thread with no open span roots a fresh trace. The span
+    /// becomes the calling thread's innermost open span unless it is
+    /// `handed_off` to be closed on another thread.
     pub(crate) fn begin_span(
         &self,
         name: &str,
         ctx: Option<TraceContext>,
         rank: Option<u64>,
+        handed_off: bool,
     ) -> SpanTicket {
         let parent = match ctx {
             Some(ctx) => Some((ctx.trace, ctx.slot)),
@@ -170,7 +173,9 @@ impl TraceRecorder {
             }
         };
         drop(state);
-        OPEN_SPANS.with(|open| open.borrow_mut().push((self.id, ticket.trace, ticket.slot)));
+        if !handed_off {
+            OPEN_SPANS.with(|open| open.borrow_mut().push((self.id, ticket.trace, ticket.slot)));
+        }
         ticket
     }
 
@@ -217,8 +222,12 @@ impl TraceRecorder {
             .active
             .remove(&ticket.trace)
             .expect("present: just mutated");
+        // Trees are kept in trace-id order, the order their roots opened
+        // in: a root closed on another thread than the one that opened it
+        // still lands where it would have had it closed in place.
         let tree = build_tree(ticket.trace, &active.spans);
-        state.finished.push_back(tree.clone());
+        let at = state.finished.partition_point(|t| t.trace < tree.trace);
+        state.finished.insert(at, tree.clone());
         while state.finished.len() > TRACE_RING_CAPACITY {
             state.finished.pop_front();
         }
@@ -231,13 +240,13 @@ impl TraceRecorder {
         state.finished.iter().find(|t| t.trace == trace).cloned()
     }
 
-    /// The most recently finished tree, if any.
+    /// The retained finished tree with the highest trace id, if any.
     pub(crate) fn last_tree(&self) -> Option<TraceTree> {
         let state = lock_clean(&self.state);
         state.finished.back().cloned()
     }
 
-    /// All retained finished trees, oldest first.
+    /// All retained finished trees, in trace-id order.
     pub(crate) fn trees(&self) -> Vec<TraceTree> {
         let state = lock_clean(&self.state);
         state.finished.iter().cloned().collect()
@@ -409,11 +418,11 @@ mod tests {
     #[test]
     fn ranked_children_collect_in_rank_order_not_arrival_order() {
         let recorder = TraceRecorder::default();
-        let root = recorder.begin_span("fanout", None, None);
+        let root = recorder.begin_span("fanout", None, None, false);
         let ctx = recorder.current_context();
         // Simulate workers finishing out of order: ranks 2, 0, 1.
         for rank in [2u64, 0, 1] {
-            let ticket = recorder.begin_span("shard", ctx, Some(rank));
+            let ticket = recorder.begin_span("shard", ctx, Some(rank), false);
             assert_eq!(ticket.path, "fanout/shard");
             recorder.end_span(&ticket, rank as f64);
         }
@@ -430,15 +439,15 @@ mod tests {
     #[test]
     fn cross_thread_worker_spans_join_the_driver_trace() {
         let recorder = std::sync::Arc::new(TraceRecorder::default());
-        let root = recorder.begin_span("pool", None, None);
+        let root = recorder.begin_span("pool", None, None, false);
         let ctx = recorder.current_context();
         let handles: Vec<_> = (0..4u64)
             .map(|rank| {
                 let recorder = recorder.clone();
                 std::thread::spawn(move || {
-                    let ticket = recorder.begin_span("item", ctx, Some(rank));
+                    let ticket = recorder.begin_span("item", ctx, Some(rank), false);
                     // Worker-local nesting stays on the worker's stack.
-                    let inner = recorder.begin_span("step", None, None);
+                    let inner = recorder.begin_span("step", None, None, false);
                     assert_eq!(inner.path, "pool/item/step");
                     recorder.end_span(&inner, 0.0);
                     recorder.end_span(&ticket, 0.0);
@@ -458,7 +467,7 @@ mod tests {
         }
         // The driver thread's stack is clean again: a new span roots a
         // fresh trace.
-        let next = recorder.begin_span("next", None, None);
+        let next = recorder.begin_span("next", None, None, false);
         assert_eq!(next.path, "next");
         recorder.end_span(&next, 0.0);
     }
@@ -466,8 +475,8 @@ mod tests {
     #[test]
     fn skeleton_is_wall_clock_free_and_json_nests() {
         let recorder = TraceRecorder::default();
-        let root = recorder.begin_span("a", None, None);
-        let child = recorder.begin_span("b", None, None);
+        let root = recorder.begin_span("a", None, None, false);
+        let child = recorder.begin_span("b", None, None, false);
         recorder.end_span(&child, 123.456);
         let tree = recorder.end_span(&root, 200.0).unwrap();
         assert_eq!(tree.skeleton(), "#1 a\n  #2 b\n");
@@ -480,10 +489,39 @@ mod tests {
     }
 
     #[test]
+    fn handed_off_spans_keep_their_slot_and_their_place_in_the_ring() {
+        let recorder = std::sync::Arc::new(TraceRecorder::default());
+        // Under a parent: the handed-off span takes the next rank but
+        // does not become the parent of the spans opened after it.
+        let root = recorder.begin_span("loop", None, None, false);
+        let moved = recorder.begin_span("moved", None, None, true);
+        let after = recorder.begin_span("after", None, None, false);
+        assert_eq!(after.path, "loop/after");
+        recorder.end_span(&after, 0.0);
+        let remote = recorder.clone();
+        std::thread::spawn(move || remote.end_span(&moved, 0.0))
+            .join()
+            .unwrap();
+        let tree = recorder.end_span(&root, 1.0).expect("root closes");
+        assert_eq!(tree.skeleton(), "#1 loop\n  #2 moved\n  #3 after\n");
+        // As a root: it finishes last but is listed where it opened.
+        let moved = recorder.begin_span("moved", None, None, true);
+        let next = recorder.begin_span("next", None, None, false);
+        assert_eq!(next.path, "next", "a handed-off root is no parent");
+        recorder.end_span(&next, 0.0);
+        let remote = recorder.clone();
+        std::thread::spawn(move || remote.end_span(&moved, 0.0))
+            .join()
+            .unwrap();
+        let names: Vec<String> = recorder.trees().into_iter().map(|t| t.root.name).collect();
+        assert_eq!(names, ["loop", "moved", "next"]);
+    }
+
+    #[test]
     fn ring_evicts_oldest_traces() {
         let recorder = TraceRecorder::default();
         for _ in 0..(TRACE_RING_CAPACITY + 5) {
-            let t = recorder.begin_span("x", None, None);
+            let t = recorder.begin_span("x", None, None, false);
             recorder.end_span(&t, 0.0);
         }
         assert_eq!(recorder.trees().len(), TRACE_RING_CAPACITY);

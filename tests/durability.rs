@@ -84,6 +84,10 @@ fn crash_matrix_resume_is_byte_identical_for_every_point_and_thread_count() {
         "before-checkpoint:1",
         "after-checkpoint:1",
     ];
+    // The fsck report of each crashed state dir at one thread, which the
+    // same crash at four threads must reproduce: the pipelined loop
+    // writes in the same order at every thread count.
+    let mut crashed_states: Vec<(&str, String)> = Vec::new();
     for threads in ["1", "4"] {
         let (ref_policy, ref_report) = reference(&format!("ref-{threads}"), threads);
         for spec in crash_points {
@@ -102,6 +106,15 @@ fn crash_matrix_resume_is_byte_identical_for_every_point_and_thread_count() {
                 "{spec}: missing crash announcement: {}",
                 stderr(&crashed)
             );
+            let crashed_fsck = run(Command::new(BIN).arg("fsck").arg(&dir));
+            let state = format!("{}{}", stdout(&crashed_fsck), stderr(&crashed_fsck));
+            match crashed_states.iter().find(|(point, _)| *point == spec) {
+                None => crashed_states.push((spec, state)),
+                Some((_, single)) => assert_eq!(
+                    &state, single,
+                    "{spec}: the crashed state dir at {threads} threads differs from 1 thread's"
+                ),
+            }
             // Phase 2: resume with the same flags (no crash plan). It
             // must warm-start — the durable summary proves a checkpoint
             // was loaded and windows were skipped, i.e. nothing

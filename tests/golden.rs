@@ -47,7 +47,7 @@ use recovery_simlog::{
     CatalogConfig, ClusterConfig, ClusterSim, FaultCatalog, GeneratorConfig, GroundTruth,
     LogGenerator, RecoveryLog, RecoveryProcess, SimDuration,
 };
-use recovery_telemetry::{ObserverHandle, Telemetry};
+use recovery_telemetry::{ObserverHandle, Telemetry, TraceNode};
 
 fn fixture(name: &str) -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/core; fixtures live at the workspace
@@ -450,6 +450,66 @@ fn noise_filter_matches_committed_snapshot() {
 #[test]
 fn continuous_loop_matches_committed_snapshot() {
     check_snapshot("golden.loop", "LOOP", &golden_loop_report());
+}
+
+/// Appends the names of `node` and its descendants, nested by
+/// indentation, without ids.
+fn span_shape(node: &TraceNode, depth: usize, out: &mut String) {
+    out.push_str(&format!("{}{}\n", "  ".repeat(depth), node.name));
+    for child in &node.children {
+        span_shape(child, depth + 1, out);
+    }
+}
+
+/// Run under an enclosing span, the loop of `golden.trace` records the
+/// same spans as that span's children, in the order the fixture lists
+/// its traces: a span that runs on another thread keeps its slot.
+#[test]
+fn loop_spans_keep_their_slots_under_an_enclosing_span() {
+    let fixture_text = fs::read_to_string(fixture("golden.trace")).expect("committed fixture");
+    let expected: String = fixture_text
+        .lines()
+        .take_while(|line| !line.starts_with("checkpoint-"))
+        .filter(|line| *line != "trace")
+        .map(|line| {
+            let indent = line.len() - line.trim_start().len();
+            let name = line.trim_start().split_once(' ').expect("#id name").1;
+            format!("{}{name}\n", &line[..indent])
+        })
+        .collect();
+    for threads in [1, 2, 4] {
+        let (catalog, config) = golden_loop_setup(threads);
+        let dir = std::env::temp_dir().join(format!(
+            "autorecover-golden-slots-t{threads}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let mut durable = DurableLoop::open(&dir).expect("open state dir");
+        let telemetry = Telemetry::new();
+        {
+            let _run = telemetry.span("run");
+            run_continuous_loop_controlled(
+                &catalog,
+                &config,
+                &telemetry,
+                &mut |_| ObserverHandle::none(),
+                &mut |_| {},
+                &mut LoopControls {
+                    stop: None,
+                    durable: Some(&mut durable),
+                },
+            )
+            .expect("the durable loop runs");
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let trees = telemetry.trace_trees();
+        assert_eq!(trees.len(), 1, "threads {threads}: one enclosing trace");
+        let mut actual = String::new();
+        for child in &trees[0].root.children {
+            span_shape(child, 0, &mut actual);
+        }
+        assert_eq!(actual, expected, "threads {threads}");
+    }
 }
 
 /// The trace skeletons and checkpoint counters of a durable, traced loop

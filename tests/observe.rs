@@ -510,7 +510,9 @@ fn traced_streamed_loop_trains_byte_identical_policies() {
             stream.read_to_string(&mut body).expect("stream to EOF");
             body
         });
-        while !bus.has_subscribers() {
+        // `sub` already subscribes: wait for the streamer's own
+        // subscription before the loop starts emitting.
+        while bus.subscriber_count() < 2 {
             std::thread::sleep(Duration::from_millis(5));
         }
         let run = run_traced_loop(&catalog, &loop_config(3, threads), &telemetry);

@@ -170,17 +170,19 @@ fn seeded_state_dir(tag: &str) -> (std::path::PathBuf, SymptomCatalog) {
             status: recovery_core::pipeline::WindowStatus::Trained,
         });
         durable
-            .record_window(
+            .append_journal(window, &window_log)
+            .expect("append journal record");
+        durable
+            .write_checkpoint(
                 window,
                 DURABLE_WINDOWS,
                 DURABLE_SEED,
-                &window_log,
                 &outcomes,
                 (window > 0).then_some(&policy),
                 &symptoms,
                 &telemetry,
             )
-            .expect("record window");
+            .expect("write checkpoint");
     }
     (dir, symptoms)
 }
