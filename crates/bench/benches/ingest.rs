@@ -21,8 +21,9 @@
 //! * **`durable_record`** — what persisting one continuous-loop window
 //!   costs, for a `paper_scale(0.1)` window simulated under the ladder:
 //!   `render` (the window log's text), `checksum` (FNV-1a over it),
-//!   `append_write` (opening the journal and writing the record),
-//!   `append_fsync` (the `sync_all` after it, timed alone) and
+//!   `append_write` (opening the journal and writing the record) and
+//!   `append_fsync` (the `sync_all` after it), each timed alone in the
+//!   same emptied-journal append, and
 //!   `checkpoint_write` (policy and checkpoint text, checksum, and the
 //!   atomic write with its fsyncs and rename), per call and per byte of
 //!   window text.
@@ -236,21 +237,21 @@ impl<'a> Row<'a> {
 /// Scale of the `durable_record` rows' window.
 const DURABLE_SCALE: f64 = 0.1;
 
-/// Empties the journal at `path`, untimed, so each append starts alike.
-fn empty_journal(path: &Path) {
-    File::create(path).expect("truncate the journal");
-}
-
-/// Appends one window record to the journal at `path` as the loop does,
-/// without its fsync, and hands back the open file.
-fn append(path: &Path, window_text: &str) -> File {
+/// Empties the journal at `path`, then appends one window record to it
+/// as the loop does — open, write, fsync — and returns how long the
+/// open and write took and how long the fsync took.
+fn append(path: &Path, window_text: &str) -> (Duration, Duration) {
+    File::create(path).expect("empty the journal");
+    let started = Instant::now();
     let mut journal = OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .expect("open the journal");
     write_journal_record(&mut journal, 0, window_text).expect("write the record");
-    journal
+    let written = Instant::now();
+    journal.sync_all().expect("fsync the journal");
+    (written - started, written.elapsed())
 }
 
 /// Heap allocations per attempt of one pass of `schedule` over
@@ -426,19 +427,8 @@ fn main() {
         Row::new(|| {
             std::hint::black_box(fnv1a64(window_text.as_bytes()));
         }),
-        Row::part(|| {
-            empty_journal(&journal_path);
-            let started = Instant::now();
-            append(&journal_path, &window_text);
-            started.elapsed()
-        }),
-        Row::part(|| {
-            empty_journal(&journal_path);
-            let journal = append(&journal_path, &window_text);
-            let started = Instant::now();
-            journal.sync_all().expect("fsync the journal");
-            started.elapsed()
-        }),
+        Row::part(|| append(&journal_path, &window_text).0),
+        Row::part(|| append(&journal_path, &window_text).1),
         Row::new(|| {
             let text = checkpoint(policy_to_text(&policy, generated.catalog.symptoms())).to_text();
             write_atomic(&dir, "checkpoint-00000001.ckpt", text.as_bytes())

@@ -50,8 +50,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use recovery_simlog::{
-    process_slots, ParseLogError, ParseLogErrorKind, RecoveryLog, RecoveryProcess, SortedLog,
-    SymptomCatalog,
+    drop_unfinished, process_slots, ParseLogError, ParseLogErrorKind, RecoveryLog, RecoveryProcess,
+    SortedLog, SymptomCatalog,
 };
 use recovery_telemetry::{Event, Telemetry};
 
@@ -285,7 +285,7 @@ pub(crate) fn split_sorted(log: SortedLog<'_>, telemetry: &Telemetry) -> Vec<Rec
         process_slots(log.entries())
     };
     let _span = telemetry.span("merge_processes");
-    slots.into_iter().flatten().collect()
+    drop_unfinished(slots)
 }
 
 /// Parses a textual log and splits it into processes: the common

@@ -10,6 +10,9 @@
 //! into index order. The output is therefore byte-identical for any
 //! thread count, including the sequential `threads = 1` path.
 //!
+//! [`WorkerPool::join`] is the pool's one fork-join: two different jobs
+//! at once, the caller's on the calling thread.
+//!
 //! The pool is built on [`std::thread::scope`]: no unsafe code, no
 //! locks, no channels, no dependency beyond std.
 //!
@@ -134,7 +137,8 @@ impl WorkerPool {
     /// # Panics
     ///
     /// A panic in either closure reaches the caller once both are done;
-    /// `here`'s wins when both panic.
+    /// `here`'s wins when both panic. On a one-thread pool a panic in
+    /// `here` means `beside` never runs.
     pub fn join<A, B, RA, RB>(&self, here: A, beside: B) -> (RA, RB)
     where
         A: FnOnce() -> RA,

@@ -66,7 +66,9 @@ pub use error::{ParseLogError, ParseLogErrorKind};
 pub use event::{LogEntry, LogEvent};
 pub use fault::{FaultId, FaultSpec};
 pub use generator::{GeneratedLog, GeneratorConfig, LogGenerator};
-pub use log::{extract_processes, process_slots, LogAudit, RecoveryLog, SortedLog};
+pub use log::{
+    drop_unfinished, extract_processes, process_slots, LogAudit, RecoveryLog, SortedLog,
+};
 pub use machine::MachineId;
 pub use policy::{PolicyContext, RecoveryPolicy, UserDefinedPolicy};
 pub use process::{ActionRecord, RecoveryProcess};

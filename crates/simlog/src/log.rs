@@ -255,11 +255,6 @@ impl<'a> SortedLog<'a> {
         self.entries
     }
 
-    /// The symptom catalog.
-    pub fn symptoms(&self) -> &'a SymptomCatalog {
-        self.symptoms
-    }
-
     /// The log's text, as [`RecoveryLog::to_text`] renders it.
     pub fn to_text(&self) -> String {
         codec::render_lines(self.entries, self.symptoms)
@@ -291,12 +286,12 @@ fn line_count(text: &str) -> usize {
 /// machine is healthy and closes at the next `Success`; machines never
 /// interact, so each keeps its open process in its own slot of a table.
 pub fn extract_processes(entries: &[LogEntry]) -> Vec<RecoveryProcess> {
-    process_slots(entries).into_iter().flatten().collect()
+    drop_unfinished(process_slots(entries))
 }
 
 /// The first half of [`extract_processes`]: one slot per process the
 /// entries open, in the order they open it, holding the process if it
-/// completed and `None` if the log ends first. Flattening the slots
+/// completed and `None` if the log ends first. [`drop_unfinished`] then
 /// gives the complete processes sorted by `(start, machine)`.
 ///
 /// Entries arrive in `(time, machine)` order, and a process starts at
@@ -338,6 +333,18 @@ pub fn process_slots(entries: &[LogEntry]) -> Vec<Option<RecoveryProcess>> {
         }
     }
     slots
+}
+
+/// The second half of [`extract_processes`]: the completed processes of
+/// [`process_slots`]' output, in order, in the slots' own buffer.
+pub fn drop_unfinished(mut slots: Vec<Option<RecoveryProcess>>) -> Vec<RecoveryProcess> {
+    // `flatten` would collect into a fresh buffer grown by doubling;
+    // this keeps the one the slots were reserved in.
+    slots.retain(Option::is_some);
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("unfinished slots were dropped"))
+        .collect()
 }
 
 /// How many processes `entries` open, complete or not: the exact size
@@ -797,7 +804,7 @@ mod tests {
             proptest::prop_assert_eq!(&split, &split_by_sorting(log.entries()));
             let slots = process_slots(log.entries());
             proptest::prop_assert_eq!(slots.len(), opened_processes(log.entries()));
-            proptest::prop_assert_eq!(slots.into_iter().flatten().collect::<Vec<_>>(), split);
+            proptest::prop_assert_eq!(drop_unfinished(slots), split);
         }
     }
 
