@@ -57,9 +57,7 @@ use recovery_simlog::{
     stats, ClusterConfig, ClusterSim, FaultCatalog, MachineId, RecoveryLog, RecoveryProcess,
     SimDuration, SimTime, SymptomId, UserDefinedPolicy,
 };
-use recovery_telemetry::{
-    Event, HealthState, ObserverHandle, SpanSlot, Telemetry, DURATION_MS_BOUNDS,
-};
+use recovery_telemetry::{Event, HealthState, ObserverHandle, Telemetry, DURATION_MS_BOUNDS};
 
 use crate::error_type::NoiseFilter;
 use crate::fault::LoopFaultPlan;
@@ -445,11 +443,10 @@ pub fn run_continuous_loop_controlled(
         // the journal payload is exactly the entry sequence the split
         // saw, as resume will re-parse it.
         let sorted = log.sorted();
-        let journal_text = controls
+        let journal = controls
             .durable
-            .is_some()
-            .then(|| telemetry.reserve_span("journal_text"));
-        let journal = controls.durable.as_deref_mut();
+            .as_deref_mut()
+            .map(|durable| (durable, telemetry.reserve_span("journal_text")));
         let ((processes_len, mttr), journaled) = pool.join(
             || {
                 let processes = crate::ingest::split_sorted(sorted, telemetry);
@@ -482,9 +479,9 @@ pub fn run_continuous_loop_controlled(
                 counts
             },
             move || {
-                journal.map(|durable| {
+                journal.map(|(durable, journal_text)| {
                     let text = {
-                        let _span = journal_text.map(SpanSlot::open);
+                        let _span = journal_text.open();
                         sorted.to_text()
                     };
                     durable.append_journal(window, &text)
