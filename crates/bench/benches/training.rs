@@ -11,7 +11,11 @@
 //! environment with early convergence disabled, so each run is exactly
 //! `max_episodes` sweeps long:
 //!
-//! * **Throughput** — sweeps per second, with the host's core count.
+//! * **Throughput** — sweeps per second, with the host's core count, to
+//!   the measurement standard of [`recovery_bench::ledger`]: each of
+//!   `ROUNDS` samples repeats the run until its sweeps take at least
+//!   `SAMPLE_MS`, and the row records the median, interquartile range,
+//!   sample count and median process CPU time.
 //! * **Steady-state allocations** — a counting global allocator (same
 //!   pattern as `benches/ingest.rs`) measures heap allocations for a
 //!   short and a long run; the difference is purely per-episode work,
@@ -22,11 +26,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use recovery_bench::ledger::{median_ms, row_fields, sample, Sample};
 use recovery_core::approx::{train_linear, LinearConfig};
 use recovery_core::error_type::{ErrorType, ErrorTypeRanking};
 use recovery_core::evaluate::time_ordered_split;
@@ -149,6 +154,11 @@ const LONG_SWEEPS: u64 = 12_000;
 /// Fixed seed for the learner rng, so the short and long runs replay the
 /// identical episode prefix.
 const LOOP_SEED: u64 = 0x0E91_50DE;
+/// Shortest sample: each sample repeats the long run until its sweeps
+/// take this long.
+const SAMPLE_MS: f64 = 100.0;
+/// Timed samples of the long run.
+const ROUNDS: usize = 11;
 
 /// Learner config for the measured loop: exactly `sweeps` sweeps, with
 /// the convergence window pushed past the cap so no run stops early and
@@ -246,23 +256,43 @@ fn main() {
         return;
     }
 
-    // Throughput: best-of-three wall clock for the long run, sweeps per
-    // second. The clock covers the sweeps only: the environment, the
-    // table and the rng are built before it starts, and dropped after.
+    // Throughput, in samples of repeated long runs. The clock covers the
+    // sweeps only: the environment, the table and the rng are built
+    // before it starts, and dropped after.
     let driver = QLearning::new(loop_config(LONG_SWEEPS));
-    let ms = (0..3)
-        .map(|_| {
-            let mut env = trainer.replay_env(et).expect("type has processes");
-            let table = DenseQTable::new(env.num_states(), env.num_actions());
-            let mut rng = StdRng::seed_from_u64(LOOP_SEED);
-            let start = Instant::now();
-            let result = driver.train(&mut env, &mut rng, table);
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(result.episodes);
-            ms
-        })
-        .fold(f64::INFINITY, f64::min);
-    let per_s = LONG_SWEEPS as f64 / (ms / 1e3);
+    let run = || {
+        let mut env = trainer.replay_env(et).expect("type has processes");
+        let table = DenseQTable::new(env.num_states(), env.num_actions());
+        let mut rng = StdRng::seed_from_u64(LOOP_SEED);
+        let start = Instant::now();
+        let result = driver.train(&mut env, &mut rng, table);
+        let elapsed = start.elapsed();
+        std::hint::black_box(result.episodes);
+        elapsed
+    };
+    let timed = |reps: usize| {
+        let mut sweeps = Duration::ZERO;
+        let mut sampled = sample(|| (0..reps).for_each(|_| sweeps += run()));
+        sampled.wall_ms = sweeps.as_secs_f64() * 1e3;
+        sampled
+    };
+    // After a warm-up run, grow the repetitions until a sample takes
+    // `SAMPLE_MS`, then set them half again past it, so that a sample
+    // slowed by the host during calibration leaves no later one short.
+    run();
+    let mut reps = 1;
+    loop {
+        let ms = timed(reps).wall_ms;
+        let aim = (reps as f64 * 1.5 * SAMPLE_MS / ms.max(1e-3)).ceil() as usize;
+        if ms >= SAMPLE_MS {
+            reps = reps.max(aim);
+            break;
+        }
+        reps = aim.max(reps * 2);
+    }
+    let samples: Vec<Sample> = (0..ROUNDS).map(|_| timed(reps)).collect();
+    let run_ms = median_ms(&samples) / reps as f64;
+    let per_s = LONG_SWEEPS as f64 / (run_ms / 1e3);
 
     // Steady-state allocations: the short run covers all one-time scratch
     // growth (both runs replay the identical episode prefix from the
@@ -281,8 +311,10 @@ fn main() {
     let host_cores = WorkerPool::available().threads();
     let section = format!(
         "{{\"sweeps\":{LONG_SWEEPS},\"calibration_sweeps\":{SHORT_SWEEPS},\
-         \"host_cores\":{host_cores},\"ms\":{ms:.3},\"episodes_per_s\":{per_s:.0},\
-         \"allocs_per_episode\":{allocs:.2},\"table_bytes\":{table}}}"
+         \"host_cores\":{host_cores},\"rounds\":{ROUNDS},\"sample_ms\":{SAMPLE_MS},\
+         \"reps\":{reps},{},\"run_ms\":{run_ms:.3},\"episodes_per_s\":{per_s:.0},\
+         \"allocs_per_episode\":{allocs:.2},\"table_bytes\":{table}}}",
+        row_fields(&samples)
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
     match recovery_bench::write_bench_section(out, "episode_loop", &section) {

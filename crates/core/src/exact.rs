@@ -5,8 +5,16 @@
 //! tried so far. The empirical model of one error type is therefore fully
 //! described by the distribution of *required actions* over its training
 //! processes plus average attempt costs, and the optimal replay policy can
-//! be computed exactly by dynamic programming over (strongest action
-//! failed so far, attempts made).
+//! be computed exactly by dynamic programming over a grid of
+//! (strongest action failed so far, attempts made) cells.
+//!
+//! Every exact value here is made of one step: trying action `a` with
+//! cure probability `p` from a state whose failure successor is worth
+//! `V′` costs `p·S(a) + (1−p)·(F(a) + V′)`, summed in that order. The
+//! solver takes the minimum of the step over a cell's actions, row by row
+//! from the last attempt back; [`EmpiricalTypeModel::chain`] applies the
+//! same step backward along one policy's path, so a chain of the solved
+//! policy reproduces the solver's values bit for bit.
 //!
 //! This module is used two ways:
 //!
@@ -17,14 +25,36 @@
 //! * as a test oracle: Q-learning's converged policy must match the DP
 //!   optimum on the same training data.
 
-use std::collections::HashMap;
-
 use recovery_simlog::{RecoveryProcess, RepairAction};
 
 use crate::error_type::ErrorType;
 use crate::platform::SimulationPlatform;
 use crate::policy::DecidePolicy;
-use crate::state::RecoveryState;
+use crate::state::{ActionMultiset, RecoveryState};
+
+/// The grid's columns: the strongest action failed so far, `None` first.
+/// `RMA` always cures, so it is never the strongest failure.
+const STRONGEST: [Option<RepairAction>; 4] = [
+    None,
+    Some(RepairAction::TryNop),
+    Some(RepairAction::Reboot),
+    Some(RepairAction::Reimage),
+];
+
+/// The grid column of a strongest failure, its index in `STRONGEST`;
+/// `RMA` falls past the last column.
+fn column(strongest: Option<RepairAction>) -> usize {
+    strongest.map_or(0, |a| a.index() + 1)
+}
+
+/// The grid cell of a state: `attempts × 4 + column`, reading attempts
+/// past the last of `rows` as the last row (where `RMA` is forced
+/// anyway). A strongest failure of `RMA` has no cell: its column would
+/// alias the next row.
+fn cell(strongest: Option<RepairAction>, attempts: usize, rows: usize) -> Option<usize> {
+    let col = column(strongest);
+    (col < STRONGEST.len()).then(|| attempts.min(rows - 1) * STRONGEST.len() + col)
+}
 
 /// The empirical replay model of one error type.
 ///
@@ -56,7 +86,6 @@ pub struct EmpiricalTypeModel {
     total: usize,
     avg_success: [f64; RepairAction::COUNT],
     avg_failure: [f64; RepairAction::COUNT],
-    avg_detection: f64,
 }
 
 impl EmpiricalTypeModel {
@@ -91,23 +120,12 @@ impl EmpiricalTypeModel {
             total: processes.len(),
             avg_success,
             avg_failure,
-            avg_detection: platform.average_detection_lead(error_type),
         }
     }
 
     /// The modeled error type.
     pub fn error_type(&self) -> ErrorType {
         self.error_type
-    }
-
-    /// Number of training processes behind the model.
-    pub fn sample_count(&self) -> usize {
-        self.total
-    }
-
-    /// Average detection lead, seconds.
-    pub fn average_detection_lead(&self) -> f64 {
-        self.avg_detection
     }
 
     /// Processes with required action at most `a`.
@@ -156,6 +174,17 @@ impl EmpiricalTypeModel {
         }
     }
 
+    /// The one step every exact value is made of: the expected cost of
+    /// trying `action` with cure probability `p` when a failure leads on
+    /// to a state worth `next()`. A certain cure never reads `next`.
+    fn step(&self, p: f64, action: RepairAction, next: impl FnOnce() -> f64) -> f64 {
+        let mut v = p * self.average_cost(action, true);
+        if p < 1.0 {
+            v += (1.0 - p) * (self.average_cost(action, false) + next());
+        }
+        v
+    }
+
     /// Solves for the optimal replay policy by exact DP, with the forced
     /// `RMA` at attempt `max_attempts - 1`. Returns the solution including
     /// the expected *repair* cost from the initial state (excluding the
@@ -165,84 +194,76 @@ impl EmpiricalTypeModel {
     ///
     /// Panics if `max_attempts` is zero.
     pub fn optimal(&self, max_attempts: usize) -> ExactSolution {
-        self.constrained_optimal(max_attempts, |_, _| RepairAction::ALL.to_vec())
+        self.constrained_optimal(max_attempts, [])
     }
 
-    /// Solves the same DP but restricted, in each state, to the candidate
-    /// actions supplied by `candidates(strongest_failed, attempts)` — the
-    /// selection-tree scan. An empty candidate list falls back to all
-    /// actions.
+    /// Solves the same DP but restricted to candidate actions — the
+    /// selection-tree scan. Each `(tried, action)` pair allows `action`
+    /// in the grid cell of the tried multiset; a cell allows the union of
+    /// its states' candidates, and a cell with none falls back to all
+    /// actions. Pairs whose tried multiset holds `RMA` have no cell and
+    /// are ignored. Each cell scans its allowed actions in
+    /// [`RepairAction::ALL`] order and keeps the first cheapest, so the
+    /// solution does not depend on the order of the pairs.
     ///
     /// # Panics
     ///
     /// Panics if `max_attempts` is zero.
-    pub fn constrained_optimal<F>(&self, max_attempts: usize, mut candidates: F) -> ExactSolution
-    where
-        F: FnMut(Option<RepairAction>, usize) -> Vec<RepairAction>,
-    {
+    pub fn constrained_optimal(
+        &self,
+        max_attempts: usize,
+        candidates: impl IntoIterator<Item = (ActionMultiset, RepairAction)>,
+    ) -> ExactSolution {
         assert!(max_attempts > 0, "need at least one attempt");
-        // States: (strongest_failed ∈ {None, TryNop, Reboot, Reimage},
-        // attempts). RMA never fails so it cannot be a "strongest failed".
-        let m_values: [Option<RepairAction>; 4] = [
-            None,
-            Some(RepairAction::TryNop),
-            Some(RepairAction::Reboot),
-            Some(RepairAction::Reimage),
-        ];
-        let mut value: HashMap<(usize, usize), f64> = HashMap::new();
-        let mut choice: HashMap<(usize, usize), RepairAction> = HashMap::new();
-
-        // Backward induction on attempts.
-        for attempts in (0..max_attempts).rev() {
-            for (mi, &m) in m_values.iter().enumerate() {
-                let forced = attempts + 1 >= max_attempts;
-                let acts: Vec<RepairAction> = if forced {
-                    vec![RepairAction::Rma]
-                } else {
-                    let c = candidates(m, attempts);
-                    if c.is_empty() {
-                        RepairAction::ALL.to_vec()
-                    } else {
-                        c
-                    }
-                };
-                let mut best = f64::INFINITY;
-                let mut best_a = RepairAction::Rma;
-                for a in acts {
-                    let p = self.success_prob(m, a);
-                    let mut v = p * self.average_cost(a, true);
-                    if p < 1.0 {
-                        let next_m = match m {
-                            Some(cur) if cur >= a => mi,
-                            _ => m_index(a),
-                        };
-                        let cont = *value
-                            .get(&(next_m, attempts + 1))
-                            .expect("backward induction fills later attempts first");
-                        v += (1.0 - p) * (self.average_cost(a, false) + cont);
-                    }
-                    if v < best {
-                        best = v;
-                        best_a = a;
-                    }
-                }
-                value.insert((mi, attempts), best);
-                choice.insert((mi, attempts), best_a);
+        // One bitmask of allowed actions per cell, by action index.
+        let mut allowed = vec![0u8; max_attempts * STRONGEST.len()];
+        for (tried, action) in candidates {
+            if let Some(c) = cell(tried.strongest(), tried.total(), max_attempts) {
+                allowed[c] |= 1 << action.index();
             }
         }
-        let expected_cost = value[&(0, 0)];
+        let mut choice = vec![RepairAction::Rma; allowed.len()];
+        // Backward induction on attempts; `next` is row `attempts + 1`.
+        let mut next = [0.0; STRONGEST.len()];
+        for attempts in (0..max_attempts).rev() {
+            let mut row = [0.0; STRONGEST.len()];
+            for (col, strongest) in STRONGEST.into_iter().enumerate() {
+                let c = attempts * STRONGEST.len() + col;
+                let mask = match allowed[c] {
+                    _ if attempts + 1 >= max_attempts => 1 << RepairAction::Rma.index(),
+                    0 => u8::MAX,
+                    mask => mask,
+                };
+                let mut best = f64::INFINITY;
+                for a in RepairAction::ALL {
+                    if mask & 1 << a.index() == 0 {
+                        continue;
+                    }
+                    // `RMA` cures for certain, so its (missing) column is
+                    // never read.
+                    let v = self.step(self.success_prob(strongest, a), a, || {
+                        next[column(strongest.max(Some(a)))]
+                    });
+                    if v < best {
+                        best = v;
+                        choice[c] = a;
+                    }
+                }
+                row[col] = best;
+            }
+            next = row;
+        }
         ExactSolution {
             error_type: self.error_type,
-            expected_cost,
+            expected_cost: next[0],
             choice,
-            values: value,
-            max_attempts,
         }
     }
 
     /// The exact expected repair cost of an arbitrary [`DecidePolicy`]
     /// under this model (excluding detection lead), or `None` if the
-    /// policy is unhandled on some reachable state.
+    /// policy is unhandled on some reachable state: the first value of
+    /// its [`EmpiricalTypeModel::chain`] from the initial state.
     ///
     /// # Panics
     ///
@@ -252,64 +273,65 @@ impl EmpiricalTypeModel {
         policy: &P,
         max_attempts: usize,
     ) -> Option<f64> {
-        self.policy_cost_from(
-            policy,
-            &RecoveryState::initial(self.error_type),
-            max_attempts,
-        )
+        let initial = RecoveryState::initial(self.error_type);
+        self.chain(policy, &initial, max_attempts)
+            .map(|chain| chain[0].2)
     }
 
-    /// Like [`EmpiricalTypeModel::policy_cost`], but starting from an
-    /// arbitrary state (conditioning on its failures having happened).
+    /// The states `policy` passes through from `start` (conditioning on
+    /// its failures having happened) until a cure is certain, each with
+    /// the action taken there and its expected cost-to-go, filled
+    /// backward by the solver's step. The action is forced to `RMA` at
+    /// attempt `max_attempts - 1`. Returns `None` if the policy is
+    /// unhandled on some state of the chain.
     ///
     /// # Panics
     ///
     /// Panics if `max_attempts` is zero.
-    pub fn policy_cost_from<P: DecidePolicy + ?Sized>(
+    pub fn chain<P: DecidePolicy + ?Sized>(
         &self,
         policy: &P,
         start: &RecoveryState,
         max_attempts: usize,
-    ) -> Option<f64> {
+    ) -> Option<Vec<(RecoveryState, RepairAction, f64)>> {
         assert!(max_attempts > 0, "need at least one attempt");
+        // Forward: the path, holding each state's cure probability in its
+        // value slot until the backward fill.
+        let mut chain = Vec::new();
         let mut state = *start;
-        let mut total = 0.0;
-        let mut reach_prob = 1.0f64;
         loop {
-            let strongest = state.tried().strongest();
             let action = if state.attempts() + 1 >= max_attempts {
                 RepairAction::Rma
             } else {
                 policy.decide(&state)?
             };
-            let p = self.success_prob(strongest, action);
-            total += reach_prob * p * self.average_cost(action, true);
-            total += reach_prob * (1.0 - p) * self.average_cost(action, false);
-            reach_prob *= 1.0 - p;
-            if reach_prob <= 0.0 {
-                return Some(total);
+            let p = self.success_prob(state.tried().strongest(), action);
+            chain.push((state, action, p));
+            if p >= 1.0 {
+                break;
             }
             state = state.after(action);
         }
+        let mut next = 0.0;
+        for (_, action, value) in chain.iter_mut().rev() {
+            *value = self.step(*value, *action, || next);
+            next = *value;
+        }
+        Some(chain)
     }
 }
 
-fn m_index(a: RepairAction) -> usize {
-    // None = 0, TryNop = 1, Reboot = 2, Reimage = 3.
-    a.index() + 1
-}
-
-/// The DP solution: the optimal action per `(strongest failed, attempts)`
-/// state and the optimal expected repair cost from the initial state.
+/// The DP solution: the optimal action in every (strongest failed,
+/// attempts) cell and the optimal expected repair cost from the initial
+/// state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExactSolution {
     error_type: ErrorType,
     /// Expected repair cost (seconds) of the optimal policy from the
     /// initial state, excluding detection lead.
     pub expected_cost: f64,
-    choice: HashMap<(usize, usize), RepairAction>,
-    values: HashMap<(usize, usize), f64>,
-    max_attempts: usize,
+    /// The optimal action of each grid cell, `attempts × 4 + column`.
+    choice: Vec<RepairAction>,
 }
 
 impl ExactSolution {
@@ -320,33 +342,31 @@ impl ExactSolution {
 
     /// The optimal first action.
     pub fn first_action(&self) -> RepairAction {
-        self.choice[&(0, 0)]
+        self.choice[0]
     }
 
-    /// The optimal action in the given abstract state.
+    /// The optimal action in the given abstract state; attempts past the
+    /// cap read the last attempt's (forced `RMA`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `strongest_failed` is `RMA`, which never fails.
     pub fn action_at(
         &self,
         strongest_failed: Option<RepairAction>,
         attempts: usize,
-    ) -> Option<RepairAction> {
-        let mi = strongest_failed.map_or(0, m_index);
-        self.choice
-            .get(&(mi, attempts.min(self.max_attempts - 1)))
-            .copied()
+    ) -> RepairAction {
+        let c = self.cell_of(strongest_failed, attempts);
+        self.choice[c.expect("RMA never fails, so it is never the strongest failure")]
     }
 
-    /// The expected cost-to-go from the given abstract state under the
-    /// solved policy.
-    pub fn value_at(&self, strongest_failed: Option<RepairAction>, attempts: usize) -> Option<f64> {
-        let mi = strongest_failed.map_or(0, m_index);
-        self.values
-            .get(&(mi, attempts.min(self.max_attempts - 1)))
-            .copied()
-    }
-
-    /// The episode cap the solution was solved for.
-    pub fn max_attempts(&self) -> usize {
-        self.max_attempts
+    /// The cell of a state, or `None` if `RMA` failed in it.
+    fn cell_of(&self, strongest_failed: Option<RepairAction>, attempts: usize) -> Option<usize> {
+        cell(
+            strongest_failed,
+            attempts,
+            self.choice.len() / STRONGEST.len(),
+        )
     }
 }
 
@@ -355,7 +375,8 @@ impl DecidePolicy for ExactSolution {
         if state.error_type() != self.error_type {
             return None;
         }
-        self.action_at(state.tried().strongest(), state.attempts())
+        let c = self.cell_of(state.tried().strongest(), state.attempts())?;
+        Some(self.choice[c])
     }
 
     fn name(&self) -> &str {
@@ -367,6 +388,7 @@ impl DecidePolicy for ExactSolution {
 mod tests {
     use super::*;
     use crate::platform::CostEstimation;
+    use crate::state::StateCodec;
     use recovery_simlog::{ActionRecord, MachineId, SimTime, SymptomId};
 
     fn t(secs: u64) -> SimTime {
@@ -388,11 +410,15 @@ mod tests {
     }
 
     fn model(reqs: &[RepairAction]) -> EmpiricalTypeModel {
-        let processes: Vec<RecoveryProcess> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| process(i as u64 * 100_000, r))
-            .collect();
+        model_of(
+            reqs.iter()
+                .enumerate()
+                .map(|(i, &r)| process(i as u64 * 100_000, r))
+                .collect(),
+        )
+    }
+
+    fn model_of(processes: Vec<RecoveryProcess>) -> EmpiricalTypeModel {
         let refs: Vec<&RecoveryProcess> = processes.iter().collect();
         let platform = SimulationPlatform::from_processes(&processes, CostEstimation::AverageOnly);
         EmpiricalTypeModel::new(ErrorType::new(SymptomId::new(5)), &refs, &platform)
@@ -468,12 +494,9 @@ mod tests {
             RepairAction::Reimage,
         ]);
         let opt = m.optimal(20);
-        let replayed = m.policy_cost(&opt, 20).unwrap();
-        assert!(
-            (replayed - opt.expected_cost).abs() < 1e-9,
-            "DP value {} vs replay of DP policy {replayed}",
-            opt.expected_cost
-        );
+        // The chain applies the solver's own step, so the values agree
+        // to the bit.
+        assert_eq!(m.policy_cost(&opt, 20), Some(opt.expected_cost));
     }
 
     #[test]
@@ -497,16 +520,74 @@ mod tests {
         let m = model(&[RepairAction::Reimage; 5]);
         // Forbid REIMAGE everywhere: the solver must fall back to RMA as
         // the best of the rest.
-        let sol = m.constrained_optimal(20, |_, _| {
-            vec![
-                RepairAction::TryNop,
-                RepairAction::Reboot,
-                RepairAction::Rma,
-            ]
-        });
+        let codec = StateCodec::new(20);
+        let sol = m.constrained_optimal(
+            20,
+            (0..codec.num_states()).flat_map(|i| {
+                [
+                    RepairAction::TryNop,
+                    RepairAction::Reboot,
+                    RepairAction::Rma,
+                ]
+                .map(|a| (codec.decode(i), a))
+            }),
+        );
         assert_ne!(sol.first_action(), RepairAction::Reimage);
         let unconstrained = m.optimal(20);
         assert!(sol.expected_cost >= unconstrained.expected_cost);
+    }
+
+    #[test]
+    fn exact_ties_do_not_depend_on_candidate_order() {
+        // Every process climbs the ladder to REIMAGE, and TRYNOP and
+        // REBOOT each fail in 1000 s: once REBOOT has failed, neither can
+        // cure and both lead to the same state at the same cost.
+        let m = model_of(
+            (0..4u64)
+                .map(|i| {
+                    let start = i * 100_000;
+                    let ladder = [
+                        RepairAction::TryNop,
+                        RepairAction::Reboot,
+                        RepairAction::Reimage,
+                    ];
+                    RecoveryProcess::new(
+                        MachineId::new(0),
+                        vec![(t(start), SymptomId::new(5))],
+                        (0..3u64)
+                            .map(|k| ActionRecord {
+                                time: t(start + 100 + 1000 * k),
+                                action: ladder[k as usize],
+                            })
+                            .collect(),
+                        t(start + 3100),
+                    )
+                })
+                .collect(),
+        );
+        let failed = Some(RepairAction::Reboot);
+        for a in [RepairAction::TryNop, RepairAction::Reboot] {
+            assert_eq!(m.success_prob(failed, a), 0.0);
+            assert_eq!(m.average_cost(a, false), 1000.0);
+        }
+        let tried = ActionMultiset::from_actions([RepairAction::Reboot]);
+        let solve = |order: [RepairAction; 2]| m.constrained_optimal(20, order.map(|a| (tried, a)));
+        let forward = solve([RepairAction::TryNop, RepairAction::Reboot]);
+        assert_eq!(forward, solve([RepairAction::Reboot, RepairAction::TryNop]));
+        // The tie goes to the first in `RepairAction::ALL` order.
+        assert_eq!(forward.action_at(failed, 1), RepairAction::TryNop);
+    }
+
+    #[test]
+    fn decide_has_no_answer_after_a_failed_rma() {
+        let m = model(&[RepairAction::Reboot; 4]);
+        let opt = m.optimal(20);
+        let et = ErrorType::new(SymptomId::new(5));
+        // RMA never fails in the model, so no grid cell holds this state;
+        // indexing it as column 4 would read the next row's first cell.
+        let after_rma = RecoveryState::initial(et).after(RepairAction::Rma);
+        assert_eq!(opt.decide(&after_rma), None);
+        assert_eq!(opt.decide(&after_rma.after(RepairAction::TryNop)), None);
     }
 
     #[test]

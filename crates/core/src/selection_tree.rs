@@ -17,8 +17,6 @@
 //! converges in far fewer sweeps (the paper reports ≤ 40k vs up to 160k
 //! without the tree).
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recovery_mdp::{DenseQTable, QLearning, QLearningConfig, QTable, TemperatureSchedule};
@@ -30,9 +28,10 @@ use crate::policy::TrainedPolicy;
 use crate::state::{RecoveryState, StateCodec};
 use crate::trainer::{OfflineTrainer, TypeTrainingStats};
 
-/// A candidate snapshot: each state of the selection tree mapped to its
-/// candidate actions, best first.
-type Candidates = HashMap<RecoveryState, Vec<RepairAction>>;
+/// A candidate snapshot, indexed by packed state: each state of the
+/// selection tree holds its best action and the kept runner-up; states
+/// off the tree hold neither.
+type Candidates = Vec<[Option<RepairAction>; 2]>;
 
 /// Configuration of the selection-tree trainer.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,7 +173,7 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
             q = result.q;
             sweeps += result.episodes;
             final_q_delta = result.final_q_delta;
-            let snapshot = self.candidate_snapshot(et, &q, &codec);
+            let snapshot = self.candidate_snapshot(&q, &codec);
             if previous.as_ref() == Some(&snapshot) {
                 stable += 1;
                 if stable >= self.config.stable_checks {
@@ -191,34 +190,26 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         // `previous` holds the final table's snapshot: a stable stop
         // breaks on a snapshot equal to it.
         let model = EmpiricalTypeModel::new(et, processes, self.trainer.platform());
-        let candidates = abstract_candidates(previous.expect("the sweep cap admits one chunk"));
-        let solution = model.constrained_optimal(max_attempts, |m, attempts| {
-            candidates
-                .get(&(m.map_or(0, |a| a.index() + 1), attempts))
-                .cloned()
-                .unwrap_or_default()
+        let snapshot = previous.expect("the sweep cap admits one chunk");
+        let candidates = snapshot.iter().enumerate().flat_map(|(index, slot)| {
+            let tried = codec.decode(index);
+            slot.iter().flatten().map(move |&a| (tried, a))
         });
+        let solution = model.constrained_optimal(max_attempts, candidates);
 
         // --- Materialize the solved chain as a Q-table fragment. ---
-        // Stop at states the training data says are unreachable (the
-        // chosen action never failed in training): the model has *no
-        // evidence* about what to do beyond them, and claiming a decision
-        // there would preempt the hybrid policy's user fallback exactly
-        // where the paper wants it (test-set patterns absent from the
-        // training set, its §5.2 error-type-23 discussion).
+        // The chain stops where a cure is certain: past a state whose
+        // chosen action never failed in training, the model has *no
+        // evidence* about what to do, and claiming a decision there would
+        // preempt the hybrid policy's user fallback exactly where the
+        // paper wants it (test-set patterns absent from the training set,
+        // its §5.2 error-type-23 discussion). Its values are the DP's.
         let mut out: QTable<RecoveryState, RepairAction> = QTable::new();
-        let mut state = RecoveryState::initial(et);
-        for attempts in 0..max_attempts {
-            let strongest = state.tried().strongest();
-            let Some(action) = solution.action_at(strongest, attempts) else {
-                break;
-            };
-            let value = solution.value_at(strongest, attempts).unwrap_or(0.0);
+        let chain = model
+            .chain(&solution, &RecoveryState::initial(et), max_attempts)
+            .expect("the solution answers every state of its type");
+        for (state, action, value) in chain {
             out.set(state, action, value);
-            if action == RepairAction::Rma || model.success_prob(strongest, action) >= 1.0 {
-                break; // nothing beyond this state is evidenced (or reachable)
-            }
-            state = state.after(action);
         }
 
         self.trainer.flush(record, &env, sweeps, converged);
@@ -268,56 +259,36 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
     /// matter; deep states visited only by exploration noise are
     /// excluded, which is what makes the stability check converge
     /// quickly.
-    fn candidate_snapshot(&self, et: ErrorType, q: &DenseQTable, codec: &StateCodec) -> Candidates {
+    fn candidate_snapshot(&self, q: &DenseQTable, codec: &StateCodec) -> Candidates {
         let max_attempts = self.trainer.config().max_attempts;
         // Action indexes in `RepairAction::ALL` order, so rankings tie
         // toward the weaker action.
         let all = RepairAction::ALL.map(RepairAction::index);
-        let mut out = Candidates::new();
-        let mut frontier = vec![RecoveryState::initial(et)];
+        let mut out = vec![[None; 2]; codec.num_states()];
+        let mut frontier = vec![StateCodec::INITIAL];
         while let Some(s) = frontier.pop() {
-            if out.contains_key(&s) || s.attempts() + 1 >= max_attempts {
+            if out[s][0].is_some() || codec.counts(s).1 + 1 >= max_attempts {
                 continue;
             }
-            let ranked = q.ranked_actions(codec.encode(&s.tried()), &all);
+            let ranked = q.ranked_actions(s, &all);
             let Some(&(best, best_v)) = ranked.first() else {
                 continue;
             };
-            let mut cands = vec![RepairAction::ALL[best]];
+            let mut cands = [Some(RepairAction::ALL[best]), None];
             if let Some(&(second, second_v)) = ranked.get(1) {
                 if second_v - best_v <= self.config.threshold * best_v.max(1.0) {
-                    cands.push(RepairAction::ALL[second]);
+                    cands[1] = Some(RepairAction::ALL[second]);
                 }
             }
-            for &c in &cands {
+            for c in cands.into_iter().flatten() {
                 if c != RepairAction::Rma {
-                    frontier.push(s.after(c));
+                    frontier.push(codec.after(s, c));
                 }
             }
-            out.insert(s, cands);
+            out[s] = cands;
         }
         out
     }
-}
-
-/// Projects concrete-state candidates onto the abstract DP states
-/// `(strongest-failed index, attempts)`, unioning candidates of all
-/// concrete states sharing an abstraction.
-fn abstract_candidates(snapshot: Candidates) -> HashMap<(usize, usize), Vec<RepairAction>> {
-    let mut out: HashMap<(usize, usize), Vec<RepairAction>> = HashMap::new();
-    for (s, cands) in snapshot {
-        let key = (
-            s.tried().strongest().map_or(0, |a| a.index() + 1),
-            s.attempts(),
-        );
-        let entry = out.entry(key).or_default();
-        for c in cands {
-            if !entry.contains(&c) {
-                entry.push(c);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

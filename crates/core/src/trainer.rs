@@ -620,11 +620,10 @@ impl<'a> OfflineTrainer<'a> {
             let action = crate::policy::DecidePolicy::decide(&ladder, &state)
                 .expect("the ladder always answers");
             // Expected cost-to-go of *continuing with the ladder* from here.
-            let Some(value) = model.policy_cost_from(&ladder, &state, self.config.max_attempts)
-            else {
-                break;
-            };
-            q.set(state, action, value);
+            let chain = model
+                .chain(&ladder, &state, self.config.max_attempts)
+                .expect("the ladder always answers");
+            q.set(state, action, chain[0].2);
             if action == RepairAction::Rma {
                 break;
             }

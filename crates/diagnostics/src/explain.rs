@@ -186,8 +186,9 @@ fn state_key(symptoms: &SymptomCatalog, s: &RecoveryState) -> String {
 
 /// Explains every state of `policy`: action rankings with Q-gaps plus
 /// near-tie and low-visit flags. Output order is deterministic:
-/// [`QTable::by_state`] iterates in `RecoveryState`'s canonical order
-/// (symptom index, then attempt depth, then the tried multiset).
+/// [`QTable::by_state`](recovery_mdp::QTable::by_state) iterates in
+/// `RecoveryState`'s canonical order (symptom index, then attempt depth,
+/// then the tried multiset).
 pub fn explain_policy(
     policy: &TrainedPolicy,
     symptoms: &SymptomCatalog,

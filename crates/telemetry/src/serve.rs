@@ -31,10 +31,11 @@
 //! non-blocking listener, one short-lived thread per connection, HTTP/1.0
 //! semantics with `Connection: close` — because it must never compete
 //! with the pipeline it observes: every telemetry handler only *reads*
-//! snapshots or subscribes to the bounded [`EventBus`], whose
-//! backpressure rule (drop, never block) already guarantees a stuck
-//! scraper cannot perturb training. Byte-identity of trained policies
-//! with the server on or off is enforced by `tests/observe.rs`.
+//! snapshots or subscribes to the bounded
+//! [`EventBus`](crate::bus::EventBus), whose backpressure rule (drop,
+//! never block) already guarantees a stuck scraper cannot perturb
+//! training. Byte-identity of trained policies with the server on or off
+//! is enforced by `tests/observe.rs`.
 //!
 //! **Admission**: an accepted connection is answered by the server
 //! itself with a typed `503 {"type":"shed"}` when the mount's in-flight

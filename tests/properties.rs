@@ -394,7 +394,9 @@ proptest! {
     }
 
     /// The exact DP optimum never loses to the user ladder (it optimizes
-    /// over a superset of policies) and its self-replay matches its value.
+    /// over a superset of policies), its chain reproduces its value to
+    /// the bit, and value iteration on the same model written out as an
+    /// explicit MDP finds the same optimum.
     #[test]
     fn dp_optimum_dominates_the_ladder(reqs in proptest::collection::vec(arb_action(), 2..30)) {
         let processes: Vec<RecoveryProcess> = reqs
@@ -426,8 +428,44 @@ proptest! {
         let user_cost = model.policy_cost(&UserStatePolicy::default(), 20).unwrap();
         prop_assert!(opt.expected_cost <= user_cost + 1e-6,
             "DP {} worse than ladder {}", opt.expected_cost, user_cost);
-        let self_cost = model.policy_cost(&opt, 20).unwrap();
-        prop_assert!((self_cost - opt.expected_cost).abs() < 1e-6);
+        prop_assert_eq!(model.policy_cost(&opt, 20), Some(opt.expected_cost));
+
+        // The grid as a `TabularMdp`: cell `attempts × 4 + column` per
+        // (strongest failure, attempts), plus one terminal state. Every
+        // action acts as RMA at the last attempt.
+        const N: usize = 20;
+        let strongest = [
+            None,
+            Some(RepairAction::TryNop),
+            Some(RepairAction::Reboot),
+            Some(RepairAction::Reimage),
+        ];
+        let column = |m: Option<RepairAction>| m.map_or(0, |a| a.index() + 1);
+        let terminal = 4 * N;
+        let mut mdp = TabularMdp::new(4 * N + 1, RepairAction::COUNT);
+        mdp.set_terminal(terminal);
+        for attempts in 0..N {
+            for m in strongest {
+                let s = attempts * 4 + column(m);
+                for a in RepairAction::ALL {
+                    let acted = if attempts + 1 == N { RepairAction::Rma } else { a };
+                    let p = model.success_prob(m, acted);
+                    let cost = p * model.average_cost(acted, true)
+                        + (1.0 - p) * model.average_cost(acted, false);
+                    mdp.set_cost(s, a.index(), cost);
+                    if p > 0.0 {
+                        mdp.add_transition(s, a.index(), p, terminal);
+                    }
+                    if p < 1.0 {
+                        let next = (attempts + 1) * 4 + column(m.max(Some(acted)));
+                        mdp.add_transition(s, a.index(), 1.0 - p, next);
+                    }
+                }
+            }
+        }
+        let v_star = value_iteration(&mdp, 1.0, 1e-12, 10_000).values[0];
+        prop_assert!((v_star - opt.expected_cost).abs() <= 1e-9 * opt.expected_cost,
+            "DP {} vs value iteration {}", opt.expected_cost, v_star);
     }
 }
 
@@ -438,10 +476,11 @@ proptest! {
 
     /// The learners converge to the value-iteration optimum on random
     /// proper episodic MDPs: Q-learning and double Q-learning learn the
-    /// start value, and all three learners — SARSA included — greedily
-    /// pick a start action whose exact one-step lookahead cost is the
-    /// optimum. The exploration phase boundary resets Q-learning's visit
-    /// counts mid-run.
+    /// start value, SARSA's start value sits no lower than the optimum
+    /// (up to sampling noise), and all three learners greedily pick a
+    /// start action whose exact one-step lookahead cost is the optimum.
+    /// The exploration phase boundary resets Q-learning's visit counts
+    /// mid-run.
     #[test]
     fn q_learning_matches_value_iteration(seed in 0u64..5000) {
         use rand::rngs::StdRng;
@@ -464,8 +503,8 @@ proptest! {
         let runs = [
             ("q-learning", QLearning::new(config.clone()).train(&mut env(), &mut rng(), table), true),
             ("double-q", DoubleQLearning::new(config.clone()).train(&mut env(), &mut rng()), true),
-            // SARSA values its exploring behaviour policy, so only its
-            // greedy choice is held to the optimum.
+            // SARSA values its exploring behaviour policy, which costs at
+            // least the optimum: its value is held only from below.
             ("sarsa", Sarsa::new(config).train(&mut env(), &mut rng()), false),
         ];
         for (name, result, learns_value) in runs {
@@ -473,6 +512,9 @@ proptest! {
             if learns_value {
                 let rel = (v0 - v_star).abs() / v_star.max(1.0);
                 prop_assert!(rel < 0.12, "{}: learned {} vs exact {} (rel {rel})", name, v0, v_star);
+            } else {
+                prop_assert!(v0 >= 0.88 * v_star,
+                    "{}: learned {} below 0.88 × exact {}", name, v0, v_star);
             }
             let lookahead = mdp.cost(0, a0)
                 + mdp.transitions(0, a0).iter().map(|&(p, next)| p * exact.values[next]).sum::<f64>();
